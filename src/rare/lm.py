@@ -244,9 +244,10 @@ class HttpBackend(LmBackend):
 
     POSTs ``{base_url}/v1/chat/completions`` and reads
     ``choices[*].message.content`` plus usage token counts. Transport
-    failures are retried with exponential backoff; other failures surface
-    immediately. If the endpoint returns fewer choices than requested the
-    client tops up with follow-up posts, still recorded as one logical call.
+    failures (any ``requests`` exception, HTTP 429 or 5xx) are retried with
+    exponential backoff; other failures surface immediately. If the endpoint
+    returns fewer choices than requested the client tops up with follow-up
+    posts, still recorded as one logical call.
     """
 
     def __init__(
@@ -319,7 +320,7 @@ class HttpBackend(LmBackend):
                 resp = self._session.post(
                     url, json=payload, headers=headers, timeout=self.timeout
                 )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except requests.RequestException as exc:
                 last_error = exc
                 continue
             if resp.status_code in (429,) or resp.status_code >= 500:
@@ -342,15 +343,16 @@ class HttpBackend(LmBackend):
 
 def _parse_chat_body(body: dict[str, Any]) -> tuple[list[str], int, int]:
     try:
-        choices = body["choices"]
-        texts = [str(choice["message"]["content"]) for choice in choices]
-    except (KeyError, TypeError) as exc:
-        raise MalformedReplyError(f"missing chat fields: {exc}") from None
+        texts = [choice["message"]["content"] for choice in body["choices"]]
+        usage = body.get("usage") or {}
+        prompt_tokens = int(usage.get("prompt_tokens", 0) or 0)
+        completion_tokens = int(usage.get("completion_tokens", 0) or 0)
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise MalformedReplyError(f"malformed chat fields: {exc}") from None
     if not texts:
         raise MalformedReplyError("endpoint returned zero choices")
-    usage = body.get("usage") or {}
-    prompt_tokens = int(usage.get("prompt_tokens", 0) or 0)
-    completion_tokens = int(usage.get("completion_tokens", 0) or 0)
+    if not all(isinstance(text, str) for text in texts):
+        raise MalformedReplyError("choice content is not a string")
     return texts, prompt_tokens, completion_tokens
 
 

@@ -346,25 +346,6 @@ def action_step_from_record(record: Mapping[str, Any]) -> ActionStep:
     )
 
 
-def statement_to_record(stmt: Statement) -> dict[str, Any]:
-    return {
-        "index": stmt.index,
-        "text": stmt.text,
-        "queries": list(stmt.queries),
-        "evidence_ids": [ref.doc_id for ref in stmt.evidence],
-        "label": stmt.label,
-    }
-
-
-def factuality_report_to_record(report: FactualityReport) -> dict[str, Any]:
-    return {
-        "statements": [statement_to_record(s) for s in report.statements],
-        "supported": report.supported_count,
-        "not_supported": report.not_supported_count,
-        "score": report.score,
-    }
-
-
 def trajectory_to_record(traj: Trajectory) -> dict[str, Any]:
     return {
         "question_id": traj.question_ref,

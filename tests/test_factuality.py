@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +11,9 @@ from conftest import (
     make_reasoning_trajectory,
     rafs_rating_entries,
 )
-from rare.errors import ValidationError
+from rare.errors import ScriptMissError, ValidationError
 from rare.factuality import (
+    factuality_record,
     generate_queries,
     rate_statement,
     score_candidates,
@@ -177,8 +180,6 @@ class TestScoreTrajectory:
 
     def test_disabled_scorer_rejected(self, question, backend, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
-        from dataclasses import replace
-
         with pytest.raises(ValidationError):
             score_trajectory(traj, backend, index, replace(CFG, rafs_enabled=False))
 
@@ -228,3 +229,65 @@ class TestScoreCandidates:
         scored = score_candidates([traj], backend, index, CFG)
         assert scored[0].factuality is None
         assert scored[0].factuality_score() == -1.0
+
+
+SHARED_TAIL = ("Ketotifen eye drops relieve allergic itching within minutes."
+               " The answer is B: Ketotifen eye drops.")
+
+
+def sharing_candidates(question):
+    """Two candidates from one tree: the second repeats the first three
+    sentences of the first, in a step of its own, then ends differently."""
+    first = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
+    prefix = " ".join(split_statements(first)[:3])
+    steps = (
+        ActionStep(ActionKind.A3, "p", prefix, sub_question="What fits best?"),
+        ActionStep(ActionKind.A2, "p", SHARED_TAIL),
+    )
+    return [first, Trajectory(question.id, steps, final_answer="B")]
+
+
+class TestSharedStatements:
+    def test_each_distinct_sentence_checked_once(self, question, index):
+        trajs = sharing_candidates(question)
+        backend = ScriptedBackend(rafs_rating_entries())
+        score_candidates(trajs, backend, index, CFG)
+        distinct = list(dict.fromkeys(
+            s for traj in trajs for s in split_statements(traj)))
+        assert len(distinct) == 7  # five sentences, plus two new ones
+        log = backend.call_log()
+        for sentence in distinct:
+            asked = [c for c in log if f"Statement: {sentence}\n" in c.prompt]
+            assert sorted(c.purpose for c in asked) == ["query_gen", "rating"]
+        assert len(log) == 2 * len(distinct)
+
+    def test_shared_reports_equal_stand_alone_reports(self, question, index):
+        trajs = sharing_candidates(question)
+        scored = score_candidates(trajs, ScriptedBackend(rafs_rating_entries()),
+                                  index, CFG)
+        for traj, together in zip(trajs, scored):
+            alone = score_trajectory(traj, ScriptedBackend(rafs_rating_entries()),
+                                     index, CFG)
+            assert together.factuality == alone
+            assert factuality_record(together) == factuality_record(
+                replace(traj, factuality=alone))
+            assert [s.index for s in alone.statements] == list(
+                range(len(alone.statements)))
+        assert [t.factuality.score for t in scored] == [0.6, 1.0]
+
+    def test_failing_shared_sentence_fails_every_holder(self, question, index):
+        first, second = sharing_candidates(question)
+        third = make_reasoning_trajectory(question, REASONING_SCORE_10, "B")
+        shared = split_statements(first)[1]
+        # an entry without completions makes its match raise ScriptMissError
+        entries = [ScriptEntry("query_gen", (), substrings=(shared,))]
+        backend = ScriptedBackend(entries + rafs_rating_entries())
+        scored = score_candidates([first, second, third], backend, index, CFG)
+        assert scored[0].factuality is None
+        assert scored[1].factuality is None
+        alone = score_trajectory(third, ScriptedBackend(rafs_rating_entries()),
+                                 index, CFG)
+        assert scored[2].factuality == alone
+        with pytest.raises(ScriptMissError):
+            score_trajectory(second, ScriptedBackend(entries + rafs_rating_entries()),
+                             index, CFG)

@@ -3,6 +3,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from rare.errors import (
@@ -271,6 +272,99 @@ class TestHttpBackend:
             "RARE_LM_BASE_URL": "http://x", "RARE_LM_MODEL": "m",
         })
         assert backend.base_url == "http://x"
+
+
+class _FakeResponse:
+    def __init__(self, body: dict):
+        self.status_code = 200
+        self.text = json.dumps(body)
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class _FakeSession:
+    """Stands in for ``requests.Session``: ``reply(payload)`` gives the body
+    of each POST, or an exception to raise from it."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.posts: list[dict] = []
+
+    def post(self, url, json, headers, timeout):
+        self.posts.append(json)
+        result = self.reply(json)
+        if isinstance(result, Exception):
+            raise result
+        return _FakeResponse(result)
+
+
+def fake_backend(reply, **kwargs):
+    session = _FakeSession(reply)
+    return HttpBackend("http://fake", model="m", backoff_base=0.001,
+                       session=session, **kwargs), session
+
+
+def reply_body(content, usage=None):
+    return {"choices": [{"message": {"content": content}}],
+            "usage": usage or {"prompt_tokens": 3, "completion_tokens": 2}}
+
+
+class TestHttpBackendFaults:
+    @pytest.mark.parametrize("content", [None, 42, ["text"]])
+    def test_non_string_content_is_malformed(self, content):
+        backend, _ = fake_backend(lambda payload: reply_body(content))
+        with pytest.raises(MalformedReplyError):
+            backend.complete(LmRequest("hello"))
+
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": "many", "completion_tokens": 2},
+        {"prompt_tokens": 3, "completion_tokens": "a few"},
+        {"prompt_tokens": 3, "completion_tokens": float("inf")},
+        ["not", "a", "mapping"],
+    ])
+    def test_non_numeric_usage_is_malformed(self, usage):
+        backend, _ = fake_backend(lambda payload: reply_body("ok", usage))
+        with pytest.raises(MalformedReplyError):
+            backend.complete(LmRequest("hello"))
+
+    def test_bad_usage_costs_only_its_question(self):
+        from conftest import make_eval_question
+        from rare.harness import run_eval
+        from rare.types import SearchConfig
+
+        def reply(payload):
+            prompt = payload["messages"][0]["content"]
+            usage = {"prompt_tokens": "many"} if "[q02]" in prompt else None
+            return reply_body("The answer is B: beta therapy.", usage)
+
+        backend, _ = fake_backend(reply)
+        questions = [make_eval_question(f"q0{i}", "B") for i in (1, 2, 3)]
+        report = run_eval(questions, "cot", backend, None,
+                          SearchConfig(rng_seed=0), workers=1)
+        errors = {r.question_id: r.error for r in report.records}
+        assert errors["q01"] is None and errors["q03"] is None
+        assert errors["q02"].startswith("MalformedReplyError")
+        assert report.accuracy == 2 / 3
+
+    def test_other_requests_errors_are_retried(self):
+        failures = [requests.exceptions.ChunkedEncodingError("cut short")]
+
+        def reply(payload):
+            return failures.pop() if failures else reply_body("ok")
+
+        backend, session = fake_backend(reply)
+        assert backend.complete(LmRequest("hello")).completions == ("ok",)
+        assert len(session.posts) == 2
+
+    def test_persistent_requests_error_becomes_transport_error(self):
+        backend, session = fake_backend(
+            lambda payload: requests.exceptions.ChunkedEncodingError("cut short"),
+            max_attempts=3)
+        with pytest.raises(TransportError):
+            backend.complete(LmRequest("hello"))
+        assert len(session.posts) == 3
 
 
 class _TinyModelHandler(BaseHTTPRequestHandler):
