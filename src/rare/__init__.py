@@ -47,7 +47,7 @@ from .mcts import (
     terminal_reward,
     uct_score,
 )
-from .retrieval import Document, RetrievalIndex, ScoredHit, build_index, search
+from .retrieval import Document, RetrievalIndex, build_index, search
 from .selection import SelectionResult, run_baseline, select_majority, select_rare
 from .types import (
     ActionKind,

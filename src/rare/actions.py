@@ -1,32 +1,31 @@
 """The seven reasoning actions: prompts, execution, and output parsing.
 
-Transition relation (which actions are legal in which context):
-
-    root        -> {A1, A2, A3, A5, A6}
-    after A1    -> {A1, A2, A3, A6}
-    after A5    -> {A1, A2, A3, A6}   (rephrased question used from here on)
-    after A3    -> {A3, A4, A7}       (sub-question chain open)
-    after A4    -> {A3}
-    after A7    -> {A3}
-
-always intersected with the enabled-action set. A2 and A6 end a trajectory by
-construction; an A3 whose sub-question begins with the answer-now marker ends
-it too; any other step ends it when its output contains an extractable final
-answer. Once the sub-question chain reaches the configured cap, only A2
-remains, which bounds trajectory depth.
+``ACTION_SPECS`` holds one spec per action (template, prompt fields, parser,
+stop sequences, terminal rule) and ``execute_action`` runs any of them
+through one render -> complete -> parse path; A6 and A7 first retrieve
+documents for their queries. ``_NEXT_ACTIONS`` is the transition table: the
+actions legal after each kind of last step (``None`` for the root), always
+intersected with the enabled-action set. A5's rephrased question is used
+from then on. A2 and A6 end a trajectory by construction; an A3 whose
+sub-question begins with the answer-now marker ends it too; any other step
+ends it when its output contains an extractable final answer. Once the
+sub-question chain reaches the configured cap, only A2 remains, which bounds
+trajectory depth.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Literal
 
 from .errors import NoViableChildError, ValidationError
 from .lm import LmBackend, request_for
-from .retrieval import RetrievalIndex, ScoredHit, search
-from .types import ActionKind, ActionStep, DocumentRef, Question, SearchConfig
+from .retrieval import RetrievalIndex, search
+from .types import RETRIEVAL_ACTIONS, ActionKind, ActionStep, DocumentRef, Question, SearchConfig
 
 ANSWER_NOW_MARKER = "now we can answer"
 
@@ -54,18 +53,19 @@ class PromptLibrary:
         if missing:
             raise ValidationError(f"missing templates for {sorted(k.value for k in missing)}")
         self.templates = dict(templates)
-
-    @classmethod
-    def default(cls) -> "PromptLibrary":
-        templates = {}
-        root = resources.files(__package__) / "templates"
         for kind in ActionKind:
-            templates[kind] = (root / f"{kind.value.lower()}.txt").read_text("utf-8")
-        return cls(templates)
+            try:
+                self.render(kind)
+            except (KeyError, IndexError, ValueError, AttributeError) as exc:
+                raise ValidationError(
+                    f"template for {kind.value} cannot render: {type(exc).__name__}: {exc}"
+                ) from None
 
     @classmethod
-    def from_dir(cls, path: str | Path) -> "PromptLibrary":
-        base = Path(path)
+    def from_dir(cls, path: str | Path | None = None) -> "PromptLibrary":
+        """Load ``a1.txt`` ... ``a7.txt`` from ``path``, or the packaged
+        templates when no path is given."""
+        base = Path(path) if path is not None else resources.files(__package__) / "templates"
         templates = {}
         for kind in ActionKind:
             file = base / f"{kind.value.lower()}.txt"
@@ -90,14 +90,9 @@ class PromptLibrary:
         )
 
 
-_DEFAULT_PROMPTS: PromptLibrary | None = None
-
-
+@functools.cache
 def default_prompts() -> PromptLibrary:
-    global _DEFAULT_PROMPTS
-    if _DEFAULT_PROMPTS is None:
-        _DEFAULT_PROMPTS = PromptLibrary.default()
-    return _DEFAULT_PROMPTS
+    return PromptLibrary.from_dir()
 
 
 @dataclass(frozen=True)
@@ -134,12 +129,11 @@ class ActionContext:
 @dataclass(frozen=True)
 class ActionOutcome:
     step: ActionStep
-    is_terminal: bool
     extracted_answer: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.is_terminal != (self.extracted_answer is not None):
-            raise ValidationError("is_terminal must match presence of an extracted answer")
+    @property
+    def is_terminal(self) -> bool:
+        return self.extracted_answer is not None
 
 
 def extract_answer(text: str, q: Question) -> str | None:
@@ -157,26 +151,29 @@ def extract_answer(text: str, q: Question) -> str | None:
     return found
 
 
+_AFTER_REASONING = frozenset({ActionKind.A1, ActionKind.A2, ActionKind.A3, ActionKind.A6})
+_NEXT_ACTIONS: dict[ActionKind | None, frozenset[ActionKind]] = {
+    None: _AFTER_REASONING | {ActionKind.A5},
+    ActionKind.A1: _AFTER_REASONING,
+    ActionKind.A5: _AFTER_REASONING,
+    ActionKind.A3: frozenset({ActionKind.A3, ActionKind.A4, ActionKind.A7}),
+    ActionKind.A4: frozenset({ActionKind.A3}),
+    ActionKind.A7: frozenset({ActionKind.A3}),
+    # A2/A6 steps are terminal; a consistent context cannot continue them
+    ActionKind.A2: frozenset(),
+    ActionKind.A6: frozenset(),
+}
+
+
 def valid_actions(ctx: ActionContext, cfg: SearchConfig) -> frozenset[ActionKind]:
     """Subset of enabled actions legal at this context."""
     if ctx.terminal:
         return frozenset()
     if ctx.subquestion_count() >= cfg.max_subquestion_chain:
-        base = {ActionKind.A2}
-    elif not ctx.steps:
-        base = {ActionKind.A1, ActionKind.A2, ActionKind.A3, ActionKind.A5, ActionKind.A6}
+        base = frozenset({ActionKind.A2})
     else:
-        last = ctx.steps[-1].kind
-        if last in (ActionKind.A1, ActionKind.A5):
-            base = {ActionKind.A1, ActionKind.A2, ActionKind.A3, ActionKind.A6}
-        elif last == ActionKind.A3:
-            base = {ActionKind.A3, ActionKind.A4, ActionKind.A7}
-        elif last in (ActionKind.A4, ActionKind.A7):
-            base = {ActionKind.A3}
-        else:
-            # A2/A6 steps are terminal; a consistent context cannot reach here
-            base = set()
-    return frozenset(base) & cfg.enabled_actions
+        base = _NEXT_ACTIONS[ctx.steps[-1].kind if ctx.steps else None]
+    return base & cfg.enabled_actions
 
 
 # --- output parsing ----------------------------------------------------------
@@ -266,7 +263,7 @@ def render_qa_steps(steps: tuple[ActionStep, ...]) -> str:
     return "\n".join(lines)
 
 
-def render_documents(hits: list[ScoredHit] | tuple[DocumentRef, ...],
+def render_documents(hits: list[DocumentRef] | tuple[DocumentRef, ...],
                      index: RetrievalIndex | None = None) -> str:
     lines = []
     for hit in hits:
@@ -280,7 +277,7 @@ def render_documents(hits: list[ScoredHit] | tuple[DocumentRef, ...],
     return "\n".join(lines)
 
 
-def merge_hits(hit_lists: list[list[ScoredHit]], cap: int) -> tuple[DocumentRef, ...]:
+def merge_hits(hit_lists: list[list[DocumentRef]], cap: int) -> tuple[DocumentRef, ...]:
     """Union per-query hits, first occurrence wins, capped."""
     merged: list[DocumentRef] = []
     seen: set[str] = set()
@@ -293,6 +290,74 @@ def merge_hits(hit_lists: list[list[ScoredHit]], cap: int) -> tuple[DocumentRef,
 
 
 # --- execution ---------------------------------------------------------------
+
+def _cot_fields(ctx: ActionContext, documents: str) -> dict[str, str]:
+    return {"question": ctx.question_text(), "steps": render_cot_steps(ctx.steps)}
+
+
+@dataclass(frozen=True)
+class ActionSpec:
+    """How one action renders its prompt and turns completions into steps.
+
+    ``fields`` maps the context and the rendered documents to template
+    fields. ``parse`` maps a completion to ``(sub-question, output)``, or
+    None when it is unusable. ``ends`` is the terminal rule: ``"answer"``
+    ends the step when its output holds an answer, ``"always"`` drops a
+    completion without one, and ``"marker"`` ends it only on the answer-now
+    marker, which must then carry an answer.
+    """
+
+    template: ActionKind
+    fields: Callable[[ActionContext, str], dict[str, str]]
+    parse: Callable[[str], tuple[str | None, str] | None] = lambda c: (None, c.strip())
+    stop: tuple[str, ...] = ("### Instruction",)
+    ends: Literal["answer", "always", "marker"] = "answer"
+    pending: bool = False  # acts on the pending sub-question
+
+
+ACTION_SPECS: dict[ActionKind, ActionSpec] = {
+    ActionKind.A1: ActionSpec(ActionKind.A1, _cot_fields,
+                              parse=lambda c: (None, parse_first_step(c))),
+    ActionKind.A2: ActionSpec(ActionKind.A2, _cot_fields, ends="always"),
+    ActionKind.A3: ActionSpec(
+        ActionKind.A3,
+        lambda ctx, docs: {"question": ctx.question_text(),
+                           "steps": render_qa_steps(ctx.steps)},
+        parse=parse_sub_qa, stop=(), ends="marker"),
+    ActionKind.A4: ActionSpec(
+        ActionKind.A4,
+        lambda ctx, docs: {"question": ctx.question_text(),
+                           "sub_question": ctx.pending_sub_question},
+        pending=True),
+    ActionKind.A5: ActionSpec(
+        ActionKind.A5, lambda ctx, docs: {"question": ctx.question_text()},
+        parse=lambda c: (None, _REPHRASED_PREFIX_RE.sub("", c.strip()).strip()),
+        stop=("Original Question:",)),
+    # A6 answers the whole question from its documents with A7's template
+    ActionKind.A6: ActionSpec(
+        ActionKind.A7,
+        lambda ctx, docs: {"sub_question": ctx.question_text(), "documents": docs},
+        ends="always"),
+    ActionKind.A7: ActionSpec(
+        ActionKind.A7,
+        lambda ctx, docs: {"sub_question": ctx.pending_sub_question, "documents": docs},
+        pending=True),
+}
+
+
+def _queries(kind: ActionKind, ctx: ActionContext, backend: LmBackend,
+             cfg: SearchConfig, prompts: PromptLibrary) -> list[str]:
+    """Retrieval queries: A6 generates its own, A7 uses the pending sub-question."""
+    if kind == ActionKind.A7:
+        return [ctx.pending_sub_question]
+    prompt = prompts.render(ActionKind.A6, question=ctx.question_text())
+    resp = backend.complete(request_for("query_gen", prompt, 1,
+                                        stop_sequences=("\nQuestion 3",)))
+    queries = parse_queries(resp.completions[0], cfg.queries_per_call)
+    if not queries:
+        raise NoViableChildError("A6 query generation produced no queries")
+    return queries
+
 
 def execute_action(
     kind: ActionKind,
@@ -309,138 +374,41 @@ def execute_action(
     outcomes; unparseable samples are discarded and an empty harvest raises
     NoViableChildError. Backend failures propagate.
     """
+    spec = ACTION_SPECS[kind]
     prompts = prompts or default_prompts()
     n = n_outcomes if n_outcomes is not None else cfg.children_per_action
-    question_text = ctx.question_text()
+    retrieves = kind in RETRIEVAL_ACTIONS
+    if retrieves and index is None:
+        raise ValidationError(f"{kind.value} requires a retrieval index")
+    if spec.pending and not ctx.pending_sub_question:
+        raise ValidationError(f"{kind.value} requires a pending sub-question")
 
-    if kind == ActionKind.A1:
-        prompt = prompts.render(ActionKind.A1, question=question_text,
-                                steps=render_cot_steps(ctx.steps))
-        resp = backend.complete(request_for("action_gen", prompt, n,
-                                            stop_sequences=("### Instruction",)))
-        outcomes = []
-        for completion in resp.completions:
-            text = parse_first_step(completion)
-            if not text:
-                continue
-            answer = extract_answer(text, ctx.question)
-            step = ActionStep(ActionKind.A1, prompt, text)
-            outcomes.append(ActionOutcome(step, answer is not None, answer))
+    queries: tuple[str, ...] = ()
+    retrieved: tuple[DocumentRef, ...] = ()
+    if retrieves:
+        queries = tuple(_queries(kind, ctx, backend, cfg, prompts))
+        retrieved = merge_hits([search(index, query, cfg.retrieval_top_k)
+                                for query in queries], cfg.retrieval_top_k)
+    prompt = prompts.render(spec.template,
+                            **spec.fields(ctx, render_documents(retrieved, index)))
+    resp = backend.complete(request_for("action_gen", prompt, n, stop_sequences=spec.stop))
 
-    elif kind == ActionKind.A2:
-        prompt = prompts.render(ActionKind.A2, question=question_text,
-                                steps=render_cot_steps(ctx.steps))
-        resp = backend.complete(request_for("action_gen", prompt, n,
-                                            stop_sequences=("### Instruction",)))
-        outcomes = []
-        for completion in resp.completions:
-            text = completion.strip()
-            answer = extract_answer(text, ctx.question)
-            if not text or answer is None:
-                continue
-            step = ActionStep(ActionKind.A2, prompt, text)
-            outcomes.append(ActionOutcome(step, True, answer))
-
-    elif kind == ActionKind.A3:
-        prompt = prompts.render(ActionKind.A3, question=question_text,
-                                steps=render_qa_steps(ctx.steps))
-        resp = backend.complete(request_for("action_gen", prompt, n))
-        outcomes = []
-        for completion in resp.completions:
-            parsed = parse_sub_qa(completion)
-            if parsed is None:
-                continue
-            sub_question, answer_text = parsed
-            is_final = sub_question.lower().startswith(ANSWER_NOW_MARKER)
-            step = ActionStep(ActionKind.A3, prompt, answer_text, sub_question=sub_question)
-            if is_final:
-                answer = extract_answer(answer_text, ctx.question)
-                if answer is None:
-                    continue
-                outcomes.append(ActionOutcome(step, True, answer))
-            else:
-                outcomes.append(ActionOutcome(step, False, None))
-
-    elif kind == ActionKind.A4:
-        sub_question = ctx.pending_sub_question
-        if not sub_question:
-            raise ValidationError("A4 requires a pending sub-question")
-        prompt = prompts.render(ActionKind.A4, question=question_text,
-                                sub_question=sub_question)
-        resp = backend.complete(request_for("action_gen", prompt, n,
-                                            stop_sequences=("### Instruction",)))
-        outcomes = []
-        for completion in resp.completions:
-            text = completion.strip()
-            if not text:
-                continue
-            answer = extract_answer(text, ctx.question)
-            step = ActionStep(ActionKind.A4, prompt, text, sub_question=sub_question)
-            outcomes.append(ActionOutcome(step, answer is not None, answer))
-
-    elif kind == ActionKind.A5:
-        prompt = prompts.render(ActionKind.A5, question=question_text)
-        resp = backend.complete(request_for("action_gen", prompt, n,
-                                            stop_sequences=("Original Question:",)))
-        outcomes = []
-        for completion in resp.completions:
-            text = _REPHRASED_PREFIX_RE.sub("", completion.strip()).strip()
-            if not text:
-                continue
-            answer = extract_answer(text, ctx.question)
-            step = ActionStep(ActionKind.A5, prompt, text)
-            outcomes.append(ActionOutcome(step, answer is not None, answer))
-
-    elif kind == ActionKind.A6:
-        if index is None:
-            raise ValidationError("A6 requires a retrieval index")
-        query_prompt = prompts.render(ActionKind.A6, question=question_text)
-        query_resp = backend.complete(request_for("query_gen", query_prompt, 1,
-                                                  stop_sequences=("\nQuestion 3",)))
-        queries = parse_queries(query_resp.completions[0], cfg.queries_per_call)
-        if not queries:
-            raise NoViableChildError("A6 query generation produced no queries")
-        hit_lists = [search(index, query, cfg.retrieval_top_k) for query in queries]
-        merged = merge_hits(hit_lists, cfg.retrieval_top_k)
-        prompt = prompts.render(ActionKind.A7, sub_question=question_text,
-                                documents=render_documents(list(merged), index))
-        resp = backend.complete(request_for("action_gen", prompt, n,
-                                            stop_sequences=("### Instruction",)))
-        outcomes = []
-        for completion in resp.completions:
-            text = completion.strip()
-            answer = extract_answer(text, ctx.question)
-            if not text or answer is None:
-                continue
-            step = ActionStep(ActionKind.A6, prompt, text,
-                              retrieved=merged, queries=tuple(queries))
-            outcomes.append(ActionOutcome(step, True, answer))
-
-    elif kind == ActionKind.A7:
-        if index is None:
-            raise ValidationError("A7 requires a retrieval index")
-        sub_question = ctx.pending_sub_question
-        if not sub_question:
-            raise ValidationError("A7 requires a pending sub-question")
-        hits = tuple(search(index, sub_question, cfg.retrieval_top_k))
-        prompt = prompts.render(ActionKind.A7, sub_question=sub_question,
-                                documents=render_documents(list(hits), index))
-        resp = backend.complete(request_for("action_gen", prompt, n,
-                                            stop_sequences=("### Instruction",)))
-        outcomes = []
-        for completion in resp.completions:
-            text = completion.strip()
-            if not text:
-                continue
-            answer = extract_answer(text, ctx.question)
-            step = ActionStep(ActionKind.A7, prompt, text,
-                              sub_question=sub_question, retrieved=hits,
-                              queries=(sub_question,))
-            outcomes.append(ActionOutcome(step, answer is not None, answer))
-
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown action kind: {kind}")
-
+    outcomes = []
+    for completion in resp.completions:
+        parsed = spec.parse(completion)
+        if parsed is None or not parsed[1]:
+            continue
+        sub_question, output = parsed
+        if spec.pending:
+            sub_question = ctx.pending_sub_question
+        answer = extract_answer(output, ctx.question)
+        if spec.ends == "marker" and not sub_question.lower().startswith(ANSWER_NOW_MARKER):
+            answer = None
+        elif spec.ends != "answer" and answer is None:
+            continue
+        step = ActionStep(kind, prompt, output, sub_question=sub_question,
+                          retrieved=retrieved, queries=queries)
+        outcomes.append(ActionOutcome(step, answer))
     if not outcomes:
         raise NoViableChildError(f"no viable child for {kind.value}")
     return outcomes

@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .actions import PromptLibrary, default_prompts
+from .actions import PromptLibrary
 from .errors import RareError
 from .harness import (
     ABLATION_PRESETS,
@@ -108,7 +108,7 @@ def _make_backend(args: argparse.Namespace):
 def _cmd_eval(args: argparse.Namespace) -> int:
     questions = load_dataset(args.dataset, strict=not args.lenient)
     backend = _make_backend(args)
-    prompts = PromptLibrary.from_dir(args.templates) if args.templates else default_prompts()
+    prompts = PromptLibrary.from_dir(args.templates)
 
     cfg = SearchConfig(
         exploration_c=args.exploration_c,

@@ -20,7 +20,7 @@ from .actions import PromptLibrary
 from .errors import DatasetError, RareError, ValidationError
 from .factuality import score_candidates
 from .lm import LmBackend, ScopedBackend
-from .mcts import run_search
+from .mcts import SearchTree, run_search
 from .retrieval import RetrievalIndex
 from .selection import SelectionResult, run_baseline, select_majority, select_rare
 from .types import (
@@ -135,7 +135,7 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
             result = run_baseline(method, question, scope, index, qcfg, prompts)
             candidates = [result.chosen]
         else:
-            searched = run_search(question, scope, index, qcfg, prompts)
+            searched = run_search(SearchTree(question, qcfg), scope, index, prompts)
             if qcfg.rafs_enabled:
                 candidates = score_candidates(searched, scope, index, qcfg)
                 result = select_rare(candidates)
@@ -183,6 +183,8 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
         raise ValidationError("no questions to evaluate")
     if workers is None:
         workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
 
     def work(question: Question) -> tuple[EvalRecord, list[Trajectory]]:
         return evaluate_question(question, method, backend, index, cfg, prompts)

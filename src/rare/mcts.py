@@ -78,6 +78,8 @@ class SearchTree:
     """One question's search tree plus its private random stream."""
 
     def __init__(self, question: Question, cfg: SearchConfig):
+        cfg.validate()
+        validate_question(question)
         self.question = question
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
@@ -93,13 +95,10 @@ class SearchTree:
         return node
 
     def trajectory_of(self, node: TreeNode) -> Trajectory:
-        final_answer = None
-        if node.incoming is not None and node.incoming.is_terminal:
-            final_answer = node.incoming.extracted_answer
         return Trajectory(
             question_ref=self.question.id,
             steps=node.ctx.steps,
-            final_answer=final_answer,
+            final_answer=node.incoming.extracted_answer if node.incoming else None,
         )
 
 
@@ -187,7 +186,7 @@ def context_from_steps(question: Question, steps: tuple[ActionStep, ...]) -> Act
     """Rebuild the context preceding a step list (all steps non-terminal)."""
     ctx = ActionContext(question)
     for step in steps:
-        ctx = ctx.extend(ActionOutcome(step, False, None))
+        ctx = ctx.extend(ActionOutcome(step))
     return ctx
 
 
@@ -221,33 +220,20 @@ def backpropagate(tree: SearchTree, leaf: TreeNode, reward: float) -> None:
         node.visits += 1
 
 
-def run_search(question: Question, backend: LmBackend, index: RetrievalIndex | None,
-               cfg: SearchConfig,
+def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | None,
                prompts: PromptLibrary | None = None) -> list[Trajectory]:
-    """Run ``cfg.rollouts`` MCTS iterations and return every distinct terminal
-    trajectory discovered, each with its consistency reward attached."""
-    _, candidates = run_search_tree(question, backend, index, cfg, prompts)
-    return candidates
-
-
-def run_search_tree(question: Question, backend: LmBackend,
-                    index: RetrievalIndex | None, cfg: SearchConfig,
-                    prompts: PromptLibrary | None = None,
-                    ) -> tuple[SearchTree, list[Trajectory]]:
-    """Like ``run_search`` but also hands back the finished tree."""
-    cfg.validate()
-    validate_question(question)
-    prompts = prompts or default_prompts()
-    tree = SearchTree(question, cfg)
+    """Run ``cfg.rollouts`` MCTS iterations on ``tree`` and return every
+    distinct terminal trajectory discovered, each with its consistency
+    reward attached. The tree keeps the finished search for inspection."""
+    question, cfg = tree.question, tree.cfg
 
     candidates: dict[str, Trajectory] = {}
     rewards: dict[str, float] = {}
 
-    def register(traj: Trajectory) -> str:
+    def register(traj: Trajectory) -> None:
         key = traj.content_hash()
         if key not in candidates:
             candidates[key] = traj
-        return key
 
     def reward_for(traj: Trajectory) -> float:
         key = traj.content_hash()
@@ -288,4 +274,4 @@ def run_search_tree(question: Question, backend: LmBackend,
     if not candidates:
         raise NoCandidatesError(f"no terminal trajectory for question {question.id!r}")
     scored = [replace(traj, terminal_reward=reward_for(traj)) for traj in candidates.values()]
-    return tree, scored
+    return scored

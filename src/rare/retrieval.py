@@ -29,9 +29,6 @@ from typing import Iterable
 from .errors import CorpusError, ValidationError
 from .types import DocumentRef
 
-# Search hits are document references; the names differ by role only.
-ScoredHit = DocumentRef
-
 SOURCES = ("wikipedia", "pubmed", "textbook", "statpearls", "other")
 
 SNIPPET_CHARS = 600
@@ -144,7 +141,7 @@ def build_index(corpus: Iterable[Document], k1: float = 1.2, b: float = 0.75) ->
     )
 
 
-def search(index: RetrievalIndex, query: str, top_k: int) -> list[ScoredHit]:
+def search(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
     """Rank documents by BM25 against ``query``; empty query gives []."""
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")
@@ -170,7 +167,7 @@ def search(index: RetrievalIndex, query: str, top_k: int) -> list[ScoredHit]:
     hits = []
     for position, score in ranked[:top_k]:
         doc = index.documents[position]
-        hits.append(ScoredHit(doc_id=doc.doc_id, score=score, snippet=make_snippet(doc.body)))
+        hits.append(DocumentRef(doc_id=doc.doc_id, score=score, snippet=make_snippet(doc.body)))
     return hits
 
 

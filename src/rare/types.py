@@ -1,8 +1,9 @@
 """Core domain types: questions, actions, reasoning steps, trajectories, config.
 
 Everything here is an immutable value object, safe to share across worker
-threads. Each type has a ``*_to_record`` / ``*_from_record`` codec pair for
-the line-delimited JSON formats used by the CLI and report tooling.
+threads. The ``*_to_record`` encoders write the JSON records of reports and
+trajectory files; only questions, which arrive from dataset files, have a
+``question_from_record`` decoder.
 """
 
 from __future__ import annotations
@@ -316,14 +317,6 @@ def document_ref_to_record(ref: DocumentRef) -> dict[str, Any]:
     return {"doc_id": ref.doc_id, "score": ref.score, "snippet": ref.snippet}
 
 
-def document_ref_from_record(record: Mapping[str, Any]) -> DocumentRef:
-    return DocumentRef(
-        doc_id=str(record["doc_id"]),
-        score=float(record["score"]),
-        snippet=str(record["snippet"]),
-    )
-
-
 def action_step_to_record(step: ActionStep) -> dict[str, Any]:
     return {
         "kind": step.kind.value,
@@ -333,17 +326,6 @@ def action_step_to_record(step: ActionStep) -> dict[str, Any]:
         "retrieved": [document_ref_to_record(r) for r in step.retrieved],
         "queries": list(step.queries),
     }
-
-
-def action_step_from_record(record: Mapping[str, Any]) -> ActionStep:
-    return ActionStep(
-        kind=parse_action_kind(record["kind"]),
-        prompt_rendered=str(record.get("prompt_rendered", "")),
-        output=str(record["output"]),
-        sub_question=record.get("sub_question"),
-        retrieved=tuple(document_ref_from_record(r) for r in record.get("retrieved", [])),
-        queries=tuple(str(x) for x in record.get("queries", [])),
-    )
 
 
 def trajectory_to_record(traj: Trajectory) -> dict[str, Any]:
@@ -356,15 +338,6 @@ def trajectory_to_record(traj: Trajectory) -> dict[str, Any]:
         "factuality_score": traj.factuality.score if traj.factuality else None,
         "trajectory_hash": traj.content_hash(),
     }
-
-
-def trajectory_from_record(record: Mapping[str, Any]) -> Trajectory:
-    return Trajectory(
-        question_ref=str(record["question_id"]),
-        steps=tuple(action_step_from_record(s) for s in record.get("steps", [])),
-        final_answer=record.get("final_answer"),
-        terminal_reward=float(record.get("terminal_reward", 0.0)),
-    )
 
 
 def config_to_record(cfg: SearchConfig) -> dict[str, Any]:
@@ -381,11 +354,3 @@ def config_to_record(cfg: SearchConfig) -> dict[str, Any]:
         "rng_seed": cfg.rng_seed,
         "max_subquestion_chain": cfg.max_subquestion_chain,
     }
-
-
-def config_from_record(record: Mapping[str, Any]) -> SearchConfig:
-    kwargs = dict(record)
-    kwargs["enabled_actions"] = frozenset(
-        parse_action_kind(k) for k in record["enabled_actions"]
-    )
-    return SearchConfig(**kwargs)

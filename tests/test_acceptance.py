@@ -315,7 +315,7 @@ def test_acceptance_10_live_backend_smoke(conjunctivitis_question, index):
         backend = HttpBackend.from_env(dict(os.environ))
         q = conjunctivitis_question
         cfg = SearchConfig(rollouts=2, n_consistency_samples=2, rng_seed=0)
-        candidates = run_search(q, backend, index, cfg)
+        candidates = run_search(SearchTree(q, cfg), backend, index)
         scored = score_candidates(candidates, backend, index, cfg)
         result = select_rare(scored)
         assert result.chosen.final_answer in dict(q.options)

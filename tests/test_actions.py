@@ -53,8 +53,7 @@ def ctx_after(question, *outcomes):
 
 
 def nonterminal(kind, output="text", sub_question=None):
-    return ActionOutcome(ActionStep(kind, "p", output, sub_question=sub_question),
-                         False, None)
+    return ActionOutcome(ActionStep(kind, "p", output, sub_question=sub_question))
 
 
 class TestExtractAnswer:
@@ -115,7 +114,7 @@ class TestValidActions:
 
     def test_terminal_context_has_no_actions(self, question):
         step = ActionStep(A.A2, "p", "The answer is B: beta therapy.")
-        ctx = ctx_after(question, ActionOutcome(step, True, "B"))
+        ctx = ctx_after(question, ActionOutcome(step, "B"))
         assert valid_actions(ctx, CFG) == frozenset()
 
     def test_long_subquestion_chain_forces_a2(self, question):
@@ -304,11 +303,12 @@ class TestPromptFidelity:
         with pytest.raises(ValidationError):
             PromptLibrary.from_dir(tmp_path)
 
+    @pytest.mark.parametrize("bad", ['{"json": 1}', "{0}", "{question", "{question.nope}"])
+    def test_unrenderable_template_rejected(self, tmp_path, bad):
+        for kind in ActionKind:
+            (tmp_path / f"{kind.value.lower()}.txt").write_text(
+                "scaffold {question}", encoding="utf-8")
+        (tmp_path / "a4.txt").write_text(f"scaffold {bad}", encoding="utf-8")
+        with pytest.raises(ValidationError, match="A4"):
+            PromptLibrary.from_dir(tmp_path)
 
-class TestOutcomeInvariant:
-    def test_terminal_requires_answer(self):
-        step = ActionStep(A.A2, "p", "The answer is B: x.")
-        with pytest.raises(ValidationError):
-            ActionOutcome(step, True, None)
-        with pytest.raises(ValidationError):
-            ActionOutcome(step, False, "B")

@@ -12,6 +12,7 @@ from conftest import (
     write_script_file,
 )
 from rare.cli import main
+from rare.types import ActionKind
 
 
 @pytest.fixture
@@ -118,6 +119,31 @@ class TestEvalCommand:
             "--backend", "script", "--script", str(workspace["script"]),
         ])
         assert rc == 2
+
+    def test_unrenderable_templates_exit_2(self, workspace, capsys):
+        templates = workspace["dir"] / "templates"
+        templates.mkdir()
+        for kind in ActionKind:
+            (templates / f"{kind.value.lower()}.txt").write_text(
+                "scaffold {question}", encoding="utf-8")
+        (templates / "a2.txt").write_text('Reply as {"json": 1}\n{question}',
+                                          encoding="utf-8")
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", "cot", "--templates", str(templates),
+            "--backend", "script", "--script", str(workspace["script"]),
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_zero_workers_exits_2(self, workspace, capsys):
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", "cot", "--workers", "0",
+            "--backend", "script", "--script", str(workspace["script"]),
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_rare_without_index_exits_2(self, workspace):
         rc = main([

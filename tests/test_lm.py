@@ -414,7 +414,7 @@ class TestHttpPipelineIntegration:
     def test_full_search_and_scoring_over_http(self):
         from conftest import fixture_corpus, make_eval_question
         from rare.factuality import score_candidates
-        from rare.mcts import run_search
+        from rare.mcts import SearchTree, run_search
         from rare.retrieval import build_index
         from rare.selection import select_rare
         from rare.types import SearchConfig
@@ -428,7 +428,7 @@ class TestHttpPipelineIntegration:
             question = make_eval_question("q01", "B")
             index = build_index(fixture_corpus())
             cfg = SearchConfig(rollouts=3, rng_seed=2)
-            candidates = run_search(question, backend, index, cfg)
+            candidates = run_search(SearchTree(question, cfg), backend, index)
             scored = score_candidates(candidates, backend, index, cfg)
             result = select_rare(scored)
             assert result.chosen.final_answer == "B"

@@ -18,7 +18,6 @@ from rare.mcts import (
     backpropagate,
     expand,
     run_search,
-    run_search_tree,
     select,
     simulate,
     terminal_reward,
@@ -305,7 +304,7 @@ class TestBackpropagate:
 class TestRunSearch:
     def test_happy_path_produces_agreeing_candidates(self, question, backend, index):
         cfg = SearchConfig(rollouts=4, rng_seed=7)
-        candidates = run_search(question, backend, index, cfg)
+        candidates = run_search(SearchTree(question, cfg), backend, index)
         assert candidates
         assert all(t.final_answer == "B" for t in candidates)
         assert all(0.0 <= t.terminal_reward <= 1.0 for t in candidates)
@@ -314,23 +313,21 @@ class TestRunSearch:
 
     def test_visit_conservation_matches_rollouts(self, question, backend, index):
         for rollouts in (2, 4):
-            tree, _ = run_search_tree(
-                question,
-                ScriptedBackend(tree_entries_for(question, "B")),
-                index, SearchConfig(rollouts=rollouts, rng_seed=3))
+            tree = SearchTree(question, SearchConfig(rollouts=rollouts, rng_seed=3))
+            run_search(tree, ScriptedBackend(tree_entries_for(question, "B")), index)
             assert tree.root.visits == rollouts
 
     def test_candidates_deduplicated_by_step_outputs(self, question, backend, index):
-        candidates = run_search(question, backend, index,
-                                SearchConfig(rollouts=6, rng_seed=1))
+        candidates = run_search(SearchTree(question, SearchConfig(rollouts=6, rng_seed=1)),
+                                backend, index)
         hashes = [t.content_hash() for t in candidates]
         assert len(hashes) == len(set(hashes))
 
     def test_full_determinism_under_fixed_seed(self, question, index):
         def run():
             backend = ScriptedBackend(tree_entries_for(question, "B"))
-            tree, candidates = run_search_tree(question, backend, index,
-                                               SearchConfig(rollouts=4, rng_seed=42))
+            tree = SearchTree(question, SearchConfig(rollouts=4, rng_seed=42))
+            candidates = run_search(tree, backend, index)
             shape = [
                 (node.node_id,
                  node.parent.node_id if node.parent else None,
@@ -344,8 +341,8 @@ class TestRunSearch:
 
     def test_q_values_equal_replayed_reward_sums(self, question, index):
         backend = ScriptedBackend(tree_entries_for(question, "B"))
-        tree, _ = run_search_tree(question, backend, index,
-                                  SearchConfig(rollouts=5, rng_seed=9))
+        tree = SearchTree(question, SearchConfig(rollouts=5, rng_seed=9))
+        run_search(tree, backend, index)
         for node in tree.nodes:
             child_visits = sum(ch.visits for ch in node.children)
             assert node.visits >= child_visits
@@ -361,7 +358,7 @@ class TestRunSearch:
         cfg = SearchConfig(enabled_actions=frozenset({A.A1, A.A2}),
                            rollouts=2, max_depth=3)
         with pytest.raises(NoCandidatesError):
-            run_search(question, backend, index, cfg)
+            run_search(SearchTree(question, cfg), backend, index)
 
     def test_uct_ordering_reduces_to_mean_reward_at_equal_visits(self, question):
         # with equal visit counts, scaling rewards by a positive constant

@@ -8,17 +8,10 @@ from rare.types import (
     DocumentRef,
     Question,
     SearchConfig,
-    Trajectory,
-    action_step_from_record,
-    action_step_to_record,
-    config_from_record,
-    config_to_record,
     derive_seed,
     parse_action_kind,
     question_from_record,
     question_to_record,
-    trajectory_from_record,
-    trajectory_to_record,
     validate_question,
 )
 
@@ -122,33 +115,6 @@ class TestSerialization:
     @given(questions())
     def test_question_round_trip(self, q):
         assert question_from_record(question_to_record(q)) == q
-
-    def test_action_step_round_trip(self):
-        step = ActionStep(
-            ActionKind.A7, "prompt text", "answer text",
-            sub_question="What applies?",
-            retrieved=(DocumentRef("d1", 2.5, "snip"),),
-            queries=("What applies?",),
-        )
-        assert action_step_from_record(action_step_to_record(step)) == step
-
-    def test_trajectory_round_trip(self):
-        traj = Trajectory(
-            question_ref="q1",
-            steps=(
-                ActionStep(ActionKind.A3, "p1", "sub answer", sub_question="Q?"),
-                ActionStep(ActionKind.A2, "p2", "The answer is A: x."),
-            ),
-            final_answer="A",
-            terminal_reward=0.75,
-        )
-        assert trajectory_from_record(trajectory_to_record(traj)) == traj
-
-    def test_config_round_trip(self):
-        cfg = SearchConfig(rollouts=2, rng_seed=99,
-                           enabled_actions=frozenset({ActionKind.A1, ActionKind.A2,
-                                                      ActionKind.A3}))
-        assert config_from_record(config_to_record(cfg)) == cfg
 
 
 class TestDatasetNormalization:
