@@ -29,6 +29,7 @@ from .errors import (
 )
 
 PURPOSES = ("action_gen", "query_gen", "rating", "consistency")
+MATCH_KEYS = frozenset({"exact_hash", "substring"})
 
 # The endpoint's temperature drives sampling diversity; rating is greedy.
 DEFAULT_TEMPERATURES = {
@@ -136,25 +137,25 @@ class LmBackend:
 
 @dataclass(frozen=True)
 class ScriptEntry:
-    """One scripted reply. Entries are scanned in order; the first whose
-    purpose and match constraints hold wins. An entry without constraints is
-    a catch-all for its purpose."""
+    """One scripted reply. It matches a request of its purpose when the
+    prompt's ``prompt_key`` equals ``exact_hash`` (if set) and every one of
+    ``substrings`` occurs in the prompt; an entry without constraints is a
+    catch-all for its purpose. The first matching entry in script order wins."""
 
     purpose: str
     completions: tuple[str, ...]
     exact_hash: str | None = None
     substrings: tuple[str, ...] = ()
 
-    def matches(self, req: LmRequest) -> bool:
-        if self.purpose != req.purpose_tag:
-            return False
-        if self.exact_hash is not None and self.exact_hash != prompt_key(req.prompt):
-            return False
-        return all(s in req.prompt for s in self.substrings)
-
 
 class ScriptedBackend(LmBackend):
     """Deterministic backend: a pure function of (script, prompt, n, temperature).
+
+    Dispatch picks the first matching entry in script order, as described on
+    ``ScriptEntry``. The entries are bucketed by purpose once, at
+    construction, so a request scans only its own purpose's entries, and
+    each distinct substring is tested against the prompt at most once per
+    request.
 
     With temperature 0 every sample equals the entry's first completion;
     otherwise samples cycle through the entry's completion list.
@@ -164,9 +165,35 @@ class ScriptedBackend(LmBackend):
         super().__init__()
         self.entries = tuple(entries)
         self._log: list[CallRecord] = []
+        # Built once and only read afterwards, so worker threads share it
+        # without a lock.
+        self._by_purpose: dict[str, list[ScriptEntry]] = {}
+        for entry in self.entries:
+            self._by_purpose.setdefault(entry.purpose, []).append(entry)
+
+    def _match(self, req: LmRequest) -> ScriptEntry | None:
+        """The first matching entry in script order, or None."""
+        prompt = req.prompt
+        found: dict[str, bool] = {}
+        key = None
+        for entry in self._by_purpose.get(req.purpose_tag, ()):
+            if entry.exact_hash is not None:
+                if key is None:
+                    key = prompt_key(prompt)
+                if entry.exact_hash != key:
+                    continue
+            for s in entry.substrings:
+                hit = found.get(s)
+                if hit is None:
+                    hit = found[s] = s in prompt
+                if not hit:
+                    break
+            else:
+                return entry
+        return None
 
     def _complete(self, req: LmRequest) -> LmResponse:
-        entry = next((e for e in self.entries if e.matches(req)), None)
+        entry = self._match(req)
         if entry is None:
             head = req.prompt[:80].replace("\n", " ")
             raise ScriptMissError(
@@ -215,22 +242,35 @@ def load_script(path: str) -> ScriptedBackend:
     return ScriptedBackend(entries)
 
 
-def script_entry_from_record(record: dict[str, Any], line_no: int = 0) -> ScriptEntry:
+def script_entry_from_record(record: Any, line_no: int = 0) -> ScriptEntry:
+    def bad(problem: str) -> ValidationError:
+        return ValidationError(f"script line {line_no}: {problem}")
+
+    if not isinstance(record, dict):
+        raise bad("expected a JSON object")
     purpose = record.get("purpose")
     if purpose not in PURPOSES:
-        raise ValidationError(f"script line {line_no}: bad purpose {purpose!r}")
+        raise bad(f"bad purpose {purpose!r}")
     completions = record.get("completions")
     if not isinstance(completions, list) or not completions:
-        raise ValidationError(f"script line {line_no}: completions must be a nonempty list")
+        raise bad("completions must be a nonempty list")
     match = record.get("match") or {}
+    if not isinstance(match, dict):
+        raise bad("match must be an object")
+    if not match.keys() <= MATCH_KEYS:
+        raise bad(f"unknown match keys {sorted(match.keys() - MATCH_KEYS)}")
     exact_hash = match.get("exact_hash")
+    if exact_hash is not None and not isinstance(exact_hash, str):
+        raise bad("exact_hash must be a string")
     substring = match.get("substring")
     if substring is None:
         substrings: tuple[str, ...] = ()
     elif isinstance(substring, str):
         substrings = (substring,)
+    elif isinstance(substring, list) and all(isinstance(s, str) for s in substring):
+        substrings = tuple(substring)
     else:
-        substrings = tuple(str(s) for s in substring)
+        raise bad("substring must be a string or a list of strings")
     return ScriptEntry(
         purpose=purpose,
         completions=tuple(str(c) for c in completions),
@@ -267,7 +307,19 @@ class HttpBackend(LmBackend):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
+
+    def _thread_session(self) -> requests.Session:
+        """The injected session if one was given, else one session per
+        thread: ``requests.Session`` is not documented as thread-safe and
+        ``run_eval`` workers share this backend."""
+        if self._session is not None:
+            return self._session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     @classmethod
     def from_env(cls, environ: dict[str, str]) -> "HttpBackend":
@@ -317,7 +369,7 @@ class HttpBackend(LmBackend):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
-                resp = self._session.post(
+                resp = self._thread_session().post(
                     url, json=payload, headers=headers, timeout=self.timeout
                 )
             except requests.RequestException as exc:

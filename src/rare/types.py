@@ -41,13 +41,6 @@ BASE_ACTIONS = frozenset(
 )
 
 
-def parse_action_kind(text: str) -> ActionKind:
-    try:
-        return ActionKind(text)
-    except ValueError:
-        raise ValidationError(f"unknown action kind: {text!r}") from None
-
-
 @dataclass(frozen=True)
 class Question:
     """One multiple-choice question.

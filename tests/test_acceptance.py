@@ -35,7 +35,7 @@ from rare.lm import HttpBackend, ScriptedBackend
 from rare.mcts import SearchTree, backpropagate, run_search, select, uct_score
 from rare.retrieval import build_index, search
 from rare.selection import select_rare
-from rare.types import ActionKind, Question, SearchConfig
+from rare.types import ActionKind, SearchConfig
 
 A = ActionKind
 

@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import (
-    build_eval_fixture,
     fixture_corpus,
     make_eval_question,
     rafs_generic_entries,

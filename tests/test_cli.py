@@ -5,8 +5,6 @@ import pytest
 from conftest import (
     build_eval_fixture,
     fixture_corpus,
-    rafs_generic_entries,
-    tree_entries_for,
     write_corpus_file,
     write_dataset_file,
     write_script_file,
@@ -152,6 +150,17 @@ class TestEvalCommand:
             "--backend", "script", "--script", str(workspace["script"]),
         ])
         assert rc == 2
+
+    def test_malformed_script_line_exits_2(self, workspace, capsys):
+        script = workspace["dir"] / "bad_script.jsonl"
+        script.write_text("[1, 2]\n", encoding="utf-8")
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", "cot",
+            "--backend", "script", "--script", str(script),
+        ])
+        assert rc == 2
+        assert "error: script line 1" in capsys.readouterr().err
 
     def test_script_backend_requires_script_path(self, workspace):
         rc = main([

@@ -27,7 +27,6 @@ from rare.types import (
     ActionKind,
     ActionStep,
     DocumentRef,
-    Question,
     SearchConfig,
     Trajectory,
 )

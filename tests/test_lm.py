@@ -49,7 +49,8 @@ class TestScriptedBackend:
 
     def test_script_miss_raises(self):
         backend = scripted(ScriptEntry("rating", ("Supported",)))
-        with pytest.raises(ScriptMissError):
+        with pytest.raises(ScriptMissError,
+                           match="no script entry for purpose='action_gen'"):
             backend.complete(LmRequest("p", purpose_tag="action_gen"))
 
     def test_first_match_wins_in_order(self):
@@ -95,6 +96,55 @@ class TestScriptedBackend:
         assert [(r.purpose, r.prompt) for r in log] == [
             ("action_gen", "p1"), ("action_gen", "p2"),
         ]
+
+
+SCRIPT_PURPOSES = ("action_gen", "rating")
+prompts = st.text(alphabet="abc", max_size=6)
+script_entries = st.lists(
+    st.tuples(
+        st.sampled_from(SCRIPT_PURPOSES),
+        st.booleans(),  # has completions
+        st.one_of(st.none(), prompts.map(prompt_key)),
+        st.lists(st.text(alphabet="abc", max_size=3), max_size=3),
+    ),
+    max_size=12,
+).map(lambda rows: [
+    ScriptEntry(purpose, (f"e{i}", f"e{i} again") if has_completions else (),
+                exact_hash=exact_hash, substrings=tuple(substrings))
+    for i, (purpose, has_completions, exact_hash, substrings) in enumerate(rows)
+])
+
+
+def first_match(entries, req):
+    """The dispatch contract: first entry in script order that matches."""
+    for e in entries:
+        if (e.purpose == req.purpose_tag and e.exact_hash in (None, prompt_key(req.prompt))
+                and all(s in req.prompt for s in e.substrings)):
+            return e
+    return None
+
+
+class TestScriptedDispatch:
+    @given(script_entries,
+           st.lists(st.tuples(prompts, st.sampled_from(SCRIPT_PURPOSES + ("query_gen",))),
+                    min_size=1, max_size=6))
+    def test_matches_linear_first_match(self, entries, calls):
+        backend = ScriptedBackend(entries)
+        for prompt, purpose in calls:
+            req = LmRequest(prompt, n_samples=3, temperature=0.8, purpose_tag=purpose)
+            expected = first_match(entries, req)
+            if expected is None:
+                with pytest.raises(ScriptMissError,
+                                   match=f"no script entry for purpose={purpose!r}"):
+                    backend.complete(req)
+            elif not expected.completions:
+                with pytest.raises(ScriptMissError,
+                                   match="matched script entry has no completions"):
+                    backend.complete(req)
+            else:
+                first, second = expected.completions
+                assert backend.complete(req).completions == (first, second, first)
+        assert backend.entries == tuple(entries)
 
 
 class TestLedger:
@@ -164,6 +214,22 @@ class TestScriptFile:
         path = tmp_path / "script.jsonl"
         path.write_text(json.dumps({"purpose": "nope", "completions": ["x"]}))
         with pytest.raises(ValidationError, match="purpose"):
+            load_script(str(path))
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        '"just a string"',
+        '{"purpose": "rating", "match": "x", "completions": ["y"]}',
+        '{"purpose": "rating", "match": {"exact_hash": 5}, "completions": ["y"]}',
+        '{"purpose": "rating", "match": {"substring": 5}, "completions": ["y"]}',
+        '{"purpose": "rating", "match": {"substring": ["a", 5]}, "completions": ["y"]}',
+        '{"purpose": "rating", "match": {"substr": "a"}, "completions": ["y"]}',
+    ])
+    def test_malformed_line_names_its_line(self, tmp_path, line):
+        path = tmp_path / "script.jsonl"
+        good = json.dumps({"purpose": "rating", "completions": ["Supported"]})
+        path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="^script line 2: "):
             load_script(str(path))
 
     def test_bad_json_rejected(self, tmp_path):
@@ -312,6 +378,37 @@ def reply_body(content, usage=None):
 
 
 class TestHttpBackendFaults:
+    def test_one_session_per_thread(self, monkeypatch):
+        sessions = []
+
+        class CountingSession(_FakeSession):
+            def __init__(self):
+                super().__init__(lambda payload: reply_body("ok"))
+                sessions.append(self)
+
+        monkeypatch.setattr("rare.lm.requests.Session", CountingSession)
+        backend = HttpBackend("http://fake", model="m")
+        errors = []
+
+        def two_calls():
+            try:
+                for prompt in ("first", "second"):
+                    backend.complete(LmRequest(prompt))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=two_calls) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert errors == []
+        assert len(sessions) == 2
+        assert [len(session.posts) for session in sessions] == [2, 2]
+        assert backend.snapshot_costs().total_calls == 4
+
+
     @pytest.mark.parametrize("content", [None, 42, ["text"]])
     def test_non_string_content_is_malformed(self, content):
         backend, _ = fake_backend(lambda payload: reply_body(content))

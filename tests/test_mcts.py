@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    build_eval_fixture,
     fixture_corpus,
     make_eval_question,
     rafs_generic_entries,

@@ -9,7 +9,6 @@ from rare.types import (
     Question,
     SearchConfig,
     derive_seed,
-    parse_action_kind,
     question_from_record,
     question_to_record,
     validate_question,
@@ -59,20 +58,6 @@ class TestValidateQuestion:
         q = Question("q", "stem?", {"A": "x"})
         with pytest.raises(ValidationError):
             validate_question(q)
-
-
-class TestActionKind:
-    def test_parse_print_bijection(self):
-        names = [f"A{i}" for i in range(1, 8)]
-        assert [parse_action_kind(n).value for n in names] == names
-        assert len(set(ActionKind)) == 7
-
-    @given(st.text(max_size=4))
-    def test_parse_rejects_everything_else(self, text):
-        if text in {f"A{i}" for i in range(1, 8)}:
-            return
-        with pytest.raises(ValidationError):
-            parse_action_kind(text)
 
 
 class TestActionStepInvariants:
