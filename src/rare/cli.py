@@ -135,12 +135,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise RareError(f"method {args.method!r} needs --index")
 
     sink_entries: list = []
-    report = run_eval(
-        questions, args.method, backend, index, cfg,
-        workers=args.workers, prompts=prompts,
-        on_candidates=(lambda q, cands: sink_entries.append((q, cands)))
-        if args.trajectories else None,
-    )
+    with backend:
+        report = run_eval(
+            questions, args.method, backend, index, cfg,
+            workers=args.workers, prompts=prompts,
+            on_candidates=(lambda q, cands: sink_entries.append((q, cands)))
+            if args.trajectories else None,
+        )
 
     record = report_to_record(report)
     if preset:

@@ -15,7 +15,9 @@ import hashlib
 import json
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import requests
@@ -86,16 +88,6 @@ class CostLedger:
     per_purpose: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    """One logged interaction, for fixture-side cost verification."""
-
-    purpose: str
-    prompt: str
-    n_samples: int
-    completions: tuple[str, ...]
-
-
 class LmBackend:
     """Base class providing ledger accounting around ``_complete``."""
 
@@ -134,6 +126,15 @@ class LmBackend:
     def _complete(self, req: LmRequest) -> LmResponse:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend holds open; nothing by default."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 @dataclass(frozen=True)
 class ScriptEntry:
@@ -148,14 +149,84 @@ class ScriptEntry:
     substrings: tuple[str, ...] = ()
 
 
+class _PurposeIndex:
+    """One purpose's entries, indexed for presence-first dispatch.
+
+    Every distinct non-empty substring is filed under its first three
+    characters and its length. Each entry is filed under one key: its
+    ``exact_hash`` if it has one, else its substring that is rarest in the
+    bucket, else it is a candidate for every prompt. A request first finds
+    which substrings occur in the prompt (every occurrence of ``s`` begins
+    with ``s[:3]``, so scanning the prompt for each prefix visits them all),
+    then checks only the entries keyed by those substrings or by the
+    prompt's hash, in script order."""
+
+    def __init__(self, entries: Sequence[ScriptEntry]):
+        self.entries = entries
+        # each entry's non-empty substrings, by script position
+        self.needs = needs = [tuple(s for s in e.substrings if s) if "" in e.substrings
+                              else e.substrings for e in entries]
+        # substring -> how many times the entries hold it
+        self.substrings = holders = Counter(chain.from_iterable(needs))
+        groups: dict[str, dict[int, None]] = {}
+        for s in holders:
+            groups.setdefault(s[:3], {})[len(s)] = None
+        self.groups = tuple((prefix, tuple(lengths)) for prefix, lengths in groups.items())
+        # Script positions, in script order.
+        self.always: list[int] = []
+        self.by_hash: dict[str, list[int]] = {}
+        self.by_substring: dict[str, list[int]] = {}
+        for pos, entry in enumerate(entries):
+            need = needs[pos]
+            if entry.exact_hash is not None:
+                self.by_hash.setdefault(entry.exact_hash, []).append(pos)
+            elif not need:
+                self.always.append(pos)
+            else:
+                if len(need) > 2:
+                    rarest = min(need, key=holders.__getitem__)
+                else:  # the usual shape; min() with a key costs more than the rest of the build
+                    first, last = need[0], need[-1]
+                    rarest = last if holders[last] < holders[first] else first
+                self.by_substring.setdefault(rarest, []).append(pos)
+
+    def match(self, prompt: str) -> ScriptEntry | None:
+        """The first matching entry in script order, or None."""
+        substrings = self.substrings
+        present: set[str] = set()
+        for prefix, lengths in self.groups:
+            i = prompt.find(prefix)
+            while i >= 0:
+                for n in lengths:
+                    s = prompt[i:i + n]
+                    if s in substrings:
+                        present.add(s)
+                i = prompt.find(prefix, i + 1)
+        candidates = [self.always]
+        candidates.extend(self.by_substring.get(s, ()) for s in present)
+        if self.by_hash:
+            candidates.append(self.by_hash.get(prompt_key(prompt), ()))
+        needs = self.needs
+        best = len(needs)
+        for positions in candidates:
+            for pos in positions:
+                if pos >= best:
+                    break
+                if present.issuperset(needs[pos]):
+                    best = pos
+                    break
+        return self.entries[best] if best < len(needs) else None
+
+
 class ScriptedBackend(LmBackend):
     """Deterministic backend: a pure function of (script, prompt, n, temperature).
 
     Dispatch picks the first matching entry in script order, as described on
-    ``ScriptEntry``. The entries are bucketed by purpose once, at
-    construction, so a request scans only its own purpose's entries, and
-    each distinct substring is tested against the prompt at most once per
-    request.
+    ``ScriptEntry``. The entries are indexed by purpose once, at
+    construction (``_PurposeIndex``). A request first finds which of its
+    purpose's substrings occur in the prompt, in one scan per distinct
+    three-character prefix, and then checks only the entries keyed by those
+    substrings (or by the prompt's hash), still first match in script order.
 
     With temperature 0 every sample equals the entry's first completion;
     otherwise samples cycle through the entry's completion list.
@@ -164,36 +235,16 @@ class ScriptedBackend(LmBackend):
     def __init__(self, entries: Iterable[ScriptEntry]):
         super().__init__()
         self.entries = tuple(entries)
-        self._log: list[CallRecord] = []
+        buckets: dict[str, list[ScriptEntry]] = {}
+        for entry in self.entries:
+            buckets.setdefault(entry.purpose, []).append(entry)
         # Built once and only read afterwards, so worker threads share it
         # without a lock.
-        self._by_purpose: dict[str, list[ScriptEntry]] = {}
-        for entry in self.entries:
-            self._by_purpose.setdefault(entry.purpose, []).append(entry)
-
-    def _match(self, req: LmRequest) -> ScriptEntry | None:
-        """The first matching entry in script order, or None."""
-        prompt = req.prompt
-        found: dict[str, bool] = {}
-        key = None
-        for entry in self._by_purpose.get(req.purpose_tag, ()):
-            if entry.exact_hash is not None:
-                if key is None:
-                    key = prompt_key(prompt)
-                if entry.exact_hash != key:
-                    continue
-            for s in entry.substrings:
-                hit = found.get(s)
-                if hit is None:
-                    hit = found[s] = s in prompt
-                if not hit:
-                    break
-            else:
-                return entry
-        return None
+        self._index = {purpose: _PurposeIndex(bucket) for purpose, bucket in buckets.items()}
 
     def _complete(self, req: LmRequest) -> LmResponse:
-        entry = self._match(req)
+        index = self._index.get(req.purpose_tag)
+        entry = index.match(req.prompt) if index is not None else None
         if entry is None:
             head = req.prompt[:80].replace("\n", " ")
             raise ScriptMissError(
@@ -208,20 +259,11 @@ class ScriptedBackend(LmBackend):
                 entry.completions[i % len(entry.completions)]
                 for i in range(req.n_samples)
             )
-        resp = LmResponse(
+        return LmResponse(
             completions=samples,
             prompt_tokens=count_tokens(req.prompt),
             completion_tokens=sum(count_tokens(s) for s in samples),
         )
-        with self._lock:
-            self._log.append(
-                CallRecord(req.purpose_tag, req.prompt, req.n_samples, samples)
-            )
-        return resp
-
-    def call_log(self) -> tuple[CallRecord, ...]:
-        with self._lock:
-            return tuple(self._log)
 
 
 def load_script(path: str) -> ScriptedBackend:
@@ -309,6 +351,7 @@ class HttpBackend(LmBackend):
         self.backoff_base = backoff_base
         self._session = session
         self._local = threading.local()
+        self._created: list[requests.Session] = []
 
     def _thread_session(self) -> requests.Session:
         """The injected session if one was given, else one session per
@@ -319,7 +362,19 @@ class HttpBackend(LmBackend):
         session = getattr(self._local, "session", None)
         if session is None:
             session = self._local.session = requests.Session()
+            with self._lock:
+                self._created.append(session)
         return session
+
+    def close(self) -> None:
+        """Close every session this backend created, on every thread; an
+        injected session belongs to the caller and stays open. A later call
+        opens new sessions."""
+        with self._lock:
+            created, self._created = self._created, []
+            self._local = threading.local()
+        for session in created:
+            session.close()
 
     @classmethod
     def from_env(cls, environ: dict[str, str]) -> "HttpBackend":

@@ -10,10 +10,11 @@ specific entries come first.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
-from rare.lm import ScriptEntry, ScriptedBackend
+from rare.lm import LmBackend, LmRequest, LmResponse, ScriptEntry, ScriptedBackend
 from rare.retrieval import Document, build_index
 from rare.types import Question
 
@@ -236,13 +237,47 @@ def build_eval_fixture(n_questions: int, n_correct: int,
     return questions, ScriptedBackend(entries)
 
 
+@dataclass(frozen=True)
+class CallRecord:
+    """One completed interaction, as ``RecordingBackend`` saw it."""
+
+    purpose: str
+    prompt: str
+    n_samples: int
+    completions: tuple[str, ...]
+
+
+class RecordingBackend(LmBackend):
+    """Forwards to ``inner`` and records every completed call in order, so a
+    test can check the prompts sent and the costs against the ledger."""
+
+    def __init__(self, inner: LmBackend):
+        super().__init__()
+        self.inner = inner
+        self._records: list[CallRecord] = []
+
+    def _complete(self, req: LmRequest) -> LmResponse:
+        resp = self.inner.complete(req)
+        with self._lock:
+            self._records.append(
+                CallRecord(req.purpose_tag, req.prompt, req.n_samples, resp.completions))
+        return resp
+
+    def call_log(self) -> tuple[CallRecord, ...]:
+        with self._lock:
+            return tuple(self._records)
+
+
 def script_entry_to_record(entry: ScriptEntry) -> dict:
     record: dict = {"purpose": entry.purpose, "completions": list(entry.completions)}
+    match: dict = {}
     if entry.exact_hash is not None:
-        record["match"] = {"exact_hash": entry.exact_hash}
-    elif entry.substrings:
+        match["exact_hash"] = entry.exact_hash
+    if entry.substrings:
         subs = list(entry.substrings)
-        record["match"] = {"substring": subs[0] if len(subs) == 1 else subs}
+        match["substring"] = subs[0] if len(subs) == 1 else subs
+    if match:
+        record["match"] = match
     return record
 
 

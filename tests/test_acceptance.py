@@ -17,6 +17,7 @@ from conftest import (
     REASONING_SCORE_06,
     REASONING_SCORE_0625,
     REASONING_SCORE_10,
+    RecordingBackend,
     build_eval_fixture,
     fixture_corpus,
     make_eval_question,
@@ -247,7 +248,8 @@ def test_acceptance_07_ablation_structure(index):
 
 def test_acceptance_08_cost_ledger_matches_interaction_log(index):
     with criterion("report cost means equal hand-computed script-log totals"):
-        questions, backend = build_eval_fixture(10, 10)
+        questions, scripted = build_eval_fixture(10, 10)
+        backend = RecordingBackend(scripted)
         cfg = SearchConfig(rng_seed=0)
         report = run_eval(questions, "cot", backend, None, cfg, workers=1)
 
@@ -263,7 +265,8 @@ def test_acceptance_08_cost_ledger_matches_interaction_log(index):
         assert report.avg_calls == 1.0  # cot is exactly one call per question
 
         # batched self-consistency still counts one logical call per question
-        questions, backend = build_eval_fixture(10, 10)
+        questions, scripted = build_eval_fixture(10, 10)
+        backend = RecordingBackend(scripted)
         report = run_eval(questions, "sc", backend, None, cfg, workers=1)
         log = backend.call_log()
         expected_tokens = sum(

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import (
+    RecordingBackend,
     fixture_corpus,
     make_eval_question,
     rafs_generic_entries,
@@ -272,6 +273,7 @@ class TestRetrievalIsolation:
 class TestPromptFidelity:
     def test_rendered_prompts_contain_scaffolds_verbatim(self, question, backend,
                                                          index):
+        backend = RecordingBackend(backend)
         prompts = default_prompts()
         outcome_a1 = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
         assert prompts.scaffold(A.A1) in outcome_a1.step.prompt_rendered

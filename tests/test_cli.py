@@ -110,6 +110,19 @@ class TestEvalCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["avg_calls"] == 1.0
 
+    def test_eval_closes_its_backend(self, workspace, monkeypatch):
+        from rare.lm import ScriptedBackend
+
+        closed = []
+        monkeypatch.setattr(ScriptedBackend, "close", lambda self: closed.append(self))
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+        ])
+        assert rc == 0
+        assert len(closed) == 1
+
     def test_missing_dataset_exits_2(self, workspace):
         rc = main([
             "eval", "--dataset", str(workspace["dir"] / "absent.jsonl"),

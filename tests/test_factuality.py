@@ -7,6 +7,7 @@ from conftest import (
     REASONING_SCORE_06,
     REASONING_SCORE_0625,
     REASONING_SCORE_10,
+    RecordingBackend,
     fixture_corpus,
     make_reasoning_trajectory,
     rafs_rating_entries,
@@ -249,7 +250,7 @@ def sharing_candidates(question):
 class TestSharedStatements:
     def test_each_distinct_sentence_checked_once(self, question, index):
         trajs = sharing_candidates(question)
-        backend = ScriptedBackend(rafs_rating_entries())
+        backend = RecordingBackend(ScriptedBackend(rafs_rating_entries()))
         score_candidates(trajs, backend, index, CFG)
         distinct = list(dict.fromkeys(
             s for traj in trajs for s in split_statements(traj)))

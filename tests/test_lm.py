@@ -4,8 +4,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import RecordingBackend, write_script_file
 from rare.errors import (
     MalformedReplyError,
     ScriptMissError,
@@ -89,7 +90,7 @@ class TestScriptedBackend:
         assert run().completions == run().completions
 
     def test_call_log_records_interactions(self):
-        backend = scripted(ScriptEntry("action_gen", ("a",)))
+        backend = RecordingBackend(scripted(ScriptEntry("action_gen", ("a",))))
         backend.complete(LmRequest("p1"))
         backend.complete(LmRequest("p2"))
         log = backend.call_log()
@@ -99,20 +100,46 @@ class TestScriptedBackend:
 
 
 SCRIPT_PURPOSES = ("action_gen", "rating")
-prompts = st.text(alphabet="abc", max_size=6)
-script_entries = st.lists(
-    st.tuples(
-        st.sampled_from(SCRIPT_PURPOSES),
-        st.booleans(),  # has completions
-        st.one_of(st.none(), prompts.map(prompt_key)),
-        st.lists(st.text(alphabet="abc", max_size=3), max_size=3),
-    ),
-    max_size=12,
-).map(lambda rows: [
-    ScriptEntry(purpose, (f"e{i}", f"e{i} again") if has_completions else (),
-                exact_hash=exact_hash, substrings=tuple(substrings))
-    for i, (purpose, has_completions, exact_hash, substrings) in enumerate(rows)
-])
+prompts = st.text(alphabet="abc", max_size=12)
+
+
+@st.composite
+def dispatch_cases(draw):
+    """A random script and the requests sent to it.
+
+    Substrings are prefixes, up to 6 characters, of a few random words, so
+    they often share the three-character prefix that the dispatch index
+    files them under, with different lengths, and some are prefixes of
+    others. A prompt is random (up to 12 characters), joined from those
+    prefixes, or one entry's substrings after a prefix, so a prefix often
+    occurs before a longer substring that starts with it."""
+    words = draw(st.lists(st.text(alphabet="abc", min_size=4, max_size=6),
+                          min_size=1, max_size=3))
+    fragments = sorted({w[:k] for w in words for k in range(len(w) + 1)})
+    prompt = st.one_of(prompts, st.lists(st.sampled_from(fragments + list("abc")),
+                                         max_size=4).map("".join))
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(SCRIPT_PURPOSES),
+            st.booleans(),  # has completions
+            st.one_of(st.none(), prompt.map(prompt_key)),
+            st.lists(st.sampled_from(fragments), max_size=3),
+        ),
+        max_size=12,
+    ))
+    entries = [
+        ScriptEntry(purpose, (f"e{i}", f"e{i} again") if has_completions else (),
+                    exact_hash=exact_hash, substrings=tuple(substrings))
+        for i, (purpose, has_completions, exact_hash, substrings) in enumerate(rows)
+    ]
+    call = st.tuples(prompt, st.sampled_from(SCRIPT_PURPOSES + ("query_gen",)))
+    if entries:
+        lead = st.tuples(st.sampled_from(fragments), st.text(alphabet="abc", max_size=2))
+        aimed = st.tuples(lead.map("".join), st.sampled_from(entries)).map(
+            lambda pair: (pair[0] + "".join(pair[1].substrings), pair[1].purpose))
+        call = st.one_of(call, aimed)
+    calls = draw(st.lists(call, min_size=1, max_size=6))
+    return entries, calls
 
 
 def first_match(entries, req):
@@ -124,11 +151,20 @@ def first_match(entries, req):
     return None
 
 
+def action_entries(*substrings):
+    """One action_gen entry per tuple of substrings, in order."""
+    return [ScriptEntry("action_gen", (f"e{i}", f"e{i} again"), substrings=subs)
+            for i, subs in enumerate(substrings)]
+
+
 class TestScriptedDispatch:
-    @given(script_entries,
-           st.lists(st.tuples(prompts, st.sampled_from(SCRIPT_PURPOSES + ("query_gen",))),
-                    min_size=1, max_size=6))
-    def test_matches_linear_first_match(self, entries, calls):
+    @given(dispatch_cases())
+    # "abcab" occurs only after an earlier "abc" that does not start it
+    @example((action_entries(("abcab",), ()), [("abcaabcab", "action_gen")]))
+    # one prefix, two lengths, and one substring a prefix of the other
+    @example((action_entries(("abcab",), ("abc",)), [("abcc", "action_gen")]))
+    def test_matches_linear_first_match(self, case):
+        entries, calls = case
         backend = ScriptedBackend(entries)
         for prompt, purpose in calls:
             req = LmRequest(prompt, n_samples=3, temperature=0.8, purpose_tag=purpose)
@@ -232,6 +268,13 @@ class TestScriptFile:
         with pytest.raises(ValidationError, match="^script line 2: "):
             load_script(str(path))
 
+    def test_write_and_load_keep_hash_and_substrings(self, tmp_path):
+        entry = ScriptEntry("rating", ("x",), exact_hash=prompt_key("p q"),
+                            substrings=("zzz",))
+        path = tmp_path / "script.jsonl"
+        write_script_file(path, [entry])
+        assert load_script(str(path)).entries == (entry,)
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "script.jsonl"
         path.write_text("{not json")
@@ -271,6 +314,7 @@ def chat_server():
     yield f"http://127.0.0.1:{server.server_port}", _ChatHandler
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def chat_body(*contents, prompt_tokens=11, completion_tokens=7):
@@ -284,8 +328,8 @@ class TestHttpBackend:
     def test_happy_path_reads_choices_and_usage(self, chat_server):
         url, handler = chat_server
         handler.queue = [(200, chat_body("alpha", "beta"))]
-        backend = HttpBackend(url, model="m", api_key="k", backoff_base=0.001)
-        resp = backend.complete(LmRequest("hello", n_samples=2, temperature=0.5))
+        with HttpBackend(url, model="m", api_key="k", backoff_base=0.001) as backend:
+            resp = backend.complete(LmRequest("hello", n_samples=2, temperature=0.5))
         assert resp.completions == ("alpha", "beta")
         assert resp.prompt_tokens == 11
         assert resp.completion_tokens == 7
@@ -297,37 +341,37 @@ class TestHttpBackend:
     def test_malformed_body_raises(self, chat_server):
         url, handler = chat_server
         handler.queue = [(200, json.dumps({"unexpected": True}))]
-        backend = HttpBackend(url, model="m", backoff_base=0.001)
-        with pytest.raises(MalformedReplyError):
-            backend.complete(LmRequest("hello"))
+        with HttpBackend(url, model="m", backoff_base=0.001) as backend:
+            with pytest.raises(MalformedReplyError):
+                backend.complete(LmRequest("hello"))
 
     def test_retries_on_server_error_then_succeeds(self, chat_server):
         url, handler = chat_server
         handler.queue = [(500, "boom"), (200, chat_body("ok"))]
-        backend = HttpBackend(url, model="m", backoff_base=0.001)
-        resp = backend.complete(LmRequest("hello"))
+        with HttpBackend(url, model="m", backoff_base=0.001) as backend:
+            resp = backend.complete(LmRequest("hello"))
         assert resp.completions == ("ok",)
         assert len(handler.seen) == 2
 
     def test_bounded_retries_then_transport_error(self, chat_server):
         url, handler = chat_server
         handler.queue = [(500, "boom")]
-        backend = HttpBackend(url, model="m", backoff_base=0.001, max_attempts=3)
-        with pytest.raises(TransportError):
-            backend.complete(LmRequest("hello"))
+        with HttpBackend(url, model="m", backoff_base=0.001, max_attempts=3) as backend:
+            with pytest.raises(TransportError):
+                backend.complete(LmRequest("hello"))
         assert len(handler.seen) == 3
 
     def test_connection_refused_is_transport_error(self):
-        backend = HttpBackend("http://127.0.0.1:9", model="m",
-                              backoff_base=0.001, max_attempts=2)
-        with pytest.raises(TransportError):
-            backend.complete(LmRequest("hello"))
+        with HttpBackend("http://127.0.0.1:9", model="m",
+                         backoff_base=0.001, max_attempts=2) as backend:
+            with pytest.raises(TransportError):
+                backend.complete(LmRequest("hello"))
 
     def test_tops_up_when_endpoint_ignores_n(self, chat_server):
         url, handler = chat_server
         handler.queue = [(200, chat_body("only-one"))]
-        backend = HttpBackend(url, model="m", backoff_base=0.001)
-        resp = backend.complete(LmRequest("hello", n_samples=3, temperature=0.7))
+        with HttpBackend(url, model="m", backoff_base=0.001) as backend:
+            resp = backend.complete(LmRequest("hello", n_samples=3, temperature=0.7))
         assert resp.completions == ("only-one",) * 3
         assert backend.snapshot_costs().total_calls == 1
 
@@ -408,6 +452,33 @@ class TestHttpBackendFaults:
         assert [len(session.posts) for session in sessions] == [2, 2]
         assert backend.snapshot_costs().total_calls == 4
 
+    def test_close_closes_every_created_session(self, monkeypatch):
+        class ClosingSession(_FakeSession):
+            def __init__(self):
+                super().__init__(lambda payload: reply_body("ok"))
+                self.closes = 0
+
+            def close(self):
+                self.closes += 1
+
+        created = []
+        monkeypatch.setattr("rare.lm.requests.Session",
+                            lambda: created.append(ClosingSession()) or created[-1])
+        backend = HttpBackend("http://fake", model="m")
+        threads = [threading.Thread(target=backend.complete, args=(LmRequest("hi"),))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        backend.close()
+        assert [session.closes for session in created] == [1, 1]
+
+        injected = ClosingSession()
+        with HttpBackend("http://fake", model="m", session=injected) as shared:
+            shared.complete(LmRequest("hi"))
+        assert injected.closes == 0
+        assert len(injected.posts) == 1
 
     @pytest.mark.parametrize("content", [None, 42, ["text"]])
     def test_non_string_content_is_malformed(self, content):
@@ -520,14 +591,14 @@ class TestHttpPipelineIntegration:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            backend = HttpBackend(f"http://127.0.0.1:{server.server_port}",
-                                  model="tiny", backoff_base=0.001)
-            question = make_eval_question("q01", "B")
-            index = build_index(fixture_corpus())
-            cfg = SearchConfig(rollouts=3, rng_seed=2)
-            candidates = run_search(SearchTree(question, cfg), backend, index)
-            scored = score_candidates(candidates, backend, index, cfg)
-            result = select_rare(scored)
+            with HttpBackend(f"http://127.0.0.1:{server.server_port}",
+                             model="tiny", backoff_base=0.001) as backend:
+                question = make_eval_question("q01", "B")
+                index = build_index(fixture_corpus())
+                cfg = SearchConfig(rollouts=3, rng_seed=2)
+                candidates = run_search(SearchTree(question, cfg), backend, index)
+                scored = score_candidates(candidates, backend, index, cfg)
+                result = select_rare(scored)
             assert result.chosen.final_answer == "B"
             assert result.chosen.factuality is not None
             assert result.chosen.factuality.score == 1.0
@@ -535,6 +606,7 @@ class TestHttpPipelineIntegration:
         finally:
             server.shutdown()
             thread.join()
+            server.server_close()
 
 
 class TestScopedBackend:
