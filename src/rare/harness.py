@@ -3,7 +3,9 @@
 Questions are evaluated independently on a bounded thread pool; each question
 gets a deterministic seed derived from its id so results never depend on pool
 size or scheduling order. Per-question costs are tracked through a scoped
-ledger wrapped around the shared backend.
+ledger wrapped around the shared backend; the same scope, and a per-question
+view of the index, answer a question's repeated greedy requests and searches
+without paying for them again.
 """
 
 from __future__ import annotations
@@ -124,8 +126,13 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
                       index: RetrievalIndex | None, cfg: SearchConfig,
                       prompts: PromptLibrary | None = None,
                       ) -> tuple[EvalRecord, list[Trajectory]]:
-    """Run one method on one question; failures become an incorrect record."""
+    """Run one method on one question; failures become an incorrect record.
+
+    The question's greedy LM requests and searches go through a per-question
+    scope and index view, so each distinct one is paid for once."""
     scope = ScopedBackend(backend)
+    if index is not None:
+        index = index.for_question()
     qcfg = cfg.with_seed(derive_seed(cfg.rng_seed, question.id))
     result: SelectionResult | None = None
     candidates: list[Trajectory] = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import Counter
@@ -327,7 +328,9 @@ class HttpBackend(LmBackend):
     POSTs ``{base_url}/v1/chat/completions`` and reads
     ``choices[*].message.content`` plus usage token counts. Transport
     failures (any ``requests`` exception, HTTP 429 or 5xx) are retried with
-    exponential backoff; other failures surface immediately. If the endpoint
+    exponential backoff; after a 429 or 5xx the wait is the longer of that
+    backoff and a numeric ``Retry-After``. Every wait is capped at
+    ``timeout``. Other failures surface immediately. If the endpoint
     returns fewer choices than requested the client tops up with follow-up
     posts, still recorded as one logical call.
     """
@@ -420,9 +423,12 @@ class HttpBackend(LmBackend):
         url = f"{self.base_url}/v1/chat/completions"
 
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.max_attempts):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                backoff = self.backoff_base * (2 ** (attempt - 1))
+                time.sleep(min(max(backoff, retry_after), self.timeout))
+                retry_after = 0.0
             try:
                 resp = self._thread_session().post(
                     url, json=payload, headers=headers, timeout=self.timeout
@@ -432,6 +438,7 @@ class HttpBackend(LmBackend):
                 continue
             if resp.status_code in (429,) or resp.status_code >= 500:
                 last_error = LmBackendError(f"HTTP {resp.status_code}")
+                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
                 continue
             if resp.status_code != 200:
                 raise MalformedReplyError(
@@ -446,6 +453,16 @@ class HttpBackend(LmBackend):
         raise TransportError(
             f"endpoint unreachable after {self.max_attempts} attempts: {last_error}"
         )
+
+
+def _retry_after_s(value: str | None) -> float:
+    """Seconds asked for by a numeric ``Retry-After`` header; 0 when it is
+    absent or not a number (the HTTP-date form is not read)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
 
 
 def _parse_chat_body(body: dict[str, Any]) -> tuple[list[str], int, int]:
@@ -465,11 +482,27 @@ def _parse_chat_body(body: dict[str, Any]) -> tuple[list[str], int, int]:
 
 class ScopedBackend(LmBackend):
     """Forwards to a shared backend while keeping its own ledger, so callers
-    can attribute costs to one unit of work regardless of concurrency."""
+    can attribute costs to one unit of work regardless of concurrency.
+
+    A scope also memoizes greedy work: a temperature-0 request equal to one
+    it already completed gets that earlier response back. Such a repeat is
+    not a call: it reaches no backend and neither ledger counts it. A request
+    that raised is not remembered, and sampled requests (temperature above 0)
+    always go through. ``evaluate_question`` makes one scope per question, so
+    nothing is remembered across questions."""
 
     def __init__(self, inner: LmBackend):
         super().__init__()
         self.inner = inner
+        self._greedy: dict[LmRequest, LmResponse] = {}
+
+    def complete(self, req: LmRequest) -> LmResponse:
+        if req.temperature != 0:
+            return super().complete(req)
+        resp = self._greedy.get(req)
+        if resp is None:
+            resp = self._greedy[req] = super().complete(req)
+        return resp
 
     def _complete(self, req: LmRequest) -> LmResponse:
         return self.inner.complete(req)

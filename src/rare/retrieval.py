@@ -18,6 +18,7 @@ at least one token with the query are candidates; results order by
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -70,7 +71,10 @@ class Document:
 
 @dataclass
 class RetrievalIndex:
-    """Inverted index over a fixed corpus. Immutable once built."""
+    """Inverted index over a fixed corpus. Immutable once built.
+
+    ``for_question`` gives a view that shares every field and adds its own
+    memo of search results; the shared index itself never holds one."""
 
     documents: tuple[Document, ...]
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc position, tf)]
@@ -82,9 +86,20 @@ class RetrievalIndex:
     corpus_hash: str
     _by_id: dict[str, Document] = field(default_factory=dict, repr=False)
 
+    # (query, top_k) -> hits; None on a shared index. Not a dataclass field,
+    # so neither pickles nor equality see it.
+    _memo = None
+
     def __post_init__(self) -> None:
         if not self._by_id:
             self._by_id = {doc.doc_id: doc for doc in self.documents}
+
+    def for_question(self) -> "RetrievalIndex":
+        """A shallow copy with an empty search memo, for one question's
+        searches; the shared index is left as it was."""
+        view = copy.copy(self)
+        view._memo = {}
+        return view
 
     def document(self, doc_id: str) -> Document:
         return self._by_id[doc_id]
@@ -142,9 +157,23 @@ def build_index(corpus: Iterable[Document], k1: float = 1.2, b: float = 0.75) ->
 
 
 def search(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
-    """Rank documents by BM25 against ``query``; empty query gives []."""
+    """Rank documents by BM25 against ``query``; empty query gives [].
+
+    On a view from ``for_question``, a repeated ``(query, top_k)`` is
+    answered from the view's memo without scoring again. Every call returns
+    a new list."""
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")
+    memo = index._memo
+    if memo is None:
+        return _rank(index, query, top_k)
+    hits = memo.get((query, top_k))
+    if hits is None:
+        hits = memo[query, top_k] = _rank(index, query, top_k)
+    return list(hits)
+
+
+def _rank(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
     tokens = tokenize(query)
     if not tokens:
         return []
@@ -208,8 +237,16 @@ def save_index(index: RetrievalIndex, path: str) -> None:
 
 
 def load_index(path: str) -> RetrievalIndex:
+    """Read an index written by ``save_index``; a file that is not one
+    raises ``CorpusError`` naming the path."""
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        # what pickle documents for malformed data, plus what a byte stream
+        # that is not a pickle at all can hit
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"unrecognized index file: {path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != _PICKLE_FORMAT:
         raise CorpusError(f"unrecognized index file: {path}")
     return payload["index"]

@@ -1,0 +1,87 @@
+"""The summary step of ``tools/bench_pairs.py`` on canned results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result(qps, calls, ms, correct=True, exit_code=0):
+    return {"correct": correct, "exit_code": exit_code, "metrics": {
+        "questions_per_s": {"value": qps, "unit": "1/s"},
+        "lm_calls_per_q": {"value": calls, "unit": "count"},
+        "question_ms.p50": {"value": ms, "unit": "ms"},
+        "setup_s": {"value": 0.03, "unit": "s"},
+    }}
+
+
+BETTER = {"questions_per_s": "higher", "lm_calls_per_q": "lower",
+          "question_ms.p50": "lower", "setup_s": "lower"}
+
+
+def pairs_of(parent_qps, change_qps, parent_ms=None, change_ms=None):
+    parent_ms = parent_ms or [300.0] * len(parent_qps)
+    change_ms = change_ms or [300.0] * len(change_qps)
+    return [{"pair": i + 1, "first": "parent" if i % 2 == 0 else "change",
+             "parent": result(p, 68.3, pm), "change": result(c, 65.35, cm)}
+            for i, (p, c, pm, cm) in enumerate(zip(parent_qps, change_qps,
+                                                   parent_ms, change_ms))]
+
+
+class TestSummarize:
+    def test_wins_quartiles_and_gain(self):
+        pairs = pairs_of([6.0, 6.2, 6.1, 6.3, 6.25], [6.5, 6.6, 6.0, 6.7, 6.55],
+                         [310, 300, 305, 320, 315], [300, 290, 305, 300, 310])
+        summary = bench_pairs.summarize(pairs, BETTER)
+        assert summary["pairs"] == 5
+        assert summary["every_run_passed_its_checks"]
+        qps = summary["metrics"]["questions_per_s"]
+        assert qps["parent"] == {"q1": 6.1, "median": 6.2, "q3": 6.25}
+        assert qps["change"]["median"] == 6.55
+        assert (qps["change_wins"], qps["parent_wins"]) == (4, 1)
+        assert qps["gain_beyond_parent_iqr"]  # 0.35 > 0.15
+        ms = summary["metrics"]["question_ms.p50"]
+        # lower is better; pair 3 is a tie and counts for neither side
+        assert (ms["change_wins"], ms["parent_wins"]) == (4, 0)
+        assert not ms["gain_beyond_parent_iqr"]  # 5 ms against a 10 ms spread
+        calls = summary["metrics"]["lm_calls_per_q"]
+        assert calls["change_wins"] == 5
+        assert calls["gain_beyond_parent_iqr"]
+
+    def test_metric_equal_in_every_run_is_reported_once(self):
+        summary = bench_pairs.summarize(pairs_of([6.0, 6.1], [6.2, 6.3]), BETTER)
+        assert summary["metrics"]["setup_s"] == {"identical": 0.03}
+
+    def test_failed_run_is_flagged(self):
+        pairs = pairs_of([6.0, 6.1], [6.2, 6.3])
+        pairs[1]["change"]["exit_code"] = 1
+        assert not bench_pairs.summarize(pairs, BETTER)["every_run_passed_its_checks"]
+
+    def test_metric_missing_from_a_run_is_left_out(self):
+        pairs = pairs_of([6.0, 6.1], [6.2, 6.3])
+        del pairs[0]["change"]["metrics"]["setup_s"]
+        assert "setup_s" not in bench_pairs.summarize(pairs, BETTER)["metrics"]
+
+    def test_single_pair_quartiles_are_its_value(self):
+        summary = bench_pairs.summarize(pairs_of([6.0], [6.4]), BETTER)
+        assert summary["metrics"]["questions_per_s"]["parent"] == {
+            "q1": 6.0, "median": 6.0, "q3": 6.0}
+
+    def test_directions_come_from_the_benchmark_spec(self):
+        better = bench_pairs.metric_directions()
+        assert better["questions_per_s"] == "higher"
+        assert better["lm_calls_per_q"] == "lower"
+        assert better["lm.inflight_mean"] == "higher"
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([1.0, 2.0, 3.0, 4.0, 5.0], {"q1": 2.0, "median": 3.0, "q3": 4.0}),
+    ([2.0, 4.0], {"q1": 2.5, "median": 3.0, "q3": 3.5}),
+])
+def test_quartiles(values, expected):
+    assert bench_pairs.quartiles(values) == expected

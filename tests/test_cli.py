@@ -43,6 +43,19 @@ class TestIndexCommands:
         assert lines[0]["doc_id"] == "doc-beta"
         assert all({"doc_id", "score", "snippet"} <= set(entry) for entry in lines)
 
+    @pytest.mark.parametrize("which", ["empty", "corpus"])
+    def test_query_on_a_file_that_is_not_an_index_exits_2(self, workspace, capsys,
+                                                          which):
+        path = workspace["dir"] / "empty.bin"
+        if which == "empty":
+            path.write_bytes(b"")
+        else:
+            path = workspace["corpus"]  # a JSONL corpus given as the index
+        rc = main(["index", "query", "--index", str(path), "--q", "beta"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_build_missing_corpus_exits_2(self, tmp_path):
         rc = main(["index", "build", "--corpus", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "out.bin")])

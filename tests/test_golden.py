@@ -23,7 +23,7 @@ from rare.lm import LmBackend
 from rare.retrieval import build_index
 from rare.types import SearchConfig, trajectory_to_record
 
-GOLDEN_DIGEST = "2102d79da7a3ec409ec9d136093aee8cda99cd2aa55d5b47b4a0b536180cfe8c"
+GOLDEN_DIGEST = "d75611c9eda76dc99dd7afb92877bf50a794d5a3eaf1fbb85627c11c36493d9d"
 
 
 class _RecordingBackend(LmBackend):

@@ -15,6 +15,7 @@ from rare.errors import (
 )
 from rare.lm import (
     HttpBackend,
+    LmBackend,
     LmRequest,
     ScopedBackend,
     ScriptEntry,
@@ -385,8 +386,9 @@ class TestHttpBackend:
 
 
 class _FakeResponse:
-    def __init__(self, body: dict):
-        self.status_code = 200
+    def __init__(self, body: dict, status_code: int = 200, headers: dict | None = None):
+        self.status_code = status_code
+        self.headers = headers or {}
         self.text = json.dumps(body)
         self._body = body
 
@@ -396,7 +398,7 @@ class _FakeResponse:
 
 class _FakeSession:
     """Stands in for ``requests.Session``: ``reply(payload)`` gives the body
-    of each POST, or an exception to raise from it."""
+    of each POST, a whole ``_FakeResponse``, or an exception to raise from it."""
 
     def __init__(self, reply):
         self.reply = reply
@@ -407,7 +409,7 @@ class _FakeSession:
         result = self.reply(json)
         if isinstance(result, Exception):
             raise result
-        return _FakeResponse(result)
+        return result if isinstance(result, _FakeResponse) else _FakeResponse(result)
 
 
 def fake_backend(reply, **kwargs):
@@ -526,6 +528,38 @@ class TestHttpBackendFaults:
         assert backend.complete(LmRequest("hello")).completions == ("ok",)
         assert len(session.posts) == 2
 
+    @pytest.mark.parametrize("status, retry_after, wait", [
+        (429, "2", 2.0),             # the endpoint asks for longer than the backoff
+        (503, "0.5", 0.5),
+        (503, "1000", 5.0),          # capped at the timeout
+        (429, None, 0.25),           # no header: the backoff
+        (503, "0.1", 0.25),          # shorter than the backoff
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # a date is not read
+        (503, "nan", 0.25),
+    ])
+    def test_waits_for_numeric_retry_after(self, monkeypatch, status, retry_after, wait):
+        sleeps = []
+        monkeypatch.setattr("rare.lm.time.sleep", sleeps.append)
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        failures = [_FakeResponse({}, status, headers)]
+        session = _FakeSession(lambda payload: failures.pop() if failures
+                               else reply_body("ok"))
+        backend = HttpBackend("http://fake", model="m", timeout=5.0, backoff_base=0.25,
+                              session=session)
+        assert backend.complete(LmRequest("hello")).completions == ("ok",)
+        assert sleeps == [wait]
+        assert len(session.posts) == 2
+
+    def test_retry_after_holds_for_one_wait_and_backoff_doubles(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("rare.lm.time.sleep", sleeps.append)
+        replies = [requests.exceptions.ConnectionError("refused")] * 2 + [
+            _FakeResponse({}, 429, {"Retry-After": "3"})]
+        backend, _ = fake_backend(lambda payload: replies.pop(), max_attempts=3)
+        with pytest.raises(TransportError):
+            backend.complete(LmRequest("hello"))
+        assert sleeps == [3.0, 0.002]
+
     def test_persistent_requests_error_becomes_transport_error(self):
         backend, session = fake_backend(
             lambda payload: requests.exceptions.ChunkedEncodingError("cut short"),
@@ -609,17 +643,101 @@ class TestHttpPipelineIntegration:
             server.server_close()
 
 
+class _Flaky(LmBackend):
+    """Forwards to ``inner``, but raises on the calls ``fail_next`` names."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.fail_next = False
+        self.attempts = 0
+
+    def _complete(self, req):
+        self.attempts += 1
+        if self.fail_next:
+            raise TransportError("endpoint down")
+        return self.inner.complete(req)
+
+
+def memo_script():
+    return scripted(
+        ScriptEntry("action_gen", ("a1 x", "a2 x y", "a3"), substrings=("alpha",)),
+        ScriptEntry("action_gen", ("b1", "b2 z"), substrings=("beta",)),
+        ScriptEntry("action_gen", ("c1 c2",)),
+    )
+
+
+memo_steps = st.lists(st.tuples(
+    st.sampled_from(["alpha", "beta", "gamma"]),
+    st.sampled_from([0.0, 0.8]),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([(), ("\n",)]),
+    st.booleans(),  # the inner backend fails this call
+), max_size=25)
+
+
 class TestScopedBackend:
     def test_scope_and_shared_ledgers_both_update(self):
         inner = scripted(ScriptEntry("action_gen", ("x y",)))
         scope_a = ScopedBackend(inner)
         scope_b = ScopedBackend(inner)
         scope_a.complete(LmRequest("p"))
-        scope_a.complete(LmRequest("p"))
+        scope_a.complete(LmRequest("q"))
         scope_b.complete(LmRequest("p"))
         assert scope_a.snapshot_costs().total_calls == 2
         assert scope_b.snapshot_costs().total_calls == 1
         assert inner.snapshot_costs().total_calls == 3
+
+    def test_repeated_greedy_request_is_not_a_call(self):
+        inner = scripted(ScriptEntry("action_gen", ("x y",)))
+        scope = ScopedBackend(inner)
+        first = scope.complete(LmRequest("p"))
+        assert scope.complete(LmRequest("p")) == first
+        assert scope.snapshot_costs() == inner.snapshot_costs()
+        assert inner.snapshot_costs().total_calls == 1
+        # another scope, as another question gets, pays for it again
+        ScopedBackend(inner).complete(LmRequest("p"))
+        assert inner.snapshot_costs().total_calls == 2
+
+    @given(memo_steps)
+    def test_greedy_memo_matches_a_scope_without_it(self, steps):
+        flaky = _Flaky(memo_script())
+        scope = ScopedBackend(flaky)
+        reference = RecordingBackend(memo_script())  # forwards every request
+        completed: set[LmRequest] = set()
+        attempts = calls = 0
+        for prompt, temperature, n, stop, fail in steps:
+            req = LmRequest(prompt, n_samples=n, temperature=temperature,
+                            stop_sequences=stop)
+            repeat = temperature == 0 and req in completed
+            flaky.fail_next = fail
+            if not repeat:
+                attempts += 1
+            if fail and not repeat:
+                with pytest.raises(TransportError):
+                    scope.complete(req)
+                continue
+            assert scope.complete(req) == reference.complete(req)
+            if not repeat:
+                calls += 1
+                if temperature == 0:
+                    completed.add(req)
+        assert flaky.attempts == attempts
+        assert flaky.snapshot_costs().total_calls == calls
+        assert scope.snapshot_costs() == flaky.snapshot_costs()
+        # sampled requests, plus each distinct greedy request once it succeeded
+        sampled = sum(1 for p, t, n, s, f in steps if t and not f)
+        assert calls == sampled + len(completed)
+
+    def test_failed_greedy_request_is_retried(self):
+        flaky = _Flaky(memo_script())
+        scope = ScopedBackend(flaky)
+        flaky.fail_next = True
+        with pytest.raises(TransportError):
+            scope.complete(LmRequest("alpha"))
+        flaky.fail_next = False
+        assert scope.complete(LmRequest("alpha")).completions == ("a1 x",)
+        assert flaky.attempts == 2
 
 
 class TestRequestFor:

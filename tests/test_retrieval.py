@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -176,6 +177,45 @@ class TestSearch:
             assert hit.score == pytest.approx(score, abs=1e-9)
 
 
+class TestQuestionView:
+    """``for_question`` views memoize searches without touching the shared
+    index."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(synthetic_queries()),
+                              st.integers(min_value=1, max_value=4)),
+                    min_size=1, max_size=12))
+    def test_views_return_exactly_search_on_the_shared_index(self, calls):
+        index = build_index(synthetic_corpus(n_docs=30, seed=7))
+        state = dict(vars(index))
+        first, second = index.for_question(), index.for_question()
+        for query, top_k in calls:
+            expected = search(index, query, top_k)
+            hits = search(first, query, top_k)
+            assert hits == expected
+            hits.append("junk")  # a caller's list is its own
+            hits.clear()
+            assert search(first, query, top_k) == expected
+            assert search(second, query, top_k) == expected
+        assert first._memo is not second._memo
+        assert all(a is not b for a in first._memo.values() for b in second._memo.values())
+        assert vars(index) == state
+        assert index._memo is None
+
+    def test_view_keeps_its_own_memo(self):
+        index = build_index(synthetic_corpus(n_docs=30, seed=7))
+        first, second = index.for_question(), index.for_question()
+        search(first, "alpha therapy", 3)
+        assert list(first._memo) == [("alpha therapy", 3)]
+        assert second._memo == {}
+        assert "_memo" not in vars(index)
+
+    def test_view_still_rejects_bad_top_k(self):
+        view = build_index(synthetic_corpus(n_docs=5)).for_question()
+        with pytest.raises(ValidationError):
+            search(view, "alpha", 0)
+
+
 class TestSnippet:
     def test_short_body_unchanged(self):
         assert make_snippet("short body") == "short body"
@@ -204,10 +244,19 @@ class TestPersistence:
         after = [(h.doc_id, h.score) for h in search(loaded, "alpha therapy", 5)]
         assert before == after
 
+    @pytest.mark.parametrize("content", [
+        b"",
+        b'{"id": "a", "title": "T", "text": "body text"}\n',
+        pickle.dumps({"format": 1, "corpus_hash": "x"})[:-3],
+    ], ids=["empty", "jsonl", "truncated"])
+    def test_load_rejects_malformed_file(self, tmp_path, content):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(content)
+        with pytest.raises(CorpusError, match="bad.bin"):
+            load_index(str(path))
+
     def test_load_rejects_junk(self, tmp_path):
         path = tmp_path / "junk.bin"
-        import pickle
-
         path.write_bytes(pickle.dumps({"format": 999}))
         with pytest.raises(CorpusError):
             load_index(str(path))

@@ -1,0 +1,150 @@
+"""Alternating benchmark pairs of a parent revision and the working tree.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --topic question_memo --parent HEAD \
+        --workload tree-wait --seed 31 --seconds 45 --trace 0 --pairs 6
+
+It exports ``--parent`` with ``git archive`` into a temporary directory, then
+runs ``perfbench/run.py`` there and in the working tree, ``--pairs`` times,
+alternating which side runs first (odd pairs run the parent first). Each
+run's last output line is its result. ``BENCH_<topic>.json`` gets one entry
+per (workload, seed, trace) setting with every run's result, and for every
+metric both sides' quartiles and the number of pairs the change won, by the
+direction BENCHMARK.json gives the metric. Running again with another
+setting adds its entry to the same file; the same setting is replaced.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export_revision(rev: str, dest: Path) -> str:
+    """Write the committed files of ``rev`` into ``dest``; returns its hash."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def run_once(tree: Path, args: list[str]) -> dict:
+    """One benchmark run in ``tree``: its result line plus its exit code."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
+                          capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    result["exit_code"] = proc.returncode
+    return result
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's quartiles, the pairs the change won (ties
+    count for neither side), and whether the change's median is better than
+    the parent's by more than the parent's interquartile range. A metric
+    with no direction in ``better`` gets quartiles only."""
+    runs = [run for pair in pairs for run in (pair["parent"], pair["change"])]
+    names = [name for name in pairs[0]["parent"]["metrics"]
+             if all(name in run["metrics"] for run in runs)]
+    metrics = {}
+    for name in names:
+        parent = [pair["parent"]["metrics"][name]["value"] for pair in pairs]
+        change = [pair["change"]["metrics"][name]["value"] for pair in pairs]
+        entry = {"parent": quartiles(parent), "change": quartiles(change)}
+        direction = better.get(name)
+        if direction is not None:
+            sign = 1 if direction == "higher" else -1
+            entry["change_wins"] = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+            entry["parent_wins"] = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
+            gap = sign * (entry["change"]["median"] - entry["parent"]["median"])
+            spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+            entry["gain_beyond_parent_iqr"] = gap > spread
+        if len(set(parent + change)) == 1:
+            entry = {"identical": parent[0]}
+        metrics[name] = entry
+    return {
+        "pairs": len(pairs),
+        "every_run_passed_its_checks": all(
+            run.get("correct") and run["exit_code"] == 0 for run in runs),
+        "metrics": metrics,
+    }
+
+
+def metric_directions() -> dict[str, str]:
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--topic", required=True, help="the file is BENCH_<topic>.json")
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=45)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    bench_args = ["--workload", args.workload, "--seed", str(args.seed),
+                  "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp)
+        sha = export_revision(args.parent, parent_tree)
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            pair = {"pair": i, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(parent_tree if side == "parent" else ROOT, bench_args)
+            pairs.append(pair)
+            print(f"pair {i}: parent {pair['parent']['exit_code']}, "
+                  f"change {pair['change']['exit_code']}", file=sys.stderr)
+
+    out = ROOT / f"BENCH_{args.topic}.json"
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc.update({"topic": args.topic, "parent_commit": sha,
+                "host": f"{platform.system()} {platform.machine()}, "
+                        f"{len(os.sched_getaffinity(0))} CPUs usable"})
+    key = f"{args.workload} seed {args.seed} trace {args.trace}"
+    doc.setdefault("settings", {})[key] = {
+        "command": "python3 perfbench/run.py " + " ".join(bench_args),
+        "order": "alternating: odd pairs run the parent first, even pairs the change first",
+        "summary": summarize(pairs, metric_directions()),
+        "runs": pairs,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out.name}: {key}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
