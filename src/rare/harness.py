@@ -182,7 +182,12 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
              on_candidates: Callable[[Question, list[Trajectory]], None] | None = None,
              ) -> RunReport:
     """Evaluate every question and aggregate accuracy, cost means, and the
-    action-sequence histogram of chosen trajectories."""
+    action-sequence histogram of chosen trajectories.
+
+    Only each question's ``EvalRecord`` is kept. Its candidate trajectories
+    go to ``on_candidates`` in question order, as soon as that question's
+    turn comes, and are dropped afterwards; with no callback they are
+    dropped as soon as the question ends."""
     if method not in EVAL_METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {EVAL_METHODS}")
     cfg.validate()
@@ -193,19 +198,20 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
     if workers < 1:
         raise ValidationError("workers must be >= 1")
 
-    def work(question: Question) -> tuple[EvalRecord, list[Trajectory]]:
-        return evaluate_question(question, method, backend, index, cfg, prompts)
+    def work(question: Question) -> tuple[Question, EvalRecord, list[Trajectory] | None]:
+        record, candidates = evaluate_question(question, method, backend, index, cfg, prompts)
+        return question, record, candidates if on_candidates is not None else None
 
-    if workers == 1:
-        outcomes = [work(q) for q in questions]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, questions))
-
-    records = tuple(record for record, _ in outcomes)
-    if on_candidates is not None:
-        for question, (_, candidates) in zip(questions, outcomes):
-            on_candidates(question, candidates)
+    records: list[EvalRecord] = []
+    # the pool starts no thread until it is used; both maps are lazy and in
+    # question order, so nothing holds a question's candidates after its turn
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = map(work, questions) if workers == 1 else pool.map(work, questions)
+        for question, record, candidates in outcomes:
+            records.append(record)
+            if on_candidates is not None:
+                on_candidates(question, candidates)
+            del candidates
 
     histogram = Counter(
         _sequence_key(record.action_sequence)
@@ -224,7 +230,7 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
     return RunReport(
         config={"method": method, "selection_rule": selection_rule,
                 **config_to_record(cfg)},
-        records=records,
+        records=tuple(records),
         accuracy=sum(1 for r in records if r.correct) / n,
         avg_calls=sum(r.calls_used for r in records) / n,
         avg_tokens=sum(r.tokens_used for r in records) / n,

@@ -5,6 +5,9 @@ client for chat-completions endpoints and a scripted backend that replays
 canned completions for tests and offline runs. Both maintain a thread-safe
 cost ledger counting calls and tokens per purpose.
 
+``requests`` is imported only when the HTTP backend opens a session or
+posts, so importing the package and running offline never load it.
+
 Token counts from the scripted backend are whitespace word counts, so fixture
 authors can verify ledger totals by hand.
 """
@@ -19,9 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Iterable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import (
     LmBackendError,
@@ -30,6 +31,9 @@ from .errors import (
     TransportError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 PURPOSES = ("action_gen", "query_gen", "rating", "consistency")
 MATCH_KEYS = frozenset({"exact_hash", "substring"})
@@ -364,6 +368,8 @@ class HttpBackend(LmBackend):
             return self._session
         session = getattr(self._local, "session", None)
         if session is None:
+            import requests
+
             session = self._local.session = requests.Session()
             with self._lock:
                 self._created.append(session)
@@ -408,6 +414,8 @@ class HttpBackend(LmBackend):
         )
 
     def _post_once(self, req: LmRequest, n: int) -> dict[str, Any]:
+        import requests
+
         payload: dict[str, Any] = {
             "model": self.model,
             "messages": [{"role": "user", "content": req.prompt}],

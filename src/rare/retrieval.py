@@ -247,6 +247,7 @@ def load_index(path: str) -> RetrievalIndex:
         except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
                 IndexError, KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"unrecognized index file: {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != _PICKLE_FORMAT:
+    if (not isinstance(payload, dict) or payload.get("format") != _PICKLE_FORMAT
+            or not isinstance(payload.get("index"), RetrievalIndex)):
         raise CorpusError(f"unrecognized index file: {path}")
     return payload["index"]

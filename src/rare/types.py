@@ -69,15 +69,6 @@ class Question:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.options)
 
-    def options_map(self) -> dict[str, str]:
-        return dict(self.options)
-
-    def option_text(self, label: str) -> str:
-        for key, text in self.options:
-            if key == label:
-                return text
-        raise KeyError(label)
-
     def render(self, rephrased_stem: str | None = None) -> str:
         """Inline question text with options, e.g. ``...? A: foo, B: bar``.
 
@@ -247,19 +238,6 @@ def derive_seed(base_seed: int, key: str) -> int:
 
 
 # --- record codecs -----------------------------------------------------------
-
-def question_to_record(q: Question) -> dict[str, Any]:
-    record: dict[str, Any] = {
-        "id": q.id,
-        "question": q.stem,
-        "options": q.options_map(),
-    }
-    if q.gold_label is not None:
-        record["answer"] = q.gold_label
-    if q.domain_tag:
-        record["domain"] = q.domain_tag
-    return record
-
 
 def question_from_record(record: Mapping[str, Any]) -> Question:
     """Decode one dataset record. Normalizes numeric option keys and yes/no

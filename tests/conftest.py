@@ -97,11 +97,11 @@ def tree_entries_for(q: Question, answer: str,
                      ) -> list[ScriptEntry]:
     """Script entries driving every action for one question toward ``answer``."""
     marker = f"[{q.id}]"
-    answer_text = q.option_text(answer)
+    answer_text = option_text(q, answer)
     other = "C" if answer != "C" else "B"
     vote_texts = {
         "agree": f"The answer is {answer}: {answer_text}.",
-        "disagree": f"The answer is {other}: {q.option_text(other)}.",
+        "disagree": f"The answer is {other}: {option_text(q, other)}.",
     }
     sub_answer = f"The condition relates to the core mechanism {marker}."
     return [
@@ -287,9 +287,22 @@ def write_script_file(path, entries: list[ScriptEntry]) -> None:
             fh.write(json.dumps(script_entry_to_record(entry)) + "\n")
 
 
-def write_dataset_file(path, questions: list[Question]) -> None:
-    from rare.types import question_to_record
+def option_text(q: Question, label: str) -> str:
+    return dict(q.options)[label]
 
+
+def question_to_record(q: Question) -> dict:
+    """Encode a question as one dataset line, the inverse of
+    ``rare.types.question_from_record``."""
+    record = {"id": q.id, "question": q.stem, "options": dict(q.options)}
+    if q.gold_label is not None:
+        record["answer"] = q.gold_label
+    if q.domain_tag:
+        record["domain"] = q.domain_tag
+    return record
+
+
+def write_dataset_file(path, questions: list[Question]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for q in questions:
             fh.write(json.dumps(question_to_record(q)) + "\n")

@@ -1,6 +1,7 @@
-"""The summary step of ``tools/bench_pairs.py`` on canned results."""
+"""``tools/bench_pairs.py`` on canned results: the summary step and ``main``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,49 @@ class TestSummarize:
 ])
 def test_quartiles(values, expected):
     assert bench_pairs.quartiles(values) == expected
+
+
+class TestMain:
+    """``main`` with the export and the benchmark runs replaced by fakes."""
+
+    @pytest.fixture
+    def fake_runs(self, tmp_path, monkeypatch):
+        """Records each run's arguments; ``exit_codes`` gives the runs'
+        exit codes in order (0 once it is empty)."""
+        fake = {"args": [], "exit_codes": []}
+
+        def run_once(tree, args):
+            fake["args"].append(args)
+            run = result(6.0 if tree != tmp_path else 6.5, 65.35, 300.0)
+            if fake["exit_codes"]:
+                run["exit_code"] = fake["exit_codes"].pop(0)
+            return run
+
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: "abc123")
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.setattr(bench_pairs, "metric_directions", lambda: BETTER)
+        return fake
+
+    ARGS = ["--topic", "t", "--workload", "tree-cpu", "--seed", "3", "--pairs", "2"]
+
+    def test_seconds_are_forwarded_as_an_int(self, fake_runs, tmp_path):
+        assert bench_pairs.main(self.ARGS + ["--seconds", "30"]) == 0
+        assert len(fake_runs["args"]) == 4
+        assert all(args[args.index("--seconds") + 1] == "30" for args in fake_runs["args"])
+        assert (tmp_path / "BENCH_t.json").exists()
+
+    def test_fractional_seconds_are_refused_before_any_run(self, fake_runs, tmp_path):
+        # perfbench/run.py takes whole seconds; 2.5 used to reach every run
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(self.ARGS + ["--seconds", "2.5"])
+        assert exc.value.code == 2
+        assert fake_runs["args"] == []
+        assert not (tmp_path / "BENCH_t.json").exists()
+
+    def test_failed_run_exits_1_after_writing_the_file(self, fake_runs, tmp_path):
+        fake_runs["exit_codes"] = [0, 0, 1, 0]
+        assert bench_pairs.main(self.ARGS) == 1
+        doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+        summary = doc["settings"]["tree-cpu seed 3 trace 0"]["summary"]
+        assert not summary["every_run_passed_its_checks"]

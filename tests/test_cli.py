@@ -1,4 +1,9 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,7 @@ from conftest import (
     write_dataset_file,
     write_script_file,
 )
+import rare
 from rare.cli import main
 from rare.types import ActionKind
 
@@ -16,7 +22,11 @@ from rare.types import ActionKind
 @pytest.fixture
 def workspace(tmp_path):
     """Corpus, index, dataset, and script files for a 4-question eval."""
-    questions, backend = build_eval_fixture(4, 3)
+    return make_workspace(tmp_path, 4, 3)
+
+
+def make_workspace(tmp_path, n_questions, n_correct):
+    questions, backend = build_eval_fixture(n_questions, n_correct)
     corpus = tmp_path / "corpus.jsonl"
     dataset = tmp_path / "dataset.jsonl"
     script = tmp_path / "script.jsonl"
@@ -43,12 +53,15 @@ class TestIndexCommands:
         assert lines[0]["doc_id"] == "doc-beta"
         assert all({"doc_id", "score", "snippet"} <= set(entry) for entry in lines)
 
-    @pytest.mark.parametrize("which", ["empty", "corpus"])
+    @pytest.mark.parametrize("which", ["empty", "corpus", "not_an_index"])
     def test_query_on_a_file_that_is_not_an_index_exits_2(self, workspace, capsys,
                                                           which):
-        path = workspace["dir"] / "empty.bin"
+        path = workspace["dir"] / "bad.bin"
         if which == "empty":
             path.write_bytes(b"")
+        elif which == "not_an_index":
+            # the right envelope around something that is not an index
+            path.write_bytes(pickle.dumps({"format": 1, "corpus_hash": "x", "index": 5}))
         else:
             path = workspace["corpus"]  # a JSONL corpus given as the index
         rc = main(["index", "query", "--index", str(path), "--q", "beta"])
@@ -217,3 +230,31 @@ class TestEvalCommand:
         assert main(args + ["--lenient"]) == 0
         report = json.loads((workspace["dir"] / "lenient.json").read_text())
         assert report["num_questions"] == 1
+
+
+# runs in a fresh interpreter, so nothing the test process imported counts
+_OFFLINE_RUN = """
+import json, sys
+import rare, rare.cli
+after_import = "requests" in sys.modules
+rc = rare.cli.main(sys.argv[1:])
+print(json.dumps([after_import, rc, "requests" in sys.modules]))
+"""
+
+
+def test_offline_run_never_loads_the_http_client(tmp_path):
+    workspace = make_workspace(tmp_path, 6, 4)
+    src = str(Path(rare.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_RUN, "eval",
+         "--dataset", str(workspace["dataset"]), "--method", "rare",
+         "--index", str(workspace["index"]),
+         "--backend", "script", "--script", str(workspace["script"]),
+         "--rollouts", "2", "--out", str(tmp_path / "report.json")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, rc, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert (after_import, rc, after_run) == (False, 0, False)
+    assert json.loads((tmp_path / "report.json").read_text())["num_questions"] == 6

@@ -1,4 +1,7 @@
+import gc
 import json
+import time
+import weakref
 
 import pytest
 
@@ -10,6 +13,7 @@ from conftest import (
     tree_entries_for,
     write_dataset_file,
 )
+from rare import harness
 from rare.errors import DatasetError, ValidationError
 from rare.harness import (
     ABLATION_PRESETS,
@@ -22,7 +26,7 @@ from rare.harness import (
     run_eval,
     trajectory_stats,
 )
-from rare.lm import ScriptedBackend
+from rare.lm import LmBackend, ScriptedBackend
 from rare.retrieval import build_index
 from rare.types import ActionKind, SearchConfig
 
@@ -148,6 +152,82 @@ class TestRunEval:
         questions, backend = build_eval_fixture(2, 2)
         with pytest.raises(ValidationError):
             run_eval(questions, "zen", backend, index, SearchConfig())
+
+
+class SlowFirstQuestion(LmBackend):
+    """Delays every call of the first question, so with several workers the
+    other questions finish before it."""
+
+    def __init__(self, inner, marker):
+        super().__init__()
+        self.inner = inner
+        self.marker = marker
+
+    def _complete(self, req):
+        if self.marker in req.prompt:
+            time.sleep(0.002)
+        return self.inner.complete(req)
+
+
+def track_questions(monkeypatch):
+    """Wraps ``evaluate_question``: logs ("start", id) as each question
+    begins and keeps a weak reference to every candidate it returns."""
+    events, refs = [], []
+    original = harness.evaluate_question
+
+    def tracked(question, *args, **kwargs):
+        events.append(("start", question.id))
+        record, candidates = original(question, *args, **kwargs)
+        refs.append([weakref.ref(traj) for traj in candidates])
+        return record, candidates
+
+    monkeypatch.setattr(harness, "evaluate_question", tracked)
+    return events, refs
+
+
+class TestCandidateStreaming:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_callback_once_per_question_in_question_order(self, index, monkeypatch,
+                                                          workers):
+        questions, scripted = build_eval_fixture(6, 4)
+        backend = SlowFirstQuestion(scripted, f"[{questions[0].id}]")
+        events, _ = track_questions(monkeypatch)
+        cfg = apply_preset(SearchConfig(rollouts=3, rng_seed=5), "rare")
+        seen = []
+
+        def on_candidates(question, candidates):
+            events.append(("candidates", question.id))
+            seen.append((question, len(candidates)))
+
+        report = run_eval(questions, "rare", backend, index, cfg, workers=workers,
+                          on_candidates=on_candidates)
+        assert [q for q, _ in seen] == questions
+        assert [n for _, n in seen] == [r.candidate_count for r in report.records]
+        assert all(n > 0 for _, n in seen)
+        if workers == 1:
+            # each question's candidates are handed over before the next starts
+            assert events == [(kind, q.id) for q in questions
+                              for kind in ("start", "candidates")]
+
+    @pytest.mark.parametrize("with_callback", [False, True])
+    def test_candidates_gone_before_the_next_question(self, index, monkeypatch,
+                                                      with_callback):
+        questions, backend = build_eval_fixture(6, 4)
+        _, refs = track_questions(monkeypatch)
+        alive_at_start = []
+        original = harness.evaluate_question
+
+        def check_then_run(question, *args, **kwargs):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for batch in refs for ref in batch))
+            return original(question, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_question", check_then_run)
+        cfg = apply_preset(SearchConfig(rollouts=3, rng_seed=5), "rare")
+        run_eval(questions, "rare", backend, index, cfg, workers=1,
+                 on_candidates=(lambda q, cands: None) if with_callback else None)
+        assert all(batch for batch in refs)
+        assert alive_at_start == [0] * len(questions)
 
 
 class TestAblationStructure:

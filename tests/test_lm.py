@@ -432,7 +432,7 @@ class TestHttpBackendFaults:
                 super().__init__(lambda payload: reply_body("ok"))
                 sessions.append(self)
 
-        monkeypatch.setattr("rare.lm.requests.Session", CountingSession)
+        monkeypatch.setattr("requests.Session", CountingSession)
         backend = HttpBackend("http://fake", model="m")
         errors = []
 
@@ -464,7 +464,7 @@ class TestHttpBackendFaults:
                 self.closes += 1
 
         created = []
-        monkeypatch.setattr("rare.lm.requests.Session",
+        monkeypatch.setattr("requests.Session",
                             lambda: created.append(ClosingSession()) or created[-1])
         backend = HttpBackend("http://fake", model="m")
         threads = [threading.Thread(target=backend.complete, args=(LmRequest("hi"),))

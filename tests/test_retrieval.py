@@ -248,7 +248,8 @@ class TestPersistence:
         b"",
         b'{"id": "a", "title": "T", "text": "body text"}\n',
         pickle.dumps({"format": 1, "corpus_hash": "x"})[:-3],
-    ], ids=["empty", "jsonl", "truncated"])
+        pickle.dumps({"format": 1, "corpus_hash": "x", "index": 5}),
+    ], ids=["empty", "jsonl", "truncated", "not_an_index"])
     def test_load_rejects_malformed_file(self, tmp_path, content):
         path = tmp_path / "bad.bin"
         path.write_bytes(content)

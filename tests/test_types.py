@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import option_text, question_to_record
 from rare.errors import ValidationError
 from rare.types import (
     ActionKind,
@@ -10,7 +11,6 @@ from rare.types import (
     SearchConfig,
     derive_seed,
     question_from_record,
-    question_to_record,
     validate_question,
 )
 
@@ -111,7 +111,7 @@ class TestDatasetNormalization:
         })
         assert q.labels == ("A", "B", "C")
         assert q.gold_label == "B"
-        assert q.option_text("B") == "second"
+        assert option_text(q, "B") == "second"
 
     def test_yes_no_answer_becomes_two_options(self):
         q = question_from_record({"id": "s1", "question": "Is it so?", "answer": "no"})

@@ -13,6 +13,7 @@ per (workload, seed, trace) setting with every run's result, and for every
 metric both sides' quartiles and the number of pairs the change won, by the
 direction BENCHMARK.json gives the metric. Running again with another
 setting adds its entry to the same file; the same setting is replaced.
+The exit code is 1, after the file is written, when any run failed.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=45)
+    parser.add_argument("--seconds", type=int, default=45)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
@@ -115,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1")
 
     bench_args = ["--workload", args.workload, "--seed", str(args.seed),
-                  "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
+                  "--seconds", str(args.seconds), "--trace", str(args.trace)]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
@@ -135,14 +136,18 @@ def main(argv: list[str] | None = None) -> int:
                 "host": f"{platform.system()} {platform.machine()}, "
                         f"{len(os.sched_getaffinity(0))} CPUs usable"})
     key = f"{args.workload} seed {args.seed} trace {args.trace}"
+    summary = summarize(pairs, metric_directions())
     doc.setdefault("settings", {})[key] = {
         "command": "python3 perfbench/run.py " + " ".join(bench_args),
         "order": "alternating: odd pairs run the parent first, even pairs the change first",
-        "summary": summarize(pairs, metric_directions()),
+        "summary": summary,
         "runs": pairs,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out.name}: {key}", file=sys.stderr)
+    if not summary["every_run_passed_its_checks"]:
+        print("some runs failed their checks; see their exit codes", file=sys.stderr)
+        return 1
     return 0
 
 
