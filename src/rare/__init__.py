@@ -3,7 +3,6 @@ answer selection, plus an offline evaluation harness for multiple-choice QA."""
 
 from .actions import (
     ActionContext,
-    ActionOutcome,
     PromptLibrary,
     execute_action,
     extract_answer,
@@ -48,7 +47,7 @@ from .mcts import (
     uct_score,
 )
 from .retrieval import Document, RetrievalIndex, build_index, search
-from .selection import SelectionResult, run_baseline, select_majority, select_rare
+from .selection import run_baseline, select_majority, select_rare
 from .types import (
     ActionKind,
     ActionStep,

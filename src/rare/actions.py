@@ -25,7 +25,8 @@ from typing import Callable, Literal
 from .errors import NoViableChildError, ValidationError
 from .lm import LmBackend, request_for
 from .retrieval import RetrievalIndex, search
-from .types import RETRIEVAL_ACTIONS, ActionKind, ActionStep, DocumentRef, Question, SearchConfig
+from .types import (RETRIEVAL_ACTIONS, ActionKind, ActionStep, DocumentRef, Question,
+                    SearchConfig, Trajectory)
 
 ANSWER_NOW_MARKER = "now we can answer"
 
@@ -97,43 +98,36 @@ def default_prompts() -> PromptLibrary:
 
 @dataclass(frozen=True)
 class ActionContext:
-    """Search state preceding the next action."""
+    """Search state preceding the next action; ``answer`` is set once a step
+    has ended the trajectory with that final answer."""
 
     question: Question
     steps: tuple[ActionStep, ...] = ()
     rephrased_stem: str | None = None
     pending_sub_question: str | None = None
-    terminal: bool = False
+    answer: str | None = None
 
-    def extend(self, outcome: "ActionOutcome") -> "ActionContext":
-        step = outcome.step
+    def extend(self, step: ActionStep, answer: str | None = None) -> "ActionContext":
         rephrased = step.output if step.kind == ActionKind.A5 else self.rephrased_stem
         pending = None
-        if step.kind == ActionKind.A3 and not outcome.is_terminal:
+        if step.kind == ActionKind.A3 and answer is None:
             pending = step.sub_question
         return ActionContext(
             question=self.question,
             steps=self.steps + (step,),
             rephrased_stem=rephrased,
             pending_sub_question=pending,
-            terminal=outcome.is_terminal,
+            answer=answer,
         )
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(self.question.id, self.steps, final_answer=self.answer)
 
     def subquestion_count(self) -> int:
         return sum(1 for step in self.steps if step.kind == ActionKind.A3)
 
     def question_text(self) -> str:
         return self.question.render(self.rephrased_stem)
-
-
-@dataclass(frozen=True)
-class ActionOutcome:
-    step: ActionStep
-    extracted_answer: str | None = None
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.extracted_answer is not None
 
 
 def extract_answer(text: str, q: Question) -> str | None:
@@ -167,7 +161,7 @@ _NEXT_ACTIONS: dict[ActionKind | None, frozenset[ActionKind]] = {
 
 def valid_actions(ctx: ActionContext, cfg: SearchConfig) -> frozenset[ActionKind]:
     """Subset of enabled actions legal at this context."""
-    if ctx.terminal:
+    if ctx.answer is not None:
         return frozenset()
     if ctx.subquestion_count() >= cfg.max_subquestion_chain:
         base = frozenset({ActionKind.A2})
@@ -367,12 +361,13 @@ def execute_action(
     cfg: SearchConfig,
     prompts: PromptLibrary | None = None,
     n_outcomes: int | None = None,
-) -> list[ActionOutcome]:
-    """Sample outcomes for one action at one context.
+) -> list[ActionContext]:
+    """Sample one action at one context and return the child contexts.
 
     Returns up to ``n_outcomes`` (default ``cfg.children_per_action``)
-    outcomes; unparseable samples are discarded and an empty harvest raises
-    NoViableChildError. Backend failures propagate.
+    children, each ``ctx`` extended by one step and, when the step ends the
+    trajectory, its answer; unparseable samples are discarded and an empty
+    harvest raises NoViableChildError. Backend failures propagate.
     """
     spec = ACTION_SPECS[kind]
     prompts = prompts or default_prompts()
@@ -393,7 +388,7 @@ def execute_action(
                             **spec.fields(ctx, render_documents(retrieved, index)))
     resp = backend.complete(request_for("action_gen", prompt, n, stop_sequences=spec.stop))
 
-    outcomes = []
+    children = []
     for completion in resp.completions:
         parsed = spec.parse(completion)
         if parsed is None or not parsed[1]:
@@ -408,7 +403,7 @@ def execute_action(
             continue
         step = ActionStep(kind, prompt, output, sub_question=sub_question,
                           retrieved=retrieved, queries=queries)
-        outcomes.append(ActionOutcome(step, answer))
-    if not outcomes:
+        children.append(ctx.extend(step, answer))
+    if not children:
         raise NoViableChildError(f"no viable child for {kind.value}")
-    return outcomes
+    return children

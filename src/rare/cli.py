@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--dataset", required=True)
     eval_cmd.add_argument("--method", required=True, choices=EVAL_METHODS)
     eval_cmd.add_argument("--ablation", choices=sorted(ABLATION_PRESETS),
-                          help="tree-search preset; defaults to the method name")
+                          help="rstar or rare preset; defaults to the method name")
     eval_cmd.add_argument("--index")
     eval_cmd.add_argument("--backend", choices=("http", "script"), default="http")
     eval_cmd.add_argument("--script", help="script file for --backend script")
@@ -106,6 +106,8 @@ def _make_backend(args: argparse.Namespace):
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.ablation and args.method not in ("rstar", "rare"):
+        raise RareError(f"--ablation applies to rstar and rare only, not {args.method!r}")
     questions = load_dataset(args.dataset, strict=not args.lenient)
     backend = _make_backend(args)
     prompts = PromptLibrary.from_dir(args.templates)

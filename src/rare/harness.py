@@ -24,7 +24,7 @@ from .factuality import score_candidates
 from .lm import LmBackend, ScopedBackend
 from .mcts import SearchTree, run_search
 from .retrieval import RetrievalIndex
-from .selection import SelectionResult, run_baseline, select_majority, select_rare
+from .selection import run_baseline, select_majority, select_rare
 from .types import (
     ActionKind,
     BASE_ACTIONS,
@@ -134,44 +134,44 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
     if index is not None:
         index = index.for_question()
     qcfg = cfg.with_seed(derive_seed(cfg.rng_seed, question.id))
-    result: SelectionResult | None = None
+    chosen: Trajectory | None = None
     candidates: list[Trajectory] = []
     error: str | None = None
     try:
         if method in ("cot", "sc", "rag"):
-            result = run_baseline(method, question, scope, index, qcfg, prompts)
-            candidates = [result.chosen]
+            candidates = run_baseline(method, question, scope, index, qcfg, prompts)
+            chosen = select_majority(candidates)
         else:
-            searched = run_search(SearchTree(question, qcfg), scope, index, prompts)
+            candidates = run_search(SearchTree(question, qcfg), scope, index, prompts)
             if qcfg.rafs_enabled:
-                candidates = score_candidates(searched, scope, index, qcfg)
-                result = select_rare(candidates)
+                candidates = score_candidates(candidates, scope, index, qcfg)
+                chosen = select_rare(candidates)
             else:
-                candidates = searched
-                result = select_majority(candidates, method="rstar")
+                chosen = select_majority(candidates)
     except RareError as exc:
         error = f"{type(exc).__name__}: {exc}"
 
     ledger = scope.snapshot_costs()
-    if result is not None:
-        predicted = result.chosen.final_answer
-        sequence = result.chosen.action_sequence()
-        candidate_count = len(result.all_candidates)
+    if chosen is not None:
+        predicted = chosen.final_answer
+        sequence = chosen.action_sequence()
     else:
-        predicted, sequence, candidate_count = None, (), 0
-        candidates = []
+        predicted, sequence, candidates = None, (), []
     record = EvalRecord(
         question_id=question.id,
         method=method,
         predicted=predicted,
         gold=question.gold_label,
         correct=predicted is not None and predicted == question.gold_label,
-        candidate_count=candidate_count,
+        candidate_count=len(candidates),
         calls_used=ledger.total_calls,
         tokens_used=ledger.total_completion_tokens,
         action_sequence=sequence,
         error=error,
     )
+    if method in ("cot", "sc", "rag") and chosen is not None:
+        # a baseline hands on only the trajectory it answered with
+        candidates = [chosen]
     return record, candidates
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 from .actions import (
     ActionContext,
-    ActionOutcome,
     PromptLibrary,
     default_prompts,
     execute_action,
@@ -51,7 +50,6 @@ def uct_score(child_q: float, child_visits: int, parent_visits: int, c: float) -
 class TreeNode:
     node_id: int
     parent: "TreeNode | None"
-    incoming: ActionOutcome | None
     ctx: ActionContext
     q_value: float = 0.0
     visits: int = 0
@@ -60,9 +58,7 @@ class TreeNode:
     terminal_failed: bool = False
 
     def is_terminal(self) -> bool:
-        if self.terminal_failed:
-            return True
-        return self.incoming is not None and self.incoming.is_terminal
+        return self.terminal_failed or self.ctx.answer is not None
 
     def path_from_root(self) -> list["TreeNode"]:
         path: list[TreeNode] = []
@@ -84,22 +80,14 @@ class SearchTree:
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
         self.nodes: list[TreeNode] = []
-        self.root = self.add_node(parent=None, incoming=None, ctx=ActionContext(question))
+        self.root = self.add_node(parent=None, ctx=ActionContext(question))
 
-    def add_node(self, parent: TreeNode | None, incoming: ActionOutcome | None,
-                 ctx: ActionContext) -> TreeNode:
-        node = TreeNode(node_id=len(self.nodes), parent=parent, incoming=incoming, ctx=ctx)
+    def add_node(self, parent: TreeNode | None, ctx: ActionContext) -> TreeNode:
+        node = TreeNode(node_id=len(self.nodes), parent=parent, ctx=ctx)
         self.nodes.append(node)
         if parent is not None:
             parent.children.append(node)
         return node
-
-    def trajectory_of(self, node: TreeNode) -> Trajectory:
-        return Trajectory(
-            question_ref=self.question.id,
-            steps=node.ctx.steps,
-            final_answer=node.incoming.extracted_answer if node.incoming else None,
-        )
 
 
 def _best_child(node: TreeNode, c: float) -> TreeNode:
@@ -141,11 +129,11 @@ def expand(tree: SearchTree, node: TreeNode, backend: LmBackend,
     kinds = sorted(valid_actions(node.ctx, tree.cfg), key=lambda k: k.value)
     for kind in kinds:
         try:
-            outcomes = execute_action(kind, node.ctx, backend, index, tree.cfg, prompts)
+            contexts = execute_action(kind, node.ctx, backend, index, tree.cfg, prompts)
         except NoViableChildError:
             continue
-        for outcome in outcomes:
-            tree.add_node(parent=node, incoming=outcome, ctx=node.ctx.extend(outcome))
+        for ctx in contexts:
+            tree.add_node(parent=node, ctx=ctx)
     if not node.children:
         node.terminal_failed = True
     return list(node.children)
@@ -156,37 +144,29 @@ def simulate(tree: SearchTree, node: TreeNode, backend: LmBackend,
              prompts: PromptLibrary | None = None) -> Trajectory:
     """Uniform-random rollout from ``node`` to a terminal state or the depth
     cap. A dead end (no legal action, or no viable outcome) ends the rollout
-    with no final answer, which scores reward 0."""
-    if node.is_terminal():
-        return tree.trajectory_of(node)
+    with no final answer, which scores reward 0; so does a terminal-failed
+    ``node``, whose own steps are returned without any LM call."""
+    if node.terminal_failed:
+        return node.ctx.trajectory()
     ctx = node.ctx
-    final_answer: str | None = None
-    while not ctx.terminal and len(ctx.steps) < tree.cfg.max_depth:
+    while ctx.answer is None and len(ctx.steps) < tree.cfg.max_depth:
         kinds = sorted(valid_actions(ctx, tree.cfg), key=lambda k: k.value)
         if not kinds:
             break
         kind = tree.rng.choice(kinds)
         try:
-            outcomes = execute_action(kind, ctx, backend, index, tree.cfg,
-                                      prompts, n_outcomes=1)
+            ctx = execute_action(kind, ctx, backend, index, tree.cfg,
+                                 prompts, n_outcomes=1)[0]
         except NoViableChildError:
             break
-        outcome = outcomes[0]
-        ctx = ctx.extend(outcome)
-        if outcome.is_terminal:
-            final_answer = outcome.extracted_answer
-    return Trajectory(
-        question_ref=tree.question.id,
-        steps=ctx.steps,
-        final_answer=final_answer,
-    )
+    return ctx.trajectory()
 
 
 def context_from_steps(question: Question, steps: tuple[ActionStep, ...]) -> ActionContext:
     """Rebuild the context preceding a step list (all steps non-terminal)."""
     ctx = ActionContext(question)
     for step in steps:
-        ctx = ctx.extend(ActionOutcome(step))
+        ctx = ctx.extend(step)
     return ctx
 
 
@@ -230,48 +210,36 @@ def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | Non
     candidates: dict[str, Trajectory] = {}
     rewards: dict[str, float] = {}
 
-    def register(traj: Trajectory) -> None:
-        key = traj.content_hash()
-        if key not in candidates:
-            candidates[key] = traj
-
     def reward_for(traj: Trajectory) -> float:
+        """Consistency reward of an answered trajectory, which becomes a
+        candidate; a trajectory with no answer scores 0."""
+        if traj.final_answer is None:
+            return 0.0
         key = traj.content_hash()
+        candidates.setdefault(key, traj)
         if key not in rewards:
             rewards[key] = terminal_reward(traj, question, backend, cfg, prompts)
         return rewards[key]
 
     for _ in range(cfg.rollouts):
         node = select(tree)
-
         if node.is_terminal():
-            traj = tree.trajectory_of(node)
-            if traj.final_answer is not None:
-                register(traj)
-                reward = reward_for(traj)
-            else:
-                reward = 0.0
-            backpropagate(tree, node, reward)
+            backpropagate(tree, node, reward_for(node.ctx.trajectory()))
             continue
 
         children = expand(tree, node, backend, index, prompts)
         for child in children:
             if child.is_terminal():
-                register(tree.trajectory_of(child))
+                traj = child.ctx.trajectory()
+                candidates.setdefault(traj.content_hash(), traj)
         if not children:
             backpropagate(tree, node, 0.0)
             continue
 
         start = tree.rng.choice(children)
         traj = simulate(tree, start, backend, index, prompts)
-        if traj.final_answer is not None:
-            register(traj)
-            reward = reward_for(traj)
-        else:
-            reward = 0.0
-        backpropagate(tree, start, reward)
+        backpropagate(tree, start, reward_for(traj))
 
     if not candidates:
         raise NoCandidatesError(f"no terminal trajectory for question {question.id!r}")
-    scored = [replace(traj, terminal_reward=reward_for(traj)) for traj in candidates.values()]
-    return scored
+    return [replace(traj, terminal_reward=reward_for(traj)) for traj in candidates.values()]

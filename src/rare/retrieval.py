@@ -201,6 +201,8 @@ def _rank(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
 
 
 def document_from_record(record: dict, line_no: int = 0) -> Document:
+    if not isinstance(record, dict):
+        raise ValidationError(f"corpus line {line_no}: not a JSON object")
     if "id" not in record or "text" not in record:
         raise ValidationError(f"corpus line {line_no}: missing 'id' or 'text'")
     source = str(record.get("source", "other") or "other")

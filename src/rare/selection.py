@@ -1,73 +1,35 @@
 """Turning candidate trajectories into one final answer.
 
-Two selectors cover the tree-search methods (factuality ranking and
-majority voting) and ``run_baseline`` implements the single-shot methods:
-chain-of-thought, self-consistency, and plain retrieval-augmented answering.
+Each selector returns the chosen trajectory: factuality ranking for rare,
+majority voting for rstar and the baselines. ``run_baseline`` returns the
+candidates of the single-shot methods: chain-of-thought, self-consistency,
+and plain retrieval-augmented answering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-from .actions import PromptLibrary, default_prompts, extract_answer, render_documents
-from .errors import AbstainError, ValidationError
+from .actions import (ActionContext, PromptLibrary, default_prompts, execute_action,
+                      extract_answer, render_documents)
+from .errors import AbstainError, NoViableChildError, ValidationError
 from .lm import LmBackend, request_for
 from .retrieval import RetrievalIndex, search
 from .types import ActionKind, ActionStep, Question, SearchConfig, Trajectory
 
-METHODS = ("rare", "rstar", "sc", "cot", "rag")
 
-
-@dataclass(frozen=True)
-class SelectionResult:
-    chosen: Trajectory
-    method: str
-    ranking_key: tuple
-    all_candidates: tuple[tuple[str, dict[str, Any]], ...]
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown selection method {self.method!r}")
-
-
-def _candidate_summaries(candidates: list[Trajectory]) -> tuple[tuple[str, dict[str, Any]], ...]:
-    return tuple(
-        (
-            traj.content_hash(),
-            {
-                "answer": traj.final_answer,
-                "factuality": traj.factuality_score(),
-                "reward": traj.terminal_reward,
-                "steps": len(traj.steps),
-            },
-        )
-        for traj in candidates
-    )
-
-
-def select_rare(candidates: list[Trajectory]) -> SelectionResult:
-    """Pick the candidate with the highest factuality score; ties break by
+def select_rare(candidates: list[Trajectory]) -> Trajectory:
+    """The candidate with the highest factuality score; ties break by
     higher reward, then fewer steps, then trajectory hash. Candidates whose
     report failed carry score -1 and rank last."""
     if not candidates:
         raise ValidationError("empty candidate list")
-    ranked = sorted(
+    return min(
         candidates,
         key=lambda t: (-t.factuality_score(), -t.terminal_reward,
                        len(t.steps), t.content_hash()),
     )
-    chosen = ranked[0]
-    return SelectionResult(
-        chosen=chosen,
-        method="rare",
-        ranking_key=(chosen.factuality_score(), chosen.terminal_reward,
-                     len(chosen.steps), chosen.content_hash()),
-        all_candidates=_candidate_summaries(candidates),
-    )
 
 
-def select_majority(candidates: list[Trajectory], method: str = "rstar") -> SelectionResult:
+def select_majority(candidates: list[Trajectory]) -> Trajectory:
     """Plurality vote over final answers. Ties between answers break by
     higher summed reward, then label order; within the winning answer the
     highest-reward trajectory is returned."""
@@ -80,29 +42,24 @@ def select_majority(candidates: list[Trajectory], method: str = "rstar") -> Sele
         groups.setdefault(traj.final_answer, []).append(traj)
     if not groups:
         raise AbstainError("no candidate carries a final answer")
-    label, group = sorted(
+    _, group = min(
         groups.items(),
         key=lambda kv: (-len(kv[1]), -sum(t.terminal_reward for t in kv[1]), kv[0]),
-    )[0]
-    chosen = sorted(group, key=lambda t: (-t.terminal_reward, t.content_hash()))[0]
-    return SelectionResult(
-        chosen=chosen,
-        method=method,
-        ranking_key=(len(group), sum(t.terminal_reward for t in group), label),
-        all_candidates=_candidate_summaries(candidates),
     )
+    return min(group, key=lambda t: (-t.terminal_reward, t.content_hash()))
 
 
 def run_baseline(method: str, q: Question, backend: LmBackend,
                  index: RetrievalIndex | None, cfg: SearchConfig,
-                 prompts: PromptLibrary | None = None) -> SelectionResult:
-    """Single-pass baselines.
+                 prompts: PromptLibrary | None = None) -> list[Trajectory]:
+    """Single-pass baselines; returns the answered candidates, which the
+    caller votes over with ``select_majority``.
 
-    cot: one direct completion. sc: ``n_consistency_samples`` completions
-    followed by majority voting. rag: one retrieval round on the question
-    stem, snippets injected into the retrieval-answering prompt, then one
-    completion. A run with no parseable answer raises AbstainError and is
-    recorded as incorrect by the harness.
+    cot: one A2 action at the root. sc: ``n_consistency_samples``
+    completions. rag: one retrieval round on the question stem, snippets
+    injected into the retrieval-answering prompt, then one completion. A run
+    with no parseable answer raises AbstainError and is recorded as
+    incorrect by the harness.
     """
     if method not in ("cot", "sc", "rag"):
         raise ValidationError(f"not a baseline method: {method!r}")
@@ -110,16 +67,12 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     question_text = q.render()
 
     if method == "cot":
-        prompt = prompts.render(ActionKind.A2, question=question_text, steps="")
-        resp = backend.complete(request_for("action_gen", prompt, 1,
-                                            stop_sequences=("### Instruction",)))
-        text = resp.completions[0].strip()
-        answer = extract_answer(text, q)
-        if answer is None:
-            raise AbstainError(f"cot produced no parseable answer for {q.id!r}")
-        step = ActionStep(ActionKind.A2, prompt, text)
-        traj = Trajectory(q.id, (step,), final_answer=answer)
-        return SelectionResult(traj, "cot", (answer,), _candidate_summaries([traj]))
+        try:
+            ctx = execute_action(ActionKind.A2, ActionContext(q), backend, index, cfg,
+                                 prompts, n_outcomes=1)[0]
+        except NoViableChildError:
+            raise AbstainError(f"cot produced no parseable answer for {q.id!r}") from None
+        return [ctx.trajectory()]
 
     if method == "sc":
         prompt = prompts.render(ActionKind.A2, question=question_text, steps="")
@@ -134,11 +87,10 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
             if answer is None:
                 continue
             step = ActionStep(ActionKind.A2, prompt, text)
-            candidates.append(Trajectory(q.id, (step,), final_answer=answer))
+            candidates.append(ActionContext(q).extend(step, answer).trajectory())
         if not candidates:
             raise AbstainError(f"sc produced no parseable answer for {q.id!r}")
-        result = select_majority(candidates, method="sc")
-        return result
+        return candidates
 
     # rag
     if index is None:
@@ -153,5 +105,4 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     if answer is None:
         raise AbstainError(f"rag produced no parseable answer for {q.id!r}")
     step = ActionStep(ActionKind.A7, prompt, text, retrieved=hits, queries=(q.stem,))
-    traj = Trajectory(q.id, (step,), final_answer=answer)
-    return SelectionResult(traj, "rag", (answer,), _candidate_summaries([traj]))
+    return [ActionContext(q).extend(step, answer).trajectory()]

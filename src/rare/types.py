@@ -242,6 +242,8 @@ def derive_seed(base_seed: int, key: str) -> int:
 def question_from_record(record: Mapping[str, Any]) -> Question:
     """Decode one dataset record. Normalizes numeric option keys and yes/no
     answers into the contiguous letter-label form, then validates."""
+    if not isinstance(record, Mapping):
+        raise ValidationError("record is not a JSON object")
     if "id" not in record or "question" not in record:
         raise ValidationError("record missing 'id' or 'question'")
     raw_options = record.get("options") or {}

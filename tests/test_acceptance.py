@@ -112,7 +112,7 @@ def test_acceptance_02_uct_matches_direct_evaluation():
                 visits[0] = 0
             children = []
             for v in visits:
-                node = tree.add_node(tree.root, None, tree.root.ctx)
+                node = tree.add_node(tree.root, tree.root.ctx)
                 node.visits = v
                 node.q_value = rng.random() * max(v, 1)
                 children.append(node)
@@ -127,7 +127,7 @@ def test_acceptance_03_backpropagation_replay_exact():
         tree = SearchTree(question, SearchConfig())
         nodes = [tree.root]
         for _ in range(499):
-            node = tree.add_node(rng.choice(nodes), None, tree.root.ctx)
+            node = tree.add_node(rng.choice(nodes), tree.root.ctx)
             nodes.append(node)
         updates = [(rng.choice(nodes), rng.random()) for _ in range(300)]
         for leaf, reward in updates:
@@ -207,7 +207,7 @@ def test_acceptance_06_selection_rule_and_monotonicity(conjunctivitis_question,
             make_reasoning_trajectory(q, REASONING_SCORE_06, "C"),
         ], backend, index, cfg)
         assert sorted(t.factuality.score for t in candidates) == [0.6, 0.625, 1.0]
-        assert select_rare(candidates).chosen.final_answer == "B"
+        assert select_rare(candidates).final_answer == "B"
 
         # monotonicity: push any other candidate above the maximum
         from dataclasses import replace
@@ -218,7 +218,7 @@ def test_acceptance_06_selection_rule_and_monotonicity(conjunctivitis_question,
                 if t.final_answer == loser else t
                 for t in candidates
             ]
-            assert select_rare(boosted).chosen.final_answer == loser
+            assert select_rare(boosted).final_answer == loser
 
 
 def test_acceptance_07_ablation_structure(index):
@@ -320,7 +320,7 @@ def test_acceptance_10_live_backend_smoke(conjunctivitis_question, index):
         cfg = SearchConfig(rollouts=2, n_consistency_samples=2, rng_seed=0)
         candidates = run_search(SearchTree(q, cfg), backend, index)
         scored = score_candidates(candidates, backend, index, cfg)
-        result = select_rare(scored)
-        assert result.chosen.final_answer in dict(q.options)
+        chosen = select_rare(scored)
+        assert chosen.final_answer in dict(q.options)
         assert any(t.factuality is not None for t in scored)
         assert time.perf_counter() - started < 600.0

@@ -9,7 +9,6 @@ from conftest import (
 )
 from rare.actions import (
     ActionContext,
-    ActionOutcome,
     PromptLibrary,
     default_prompts,
     execute_action,
@@ -45,15 +44,16 @@ def index():
 CFG = SearchConfig()
 
 
-def ctx_after(question, *outcomes):
+def ctx_after(question, *steps):
+    """Context after each ``(step, answer)`` pair in turn."""
     ctx = ActionContext(question)
-    for outcome in outcomes:
-        ctx = ctx.extend(outcome)
+    for step, answer in steps:
+        ctx = ctx.extend(step, answer)
     return ctx
 
 
 def nonterminal(kind, output="text", sub_question=None):
-    return ActionOutcome(ActionStep(kind, "p", output, sub_question=sub_question))
+    return ActionStep(kind, "p", output, sub_question=sub_question), None
 
 
 class TestExtractAnswer:
@@ -114,7 +114,7 @@ class TestValidActions:
 
     def test_terminal_context_has_no_actions(self, question):
         step = ActionStep(A.A2, "p", "The answer is B: beta therapy.")
-        ctx = ctx_after(question, ActionOutcome(step, "B"))
+        ctx = ctx_after(question, (step, "B"))
         assert valid_actions(ctx, CFG) == frozenset()
 
     def test_long_subquestion_chain_forces_a2(self, question):
@@ -132,8 +132,7 @@ class TestValidActions:
             if not kinds:
                 break
             kind = sorted(kinds, key=lambda k: k.value)[0]
-            outcome = execute_action(kind, ctx, backend, index, CFG)[0]
-            ctx = ctx.extend(outcome)
+            ctx = execute_action(kind, ctx, backend, index, CFG)[0]
             assert valid_actions(ctx, CFG) <= CFG.enabled_actions
 
 
@@ -178,57 +177,52 @@ class TestParsers:
 
 class TestExecuteActions:
     def test_a6_parses_queries_and_retrieves(self, question, backend, index):
-        outcomes = execute_action(A.A6, ActionContext(question), backend, index, CFG)
-        step = outcomes[0].step
+        children = execute_action(A.A6, ActionContext(question), backend, index, CFG)
+        step = children[0].steps[-1]
         assert len(step.queries) == 3
         assert step.retrieved
-        assert outcomes[0].is_terminal
-        assert outcomes[0].extracted_answer == "B"
+        assert children[0].answer == "B"
 
     def test_a3_marker_terminal(self, question, backend, index):
-        first = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
-        assert not first.is_terminal
-        ctx = ActionContext(question).extend(first)
-        assert ctx.pending_sub_question == first.step.sub_question
+        ctx = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
+        assert ctx.answer is None
+        assert ctx.pending_sub_question == ctx.steps[-1].sub_question
         second = execute_action(A.A3, ctx, backend, index, CFG)[0]
-        assert second.step.sub_question.startswith("Now we can answer the question")
-        assert second.is_terminal
-        assert second.extracted_answer == "B"
+        assert second.steps[-1].sub_question.startswith("Now we can answer the question")
+        assert second.answer == "B"
 
     def test_a2_extracts_answer(self, question, backend, index):
-        outcome = execute_action(A.A2, ActionContext(question), backend, index, CFG)[0]
-        assert outcome.is_terminal
-        assert outcome.extracted_answer == "B"
-        assert "the answer is B" in outcome.step.output
+        child = execute_action(A.A2, ActionContext(question), backend, index, CFG)[0]
+        assert child.answer == "B"
+        assert "the answer is B" in child.steps[-1].output
 
     def test_a1_produces_nonterminal_step(self, question, backend, index):
-        outcome = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
-        assert not outcome.is_terminal
-        assert outcome.step.output.startswith("Step 1:")
+        child = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
+        assert child.answer is None
+        assert child.steps[-1].output.startswith("Step 1:")
 
     def test_a5_sets_rephrased_stem_for_descendants(self, question, backend, index):
-        outcome = execute_action(A.A5, ActionContext(question), backend, index, CFG)[0]
-        ctx = ActionContext(question).extend(outcome)
-        assert ctx.rephrased_stem == outcome.step.output
-        assert ctx.question_text() == outcome.step.output
+        ctx = execute_action(A.A5, ActionContext(question), backend, index, CFG)[0]
+        output = ctx.steps[-1].output
+        assert ctx.rephrased_stem == output
+        assert ctx.question_text() == output
         # descendants keep it
-        later = ctx.extend(nonterminal(A.A1))
-        assert later.rephrased_stem == outcome.step.output
+        later = ctx.extend(*nonterminal(A.A1))
+        assert later.rephrased_stem == output
 
     def test_a4_reanswers_pending_subquestion(self, question, backend, index):
-        first = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
-        ctx = ActionContext(question).extend(first)
-        outcome = execute_action(A.A4, ctx, backend, index, CFG)[0]
-        assert outcome.step.sub_question == first.step.sub_question
-        assert outcome.step.kind == A.A4
+        ctx = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
+        step = execute_action(A.A4, ctx, backend, index, CFG)[0].steps[-1]
+        assert step.sub_question == ctx.steps[-1].sub_question
+        assert step.kind == A.A4
 
     def test_a7_retrieves_for_subquestion(self, question, backend, index):
-        first = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
-        ctx = ActionContext(question).extend(first)
-        outcome = execute_action(A.A7, ctx, backend, index, CFG)[0]
-        assert outcome.step.retrieved
-        assert outcome.step.queries == (first.step.sub_question,)
-        assert outcome.step.sub_question == first.step.sub_question
+        ctx = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
+        sub_question = ctx.steps[-1].sub_question
+        step = execute_action(A.A7, ctx, backend, index, CFG)[0].steps[-1]
+        assert step.retrieved
+        assert step.queries == (sub_question,)
+        assert step.sub_question == sub_question
 
     def test_a7_without_pending_subquestion_rejected(self, question, backend, index):
         with pytest.raises(ValidationError):
@@ -243,10 +237,10 @@ class TestExecuteActions:
 
     def test_terminal_soundness_on_executed_steps(self, question, backend, index):
         for kind in (A.A1, A.A2, A.A5, A.A6):
-            outcome = execute_action(kind, ActionContext(question), backend,
-                                     index, CFG)[0]
-            assert outcome.is_terminal == (
-                extract_answer(outcome.step.output, question) is not None)
+            child = execute_action(kind, ActionContext(question), backend,
+                                   index, CFG)[0]
+            assert (child.answer is not None) == (
+                extract_answer(child.steps[-1].output, question) is not None)
 
 
 class TestRetrievalIsolation:
@@ -261,9 +255,8 @@ class TestRetrievalIsolation:
             if not kinds:
                 break
             kind = sorted(kinds, key=lambda k: k.value)[0]
-            outcome = execute_action(kind, ctx, backend, index, cfg)[0]
+            ctx = execute_action(kind, ctx, backend, index, cfg)[0]
             seen_kinds.add(kind)
-            ctx = ctx.extend(outcome)
         assert seen_kinds
         for step in ctx.steps:
             assert not step.retrieved
@@ -275,10 +268,10 @@ class TestPromptFidelity:
                                                          index):
         backend = RecordingBackend(backend)
         prompts = default_prompts()
-        outcome_a1 = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
-        assert prompts.scaffold(A.A1) in outcome_a1.step.prompt_rendered
-        outcome_a3 = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
-        assert prompts.scaffold(A.A3) in outcome_a3.step.prompt_rendered
+        child_a1 = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
+        assert prompts.scaffold(A.A1) in child_a1.steps[-1].prompt_rendered
+        child_a3 = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
+        assert prompts.scaffold(A.A3) in child_a3.steps[-1].prompt_rendered
         # A6 sends two prompts: query generation (a6 scaffold) then answering
         # via the retrieval-answer template (a7 scaffold)
         execute_action(A.A6, ActionContext(question), backend, index, CFG)

@@ -69,6 +69,14 @@ class TestIndexCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
+    def test_build_on_a_non_object_corpus_line_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "text": "body"}\n5\n', encoding="utf-8")
+        rc = main(["index", "build", "--corpus", str(corpus),
+                   "--out", str(tmp_path / "out.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: corpus line 2:")
+
     def test_build_missing_corpus_exits_2(self, tmp_path):
         rc = main(["index", "build", "--corpus", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "out.bin")])
@@ -230,6 +238,35 @@ class TestEvalCommand:
         assert main(args + ["--lenient"]) == 0
         report = json.loads((workspace["dir"] / "lenient.json").read_text())
         assert report["num_questions"] == 1
+
+    @pytest.mark.parametrize("line", ["7", '["id", "question"]'])
+    def test_non_object_dataset_line_fails_or_is_skipped(self, workspace, capsys, line):
+        bad = workspace["dir"] / "bad.jsonl"
+        good_line = workspace["dataset"].read_text().splitlines()[0]
+        bad.write_text(good_line + "\n" + line + "\n", encoding="utf-8")
+        args = [
+            "eval", "--dataset", str(bad), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", str(workspace["dir"] / "lenient.json"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: line 2:")
+        assert main(args + ["--lenient"]) == 0
+        report = json.loads((workspace["dir"] / "lenient.json").read_text())
+        assert report["num_questions"] == 1
+
+    @pytest.mark.parametrize("method", ["cot", "sc", "rag"])
+    def test_ablation_on_a_baseline_exits_2(self, workspace, capsys, method):
+        out = workspace["dir"] / "report.json"
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", method, "--ablation", "rare", "--index", str(workspace["index"]),
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 # runs in a fresh interpreter, so nothing the test process imported counts

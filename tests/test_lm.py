@@ -632,10 +632,10 @@ class TestHttpPipelineIntegration:
                 cfg = SearchConfig(rollouts=3, rng_seed=2)
                 candidates = run_search(SearchTree(question, cfg), backend, index)
                 scored = score_candidates(candidates, backend, index, cfg)
-                result = select_rare(scored)
-            assert result.chosen.final_answer == "B"
-            assert result.chosen.factuality is not None
-            assert result.chosen.factuality.score == 1.0
+                chosen = select_rare(scored)
+            assert chosen.final_answer == "B"
+            assert chosen.factuality is not None
+            assert chosen.factuality.score == 1.0
             assert backend.snapshot_costs().total_calls > 0
         finally:
             server.shutdown()

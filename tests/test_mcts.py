@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    RecordingBackend,
     fixture_corpus,
     make_eval_question,
     rafs_generic_entries,
@@ -75,7 +76,7 @@ class TestUctScore:
 
 
 def manual_node(tree, parent, q_value=0.0, visits=0, expanded=False):
-    node = tree.add_node(parent, None, tree.root.ctx)
+    node = tree.add_node(parent, tree.root.ctx)
     node.q_value = q_value
     node.visits = visits
     node.expanded = expanded
@@ -133,7 +134,7 @@ class TestExpand:
         tree = SearchTree(question, cfg)
         children = expand(tree, tree.root, backend, index)
         assert tree.root.expanded
-        kinds = sorted(ch.incoming.step.kind.value for ch in children)
+        kinds = sorted(ch.ctx.steps[-1].kind.value for ch in children)
         assert kinds == ["A1", "A2", "A3", "A5", "A6"]
         assert len(children) == 5 * cfg.children_per_action
         for child in children:
@@ -145,9 +146,9 @@ class TestExpand:
         tree = SearchTree(question, SearchConfig())
         root_children = expand(tree, tree.root, backend, index)
         a3_child = next(ch for ch in root_children
-                        if ch.incoming.step.kind == A.A3)
+                        if ch.ctx.steps[-1].kind == A.A3)
         grandchildren = expand(tree, a3_child, backend, index)
-        kinds = {ch.incoming.step.kind for ch in grandchildren}
+        kinds = {ch.ctx.steps[-1].kind for ch in grandchildren}
         assert kinds <= {A.A3, A.A4, A.A7}
 
     def test_expanding_twice_rejected(self, question, backend, index):
@@ -175,17 +176,28 @@ class TestSimulate:
     def test_terminal_node_trajectory_unchanged(self, question, backend, index):
         tree = SearchTree(question, SearchConfig())
         children = expand(tree, tree.root, backend, index)
-        a2_child = next(ch for ch in children if ch.incoming.step.kind == A.A2)
+        a2_child = next(ch for ch in children if ch.ctx.steps[-1].kind == A.A2)
         traj = simulate(tree, a2_child, backend, index)
         assert traj.final_answer == "B"
         assert traj.steps == a2_child.ctx.steps
+
+    def test_terminal_failed_node_makes_no_call(self, question, backend, index):
+        tree = SearchTree(question, SearchConfig())
+        children = expand(tree, tree.root, backend, index)
+        a1_child = next(ch for ch in children if ch.ctx.steps[-1].kind == A.A1)
+        a1_child.terminal_failed = True
+        recording = RecordingBackend(backend)
+        traj = simulate(tree, a1_child, recording, index)
+        assert recording.call_log() == ()
+        assert traj.steps == a1_child.ctx.steps
+        assert traj.final_answer is None
 
     def test_seeded_rollout_is_reproducible(self, question, index):
         def run(seed):
             backend = ScriptedBackend(tree_entries_for(question, "B"))
             tree = SearchTree(question, SearchConfig(rng_seed=seed))
             children = expand(tree, tree.root, backend, index)
-            start = next(ch for ch in children if ch.incoming.step.kind == A.A3)
+            start = next(ch for ch in children if ch.ctx.steps[-1].kind == A.A3)
             return trajectory_to_record(simulate(tree, start, backend, index))
 
         assert run(11) == run(11)
@@ -330,7 +342,7 @@ class TestRunSearch:
             shape = [
                 (node.node_id,
                  node.parent.node_id if node.parent else None,
-                 node.incoming.step.kind.value if node.incoming else None,
+                 node.ctx.steps[-1].kind.value if node.ctx.steps else None,
                  node.visits, node.q_value, node.expanded)
                 for node in tree.nodes
             ]

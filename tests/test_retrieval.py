@@ -282,6 +282,13 @@ class TestCorpusFile:
         with pytest.raises(CorpusError):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("line", ["5", '["id", "text"]', '"id text"', "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "body"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="corpus line 2"):
+            load_corpus(str(path))
+
     def test_empty_body_rejected(self):
         with pytest.raises(ValidationError):
             Document("a", "t", "")

@@ -34,37 +34,37 @@ class TestSelectRare:
             traj_with_scores("B", 1.0, tag="b"),
             traj_with_scores("D", 0.625, tag="d"),
         ]
-        result = select_rare(candidates)
-        assert result.chosen.final_answer == "B"
-        assert result.ranking_key[0] == 1.0
+        chosen = select_rare(candidates)
+        assert chosen.final_answer == "B"
+        assert chosen.factuality_score() == 1.0
 
     def test_equal_scores_fall_back_to_reward(self):
         candidates = [
             traj_with_scores("A", 0.5, reward=0.5, tag="a"),
             traj_with_scores("B", 0.5, reward=0.75, tag="b"),
         ]
-        assert select_rare(candidates).chosen.final_answer == "B"
+        assert select_rare(candidates).final_answer == "B"
 
     def test_single_candidate_returned(self):
         only = traj_with_scores("A", 0.4, tag="solo")
-        assert select_rare([only]).chosen is only
+        assert select_rare([only]) is only
 
     def test_failed_report_ranks_last(self):
         failed = traj_with_scores("A", None, reward=1.0, tag="failed")
         weak = traj_with_scores("B", 0.1, reward=0.0, tag="weak")
-        assert select_rare([failed, weak]).chosen is weak
+        assert select_rare([failed, weak]) is weak
 
     def test_monotonicity_raising_a_score_flips_selection(self):
         base = [
             traj_with_scores("B", 1.0, tag="b"),
             traj_with_scores("C", 0.6, tag="c"),
         ]
-        assert select_rare(base).chosen.final_answer == "B"
+        assert select_rare(base).final_answer == "B"
         raised = [
             traj_with_scores("B", 1.0, tag="b"),
             traj_with_scores("C", 1.1, tag="c"),
         ]
-        assert select_rare(raised).chosen.final_answer == "C"
+        assert select_rare(raised).final_answer == "C"
 
     def test_constant_shift_keeps_the_argmax(self):
         def build(shift):
@@ -74,13 +74,13 @@ class TestSelectRare:
                 traj_with_scores("C", 0.5 + shift, tag="c"),
             ]
 
-        assert (select_rare(build(0.0)).chosen.final_answer
-                == select_rare(build(3.5)).chosen.final_answer == "B")
+        assert (select_rare(build(0.0)).final_answer
+                == select_rare(build(3.5)).final_answer == "B")
 
     def test_step_count_breaks_reward_ties(self):
         long = traj_with_scores("A", 0.5, reward=0.5, n_steps=3, tag="long")
         short = traj_with_scores("B", 0.5, reward=0.5, n_steps=1, tag="short")
-        assert select_rare([long, short]).chosen is short
+        assert select_rare([long, short]) is short
 
     @given(st.permutations(range(4)))
     def test_permutation_invariance(self, order):
@@ -91,7 +91,7 @@ class TestSelectRare:
             traj_with_scores("D", 0.1, reward=0.9, tag="d"),
         ]
         shuffled = [pool[i] for i in order]
-        assert select_rare(shuffled).chosen.final_answer == "C"
+        assert select_rare(shuffled).final_answer == "C"
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValidationError):
@@ -105,31 +105,31 @@ class TestSelectMajority:
             traj_with_scores("B", tag="b2"),
             traj_with_scores("C", tag="c1"),
         ]
-        assert select_majority(candidates).chosen.final_answer == "B"
+        assert select_majority(candidates).final_answer == "B"
 
     def test_tie_broken_by_summed_reward(self):
         candidates = [
             traj_with_scores("B", reward=0.25, tag="b"),
             traj_with_scores("C", reward=0.75, tag="c"),
         ]
-        assert select_majority(candidates).chosen.final_answer == "C"
+        assert select_majority(candidates).final_answer == "C"
 
     def test_tie_on_reward_broken_by_label_order(self):
         candidates = [
             traj_with_scores("C", reward=0.5, tag="c"),
             traj_with_scores("A", reward=0.5, tag="a"),
         ]
-        assert select_majority(candidates).chosen.final_answer == "A"
+        assert select_majority(candidates).final_answer == "A"
 
     def test_winner_group_returns_highest_reward_member(self):
         low = traj_with_scores("B", reward=0.25, tag="low")
         high = traj_with_scores("B", reward=1.0, tag="high")
         other = traj_with_scores("C", reward=0.9, tag="other")
-        assert select_majority([low, high, other]).chosen is high
+        assert select_majority([low, high, other]) is high
 
     def test_single_candidate(self):
         only = traj_with_scores("A", tag="only")
-        assert select_majority([only]).chosen is only
+        assert select_majority([only]) is only
 
 
 @pytest.fixture
@@ -153,10 +153,9 @@ class TestRunBaseline:
         backend = ScriptedBackend([
             ScriptEntry("action_gen", ("The answer is E: Nitrofurantoin.",)),
         ])
-        result = run_baseline("cot", q, backend, None, CFG)
-        assert result.chosen.final_answer == "E"
+        [chosen] = run_baseline("cot", q, backend, None, CFG)
+        assert chosen.final_answer == "E"
         assert backend.snapshot_costs().total_calls == 1
-        assert result.method == "cot"
 
     def test_sc_majority_over_samples(self, question):
         backend = ScriptedBackend([
@@ -166,10 +165,10 @@ class TestRunBaseline:
                 "The answer is B: beta therapy.",
             )),
         ])
-        result = run_baseline("sc", question, backend, None, CFG)
-        assert result.chosen.final_answer == "A"
+        candidates = run_baseline("sc", question, backend, None, CFG)
+        assert select_majority(candidates).final_answer == "A"
         assert backend.snapshot_costs().total_calls == 1
-        assert len(result.all_candidates) == 3
+        assert len(candidates) == 3
 
     def test_rag_one_completion_with_retrieval(self, question, index):
         backend = ScriptedBackend([
@@ -177,9 +176,9 @@ class TestRunBaseline:
                         ("Based on the documents, the answer is B: beta therapy.",),
                         substrings=("### Relevant Documents",)),
         ])
-        result = run_baseline("rag", question, backend, index, CFG)
-        assert result.chosen.final_answer == "B"
-        assert result.chosen.steps[0].retrieved
+        [chosen] = run_baseline("rag", question, backend, index, CFG)
+        assert chosen.final_answer == "B"
+        assert chosen.steps[0].retrieved
         ledger = backend.snapshot_costs()
         assert ledger.total_calls == 1
         assert ledger.per_purpose["action_gen"][0] == 1

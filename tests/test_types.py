@@ -129,6 +129,11 @@ class TestDatasetNormalization:
         with pytest.raises(ValidationError):
             question_from_record({"question": "no id"})
 
+    @pytest.mark.parametrize("record", [7, ["id", "question"], "question", None])
+    def test_non_object_record_rejected(self, record):
+        with pytest.raises(ValidationError, match="not a JSON object"):
+            question_from_record(record)
+
 
 class TestSearchConfig:
     def test_defaults_valid(self):
