@@ -234,7 +234,10 @@ class ScriptedBackend(LmBackend):
     substrings (or by the prompt's hash), still first match in script order.
 
     With temperature 0 every sample equals the entry's first completion;
-    otherwise samples cycle through the entry's completion list.
+    otherwise samples cycle through the entry's completion list across the
+    whole request. A batched ``consistency`` request for ``n * k`` samples
+    therefore gives each of its ``k`` trajectories the votes an unbatched
+    request of ``n`` would, when the entry's completion count divides ``n``.
     """
 
     def __init__(self, entries: Iterable[ScriptEntry]):
@@ -333,7 +336,8 @@ class HttpBackend(LmBackend):
     ``choices[*].message.content`` plus usage token counts. Transport
     failures (any ``requests`` exception, HTTP 429 or 5xx) are retried with
     exponential backoff; after a 429 or 5xx the wait is the longer of that
-    backoff and a numeric ``Retry-After``. Every wait is capped at
+    backoff and ``Retry-After`` (seconds, or an HTTP date; a past date
+    counts as 0). Every wait is capped at
     ``timeout``. Other failures surface immediately. If the endpoint
     returns fewer choices than requested the client tops up with follow-up
     posts, still recorded as one logical call.
@@ -464,12 +468,25 @@ class HttpBackend(LmBackend):
 
 
 def _retry_after_s(value: str | None) -> float:
-    """Seconds asked for by a numeric ``Retry-After`` header; 0 when it is
-    absent or not a number (the HTTP-date form is not read)."""
+    """Seconds asked for by a ``Retry-After`` header: a number of seconds,
+    or an HTTP date measured against the current time. 0 when the header is
+    absent or unreadable, or the date has passed."""
+    if value is None:
+        return 0.0
     try:
         seconds = float(value)
-    except (TypeError, ValueError):
-        return 0.0
+    except ValueError:
+        # imported here, like requests, so that scripted runs never load them
+        import email.utils
+        from datetime import timezone
+
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return 0.0
+        if when.tzinfo is None:  # a "-0000" zone: UTC
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = when.timestamp() - time.time()
     return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
 
 

@@ -7,13 +7,19 @@ self-consistency voting, and additive backpropagation along the path.
 
 Candidates are every distinct terminal trajectory discovered, keyed by a hash
 of their step outputs; each carries its consistency reward when returned.
+A candidate is rewarded when it is first seen, and candidates that share a
+context share one ``consistency`` request: the answered children of an
+expansion are rewarded together, each voting on its own slice of the
+samples.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from .actions import (
     ActionContext,
@@ -48,14 +54,23 @@ def uct_score(child_q: float, child_visits: int, parent_visits: int, c: float) -
 
 @dataclass(eq=False)
 class TreeNode:
+    """One search state. The tree owns its nodes (``SearchTree.nodes`` and
+    each ``children`` list) and a node holds its parent only weakly, so a
+    finished tree holds no reference cycle and is freed as soon as its last
+    reference goes, without waiting for the cyclic garbage collector."""
+
     node_id: int
-    parent: "TreeNode | None"
     ctx: ActionContext
+    parent_ref: "weakref.ref[TreeNode] | None" = None
     q_value: float = 0.0
     visits: int = 0
     children: list["TreeNode"] = field(default_factory=list)
     expanded: bool = False
     terminal_failed: bool = False
+
+    @property
+    def parent(self) -> "TreeNode | None":
+        return self.parent_ref() if self.parent_ref is not None else None
 
     def is_terminal(self) -> bool:
         return self.terminal_failed or self.ctx.answer is not None
@@ -83,7 +98,8 @@ class SearchTree:
         self.root = self.add_node(parent=None, ctx=ActionContext(question))
 
     def add_node(self, parent: TreeNode | None, ctx: ActionContext) -> TreeNode:
-        node = TreeNode(node_id=len(self.nodes), parent=parent, ctx=ctx)
+        node = TreeNode(node_id=len(self.nodes), ctx=ctx,
+                        parent_ref=weakref.ref(parent) if parent is not None else None)
         self.nodes.append(node)
         if parent is not None:
             parent.children.append(node)
@@ -170,26 +186,35 @@ def context_from_steps(question: Question, steps: tuple[ActionStep, ...]) -> Act
     return ctx
 
 
-def terminal_reward(traj: Trajectory, question: Question, backend: LmBackend,
-                    cfg: SearchConfig, prompts: PromptLibrary | None = None) -> float:
-    """Self-consistency reward: sample ``n_consistency_samples`` more final
-    answers for the trajectory's context and return the fraction of the
-    n+1 votes (counting the trajectory's own) that agree with it."""
-    if traj.final_answer is None:
+def terminal_reward(trajs: Sequence[Trajectory], question: Question, backend: LmBackend,
+                    cfg: SearchConfig, prompts: PromptLibrary | None = None) -> list[float]:
+    """Self-consistency rewards of answered trajectories that share one
+    context: the same ``steps[:-1]``, hence the same A2 consistency prompt.
+
+    One ``consistency`` request samples ``n = n_consistency_samples``
+    answers per trajectory. Trajectory ``k`` gets the fraction of its n+1
+    votes (completions ``[k*n, (k+1)*n)`` plus its own) that agree with its
+    answer. Samples drawn above temperature 0 are independent, so each
+    reward is distributed as with a request of its own."""
+    if not trajs:
+        raise ValidationError("terminal reward requires at least one trajectory")
+    if any(traj.final_answer is None for traj in trajs):
         raise ValidationError("terminal reward requires a final answer")
+    context = trajs[0].steps[:-1]
+    if any(traj.steps[:-1] != context for traj in trajs):
+        raise ValidationError("terminal reward requires trajectories that share one context")
     prompts = prompts or default_prompts()
-    ctx = context_from_steps(question, traj.steps[:-1])
+    ctx = context_from_steps(question, context)
     prompt = prompts.render(ActionKind.A2, question=ctx.question_text(),
                             steps=render_cot_steps(ctx.steps))
+    n = cfg.n_consistency_samples
     resp = backend.complete(
-        request_for("consistency", prompt, cfg.n_consistency_samples,
+        request_for("consistency", prompt, n * len(trajs),
                     stop_sequences=("### Instruction",))
     )
-    votes = 1
-    for completion in resp.completions:
-        if extract_answer(completion, question) == traj.final_answer:
-            votes += 1
-    return votes / (cfg.n_consistency_samples + 1)
+    answers = [extract_answer(completion, question) for completion in resp.completions]
+    return [(1 + answers[k * n:(k + 1) * n].count(traj.final_answer)) / (n + 1)
+            for k, traj in enumerate(trajs)]
 
 
 def backpropagate(tree: SearchTree, leaf: TreeNode, reward: float) -> None:
@@ -204,42 +229,55 @@ def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | Non
                prompts: PromptLibrary | None = None) -> list[Trajectory]:
     """Run ``cfg.rollouts`` MCTS iterations on ``tree`` and return every
     distinct terminal trajectory discovered, each with its consistency
-    reward attached. The tree keeps the finished search for inspection."""
+    reward attached. The tree keeps the finished search for inspection.
+
+    An answered trajectory becomes a candidate, deduplicated by
+    ``content_hash``, and is rewarded when it is first seen. The new
+    answered children of one expansion share their parent's context, so one
+    ``terminal_reward`` call right after the expansion rewards them all; a
+    simulation that ends with a new answer is rewarded on its own before it
+    is backpropagated. No candidate is left to reward when the search ends."""
     question, cfg = tree.question, tree.cfg
 
-    candidates: dict[str, Trajectory] = {}
-    rewards: dict[str, float] = {}
+    candidates: dict[str, Trajectory] = {}  # content hash -> rewarded trajectory
 
-    def reward_for(traj: Trajectory) -> float:
-        """Consistency reward of an answered trajectory, which becomes a
-        candidate; a trajectory with no answer scores 0."""
+    def reward_new(trajs: list[Trajectory]) -> None:
+        """Make candidates of the answered trajectories not seen before,
+        all of one context, rewarded by one ``terminal_reward`` call."""
+        new: dict[str, Trajectory] = {}
+        for traj in trajs:
+            if traj.final_answer is not None:
+                key = traj.content_hash()
+                if key not in candidates:
+                    new.setdefault(key, traj)
+        if new:
+            rewards = terminal_reward(list(new.values()), question, backend, cfg, prompts)
+            for (key, traj), reward in zip(new.items(), rewards):
+                candidates[key] = replace(traj, terminal_reward=reward)
+
+    def reward_of(traj: Trajectory) -> float:
+        """Consistency reward of a trajectory; 0 without an answer."""
         if traj.final_answer is None:
             return 0.0
-        key = traj.content_hash()
-        candidates.setdefault(key, traj)
-        if key not in rewards:
-            rewards[key] = terminal_reward(traj, question, backend, cfg, prompts)
-        return rewards[key]
+        reward_new([traj])
+        return candidates[traj.content_hash()].terminal_reward
 
     for _ in range(cfg.rollouts):
         node = select(tree)
         if node.is_terminal():
-            backpropagate(tree, node, reward_for(node.ctx.trajectory()))
+            backpropagate(tree, node, reward_of(node.ctx.trajectory()))
             continue
 
         children = expand(tree, node, backend, index, prompts)
-        for child in children:
-            if child.is_terminal():
-                traj = child.ctx.trajectory()
-                candidates.setdefault(traj.content_hash(), traj)
         if not children:
             backpropagate(tree, node, 0.0)
             continue
+        reward_new([child.ctx.trajectory() for child in children])
 
         start = tree.rng.choice(children)
         traj = simulate(tree, start, backend, index, prompts)
-        backpropagate(tree, start, reward_for(traj))
+        backpropagate(tree, start, reward_of(traj))
 
     if not candidates:
         raise NoCandidatesError(f"no terminal trajectory for question {question.id!r}")
-    return [replace(traj, terminal_reward=reward_for(traj)) for traj in candidates.values()]
+    return list(candidates.values())

@@ -249,8 +249,12 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
     raw_options = record.get("options") or {}
     if isinstance(raw_options, Mapping):
         pairs = [(str(k), str(v)) for k, v in raw_options.items()]
-    else:
+    elif isinstance(raw_options, (list, tuple)) and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw_options):
         pairs = [(str(k), str(v)) for k, v in raw_options]
+    else:
+        raise ValidationError(f"record {record.get('id')!r}: options must be an object "
+                              "or a list of [label, text] pairs")
     answer = record.get("answer")
     answer = None if answer is None else str(answer)
 

@@ -255,6 +255,24 @@ class TestEvalCommand:
         report = json.loads((workspace["dir"] / "lenient.json").read_text())
         assert report["num_questions"] == 1
 
+    @pytest.mark.parametrize("options", ["[1, 2]", "5"])
+    def test_options_not_pairs_fail_or_are_skipped(self, workspace, capsys, options):
+        bad = workspace["dir"] / "bad.jsonl"
+        good_line = workspace["dataset"].read_text().splitlines()[0]
+        bad.write_text(good_line + "\n"
+                       + f'{{"id": "x", "question": "q?", "options": {options}, "answer": "A"}}\n',
+                       encoding="utf-8")
+        args = [
+            "eval", "--dataset", str(bad), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", str(workspace["dir"] / "lenient.json"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: line 2:")
+        assert main(args + ["--lenient"]) == 0
+        report = json.loads((workspace["dir"] / "lenient.json").read_text())
+        assert report["num_questions"] == 1
+
     @pytest.mark.parametrize("method", ["cot", "sc", "rag"])
     def test_ablation_on_a_baseline_exits_2(self, workspace, capsys, method):
         out = workspace["dir"] / "report.json"

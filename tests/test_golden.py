@@ -23,7 +23,7 @@ from rare.lm import LmBackend
 from rare.retrieval import build_index
 from rare.types import SearchConfig, trajectory_to_record
 
-GOLDEN_DIGEST = "d75611c9eda76dc99dd7afb92877bf50a794d5a3eaf1fbb85627c11c36493d9d"
+GOLDEN_DIGEST = "6a59985ccf24bc19dc73690480efef46b7c2bc3af5194b1862c9cc51d8d85bfa"
 
 
 class _RecordingBackend(LmBackend):

@@ -24,6 +24,7 @@ from rare.lm import (
     load_script,
     prompt_key,
     request_for,
+    _retry_after_s,
 )
 
 
@@ -534,7 +535,7 @@ class TestHttpBackendFaults:
         (503, "1000", 5.0),          # capped at the timeout
         (429, None, 0.25),           # no header: the backoff
         (503, "0.1", 0.25),          # shorter than the backoff
-        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # a date is not read
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # a past date counts as 0
         (503, "nan", 0.25),
     ])
     def test_waits_for_numeric_retry_after(self, monkeypatch, status, retry_after, wait):
@@ -549,6 +550,29 @@ class TestHttpBackendFaults:
         assert backend.complete(LmRequest("hello")).completions == ("ok",)
         assert sleeps == [wait]
         assert len(session.posts) == 2
+
+    @pytest.mark.parametrize("now_offset, wait", [
+        (-2.0, 2.0),       # two seconds before the date
+        (-1000.0, 5.0),    # capped at the timeout
+        (-0.1, 0.25),      # shorter than the backoff
+        (10.0, 0.25),      # the date has passed
+    ])
+    def test_waits_for_http_date_retry_after(self, monkeypatch, now_offset, wait):
+        date = "Wed, 21 Oct 2015 07:28:00 GMT"  # 1445412480 s after the epoch
+        sleeps = []
+        monkeypatch.setattr("rare.lm.time.sleep", sleeps.append)
+        monkeypatch.setattr("rare.lm.time.time", lambda: 1445412480 + now_offset)
+        failures = [_FakeResponse({}, 503, {"Retry-After": date})]
+        session = _FakeSession(lambda payload: failures.pop() if failures
+                               else reply_body("ok"))
+        backend = HttpBackend("http://fake", model="m", timeout=5.0, backoff_base=0.25,
+                              session=session)
+        assert backend.complete(LmRequest("hello")).completions == ("ok",)
+        assert sleeps == [pytest.approx(wait)]
+
+    @pytest.mark.parametrize("value", ["Wed, 99 Foo 2015 07:28:00 GMT", "soon", ""])
+    def test_unreadable_retry_after_counts_as_zero(self, value):
+        assert _retry_after_s(value) == 0.0
 
     def test_retry_after_holds_for_one_wait_and_backoff_doubles(self, monkeypatch):
         sleeps = []

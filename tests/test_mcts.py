@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,9 +223,9 @@ class TestSimulate:
 
 
 class TestTerminalReward:
-    def make_traj(self, question):
-        step = ActionStep(A.A2, "p", "The answer is B: beta therapy.")
-        return Trajectory(question.id, (step,), final_answer="B")
+    def make_traj(self, question, answer="B", text="beta therapy", context=()):
+        step = ActionStep(A.A2, "p", f"The answer is {answer}: {text}.")
+        return Trajectory(question.id, context + (step,), final_answer=answer)
 
     def consistency_backend(self, question, completions):
         return ScriptedBackend([ScriptEntry("consistency", tuple(completions))])
@@ -232,7 +234,7 @@ class TestTerminalReward:
         backend = self.consistency_backend(
             question, ["The answer is B: beta therapy."] * 3)
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward(self.make_traj(question), question, backend, cfg) == 1.0
+        assert terminal_reward([self.make_traj(question)], question, backend, cfg) == [1.0]
 
     def test_vote_counting(self, question):
         backend = self.consistency_backend(question, [
@@ -241,18 +243,46 @@ class TestTerminalReward:
             "The answer is B: beta therapy.",
         ])
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward(self.make_traj(question), question, backend, cfg) == 0.75
+        assert terminal_reward([self.make_traj(question)], question, backend, cfg) == [0.75]
 
     def test_unparseable_samples_leave_own_vote_only(self, question):
         backend = self.consistency_backend(question, ["mumble", "''", "no label"])
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward(self.make_traj(question), question, backend, cfg) == 0.25
+        assert terminal_reward([self.make_traj(question)], question, backend, cfg) == [0.25]
+
+    def test_each_trajectory_votes_on_its_own_slice_in_order(self, question):
+        # nine distinct samples: A's slice agrees 3 times, B's twice, C's once
+        samples = [f"The answer is {label} (sample {i})."
+                   for i, label in enumerate("AAABBxCxx")]
+        recording = RecordingBackend(self.consistency_backend(question, samples))
+        trajs = [self.make_traj(question, label, text)
+                 for label, text in (("A", "alpha therapy"), ("B", "beta therapy"),
+                                     ("C", "gamma therapy"))]
+        cfg = SearchConfig(n_consistency_samples=3)
+        assert terminal_reward(trajs, question, recording, cfg) == [1.0, 0.75, 0.5]
+        assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
+            ("consistency", 9)]
 
     def test_requires_final_answer(self, question):
         traj = Trajectory(question.id, (ActionStep(A.A1, "p", "thought"),))
         backend = self.consistency_backend(question, ["x"])
         with pytest.raises(ValidationError):
-            terminal_reward(traj, question, backend, SearchConfig())
+            terminal_reward([traj], question, backend, SearchConfig())
+        with pytest.raises(ValidationError, match="final answer"):
+            terminal_reward([self.make_traj(question), traj], question, backend,
+                            SearchConfig())
+
+    def test_requires_at_least_one_trajectory(self, question):
+        backend = self.consistency_backend(question, ["x"])
+        with pytest.raises(ValidationError, match="at least one"):
+            terminal_reward([], question, backend, SearchConfig())
+
+    def test_requires_one_shared_context(self, question):
+        backend = self.consistency_backend(question, ["x"])
+        other = (ActionStep(A.A1, "p", "Step 1: a thought."),)
+        trajs = [self.make_traj(question), self.make_traj(question, context=other)]
+        with pytest.raises(ValidationError, match="share one context"):
+            terminal_reward(trajs, question, backend, SearchConfig())
 
 
 class TestBackpropagate:
@@ -370,6 +400,33 @@ class TestRunSearch:
                            rollouts=2, max_depth=3)
         with pytest.raises(NoCandidatesError):
             run_search(SearchTree(question, cfg), backend, index)
+
+    def test_answered_children_of_one_expansion_share_one_request(self, question,
+                                                                   backend, index):
+        # A2 and A6 both answer at the root; later rollouts revisit them
+        cfg = SearchConfig(enabled_actions=frozenset({A.A2, A.A6}), rollouts=3)
+        recording = RecordingBackend(backend)
+        tree = SearchTree(question, cfg)
+        candidates = run_search(tree, recording, index)
+        answered = [child for child in tree.root.children if child.is_terminal()]
+        assert len(answered) == len(candidates) == 2
+        consistency = [r for r in recording.call_log() if r.purpose == "consistency"]
+        assert [r.n_samples for r in consistency] == [3 * len(answered)]
+        assert all(t.terminal_reward == 0.75 for t in candidates)
+
+    def test_finished_tree_is_freed_without_the_cycle_collector(self, question,
+                                                                backend, index):
+        tree = SearchTree(question, SearchConfig(rollouts=4, rng_seed=7))
+        run_search(tree, backend, index)
+        root = weakref.ref(tree.root)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del tree
+            assert root() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_uct_ordering_reduces_to_mean_reward_at_equal_visits(self, question):
         # with equal visit counts, scaling rewards by a positive constant

@@ -125,6 +125,18 @@ class TestDatasetNormalization:
         assert q.labels == ("A", "B")
         assert q.gold_label == "A"
 
+    def test_list_of_pairs_accepted(self):
+        q = question_from_record({
+            "id": "x", "question": "pick", "options": [["a", "x"], ["b", "y"]],
+        })
+        assert q.options == (("A", "x"), ("B", "y"))
+
+    @pytest.mark.parametrize("options", [[1, 2], [["A", "x"], ["B"]], 5, "AB"])
+    def test_options_not_pairs_rejected(self, options):
+        with pytest.raises(ValidationError, match="options must be"):
+            question_from_record({"id": "x", "question": "pick", "options": options,
+                                  "answer": "A"})
+
     def test_missing_fields_rejected(self):
         with pytest.raises(ValidationError):
             question_from_record({"question": "no id"})
