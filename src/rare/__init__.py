@@ -14,7 +14,6 @@ from .factuality import (
     generate_queries,
     rate_statement,
     score_candidates,
-    score_trajectory,
     split_statements,
 )
 from .harness import (

@@ -75,12 +75,6 @@ class PromptLibrary:
             templates[kind] = file.read_text("utf-8")
         return cls(templates)
 
-    def scaffold(self, kind: ActionKind) -> str:
-        """Template text up to the first placeholder (the few-shot part)."""
-        text = self.templates[kind]
-        brace = text.find("{")
-        return text if brace < 0 else text[:brace]
-
     def render(self, kind: ActionKind, question: str = "", steps: str = "",
                sub_question: str = "", documents: str = "") -> str:
         return self.templates[kind].format(

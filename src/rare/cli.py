@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -20,7 +21,8 @@ from .harness import (
 )
 from .lm import HttpBackend, load_script
 from .retrieval import build_index, load_corpus, load_index, save_index, search
-from .types import ActionKind, SearchConfig
+from .selection import BASELINE_METHODS
+from .types import SearchConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +108,7 @@ def _make_backend(args: argparse.Namespace):
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.ablation and args.method not in ("rstar", "rare"):
+    if args.ablation and args.method in BASELINE_METHODS:
         raise RareError(f"--ablation applies to rstar and rare only, not {args.method!r}")
     questions = load_dataset(args.dataset, strict=not args.lenient)
     backend = _make_backend(args)
@@ -122,26 +124,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
     )
     preset = args.ablation
-    if args.method in ("rstar", "rare"):
+    if args.method not in BASELINE_METHODS:
         preset = preset or args.method
         cfg = apply_preset(cfg, preset)
     cfg.validate()
-
-    needs_index = (
-        args.method == "rag"
-        or cfg.rafs_enabled
-        or bool(cfg.enabled_actions & {ActionKind.A6, ActionKind.A7})
-    ) and args.method not in ("cot", "sc")
     index = load_index(args.index) if args.index else None
-    if needs_index and index is None:
-        raise RareError(f"method {args.method!r} needs --index")
 
-    sink_entries: list = []
-    with backend:
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(backend)
+        if args.trajectories:
+            sink = stack.enter_context(open(args.trajectories, "w", encoding="utf-8"))
+        # each question's candidates are written as soon as its turn comes
         report = run_eval(
             questions, args.method, backend, index, cfg,
             workers=args.workers, prompts=prompts,
-            on_candidates=(lambda q, cands: sink_entries.append((q, cands)))
+            on_candidates=(lambda _, candidates: dump_trajectories(sink, candidates))
             if args.trajectories else None,
         )
 
@@ -154,8 +151,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    if args.trajectories:
-        dump_trajectories(args.trajectories, sink_entries)
 
     print(
         f"method={args.method} questions={len(report.records)} "
@@ -163,6 +158,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         f"avg_tokens={report.avg_tokens:.1f}",
         file=sys.stderr,
     )
+    internal = sum(1 for r in report.records if r.internal_error)
+    if internal:
+        print(f"error: {internal} question(s) failed with an internal error; "
+              "see the logged tracebacks", file=sys.stderr)
+        return 1
     return 0
 
 

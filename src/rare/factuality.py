@@ -18,11 +18,10 @@ import re
 from dataclasses import replace
 
 from .actions import merge_hits, parse_queries
-from .errors import CorpusError, LmBackendError, RareError, ValidationError
+from .errors import CorpusError, LmBackendError, ValidationError
 from .lm import LmBackend, request_for
 from .retrieval import RetrievalIndex, search
 from .types import (
-    FactualityReport,
     SearchConfig,
     Statement,
     Trajectory,
@@ -151,67 +150,36 @@ def rate_statement(statement: str, evidence: tuple, backend: LmBackend) -> str:
     return NOT_SUPPORTED
 
 
-def _check_statement(sentence: str, backend: LmBackend, index: RetrievalIndex,
-                     cfg: SearchConfig) -> Statement:
-    """Query, retrieve, and rate one sentence. The returned ``index`` is 0;
-    each report that holds the sentence sets its own position."""
-    queries = generate_queries(sentence, backend, cfg.queries_per_call)
-    hit_lists = [search(index, query, cfg.retrieval_top_k) for query in queries]
-    evidence = merge_hits(hit_lists, cfg.retrieval_top_k)
-    label = rate_statement(sentence, evidence, backend)
-    return Statement(index=0, text=sentence, queries=tuple(queries),
-                     evidence=evidence, label=label)
-
-
-def _score(trajs: list[Trajectory], backend: LmBackend, index: RetrievalIndex,
-           cfg: SearchConfig) -> list[FactualityReport | RareError]:
-    """One report per trajectory, checking each distinct sentence once, in
-    first-seen order. A trajectory holding a sentence whose check failed gets
-    that failure instead of a report; a sentence that only such trajectories
-    hold is not checked at all."""
-    if not cfg.rafs_enabled:
-        raise ValidationError("factuality scoring is disabled in this configuration")
-    sentence_lists = [split_statements(traj) for traj in trajs]
+def score_candidates(candidates: list[Trajectory], backend: LmBackend,
+                     index: RetrievalIndex, cfg: SearchConfig) -> list[Trajectory]:
+    """Attach factuality reports to candidates. Candidates from one tree share
+    sentences: each distinct sentence is queried, retrieved for and rated once,
+    in first-seen order, and every report that holds it shares that Statement.
+    A backend or retrieval failure leaves every holder ``factuality=None``
+    (score -1); a sentence that only failed candidates hold is not checked."""
+    sentence_lists = [split_statements(traj) for traj in candidates]
     holders: dict[str, set[int]] = {}
     for k, sentences in enumerate(sentence_lists):
         for sentence in sentences:
             holders.setdefault(sentence, set()).add(k)
     checked: dict[str, Statement] = {}
-    failures: dict[int, RareError] = {}
+    failed: set[int] = set()
     for sentence, ks in holders.items():
-        if ks <= failures.keys():
+        if ks <= failed:
             continue
         try:
-            checked[sentence] = _check_statement(sentence, backend, index, cfg)
-        except (LmBackendError, CorpusError) as exc:
-            for k in ks:
-                failures.setdefault(k, exc)
+            queries = generate_queries(sentence, backend, cfg.queries_per_call)
+            hit_lists = [search(index, query, cfg.retrieval_top_k) for query in queries]
+            evidence = merge_hits(hit_lists, cfg.retrieval_top_k)
+            label = rate_statement(sentence, evidence, backend)
+        except (LmBackendError, CorpusError):
+            failed |= ks
+            continue
+        checked[sentence] = Statement(sentence, tuple(queries), evidence, label)
     return [
-        failures[k] if k in failures else make_factuality_report(
-            replace(checked[sentence], index=i) for i, sentence in enumerate(sentences))
-        for k, sentences in enumerate(sentence_lists)
-    ]
-
-
-def score_trajectory(traj: Trajectory, backend: LmBackend, index: RetrievalIndex,
-                     cfg: SearchConfig) -> FactualityReport:
-    """Split, query, retrieve, and rate one trajectory. Backend and retrieval
-    failures propagate; the caller decides how a failed report ranks."""
-    (result,) = _score([traj], backend, index, cfg)
-    if isinstance(result, RareError):
-        raise result
-    return result
-
-
-def score_candidates(candidates: list[Trajectory], backend: LmBackend,
-                     index: RetrievalIndex, cfg: SearchConfig) -> list[Trajectory]:
-    """Attach factuality reports to candidates. Candidates from one tree share
-    sentences, and each distinct sentence is checked once for all of them. A
-    trajectory whose report fails keeps ``factuality=None`` and therefore
-    ranks with score -1."""
-    return [
-        traj if isinstance(result, RareError) else replace(traj, factuality=result)
-        for traj, result in zip(candidates, _score(candidates, backend, index, cfg))
+        traj if k in failed else replace(traj, factuality=make_factuality_report(
+            checked[sentence] for sentence in sentences))
+        for k, (traj, sentences) in enumerate(zip(candidates, sentence_lists))
     ]
 
 

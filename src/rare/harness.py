@@ -16,19 +16,20 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 from .actions import PromptLibrary
 from .errors import DatasetError, RareError, ValidationError
-from .factuality import score_candidates
+from .factuality import factuality_record, score_candidates
 from .lm import LmBackend, ScopedBackend
 from .mcts import SearchTree, run_search
 from .retrieval import RetrievalIndex
-from .selection import run_baseline, select_majority, select_rare
+from .selection import BASELINE_METHODS, run_baseline, select_majority, select_rare
 from .types import (
     ActionKind,
     BASE_ACTIONS,
     ALL_ACTIONS,
+    RETRIEVAL_ACTIONS,
     Question,
     SearchConfig,
     Trajectory,
@@ -51,7 +52,7 @@ ABLATION_PRESETS: dict[str, tuple[frozenset[ActionKind], bool]] = {
     "rare": (ALL_ACTIONS, True),
 }
 
-EVAL_METHODS = ("cot", "sc", "rag", "rstar", "rare")
+EVAL_METHODS = BASELINE_METHODS + ("rstar", "rare")
 
 
 def apply_preset(cfg: SearchConfig, preset: str) -> SearchConfig:
@@ -75,6 +76,7 @@ class EvalRecord:
     tokens_used: int
     action_sequence: tuple[ActionKind, ...]
     error: str | None = None
+    internal_error: bool = False  # not written to the report
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,10 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
                       index: RetrievalIndex | None, cfg: SearchConfig,
                       prompts: PromptLibrary | None = None,
                       ) -> tuple[EvalRecord, list[Trajectory]]:
-    """Run one method on one question; failures become an incorrect record.
+    """Run one method on one question; any failure becomes an incorrect
+    record whose ``error`` names the exception type. An exception that is not
+    a ``RareError`` is a fault in the program: its traceback is logged and the
+    record is marked ``internal_error``.
 
     The question's greedy LM requests and searches go through a per-question
     scope and index view, so each distinct one is paid for once."""
@@ -137,8 +142,9 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
     chosen: Trajectory | None = None
     candidates: list[Trajectory] = []
     error: str | None = None
+    internal_error = False
     try:
-        if method in ("cot", "sc", "rag"):
+        if method in BASELINE_METHODS:
             candidates = run_baseline(method, question, scope, index, qcfg, prompts)
             chosen = select_majority(candidates)
         else:
@@ -148,8 +154,11 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
                 chosen = select_rare(candidates)
             else:
                 chosen = select_majority(candidates)
-    except RareError as exc:
+    except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
+        internal_error = not isinstance(exc, RareError)
+        if internal_error:
+            logger.exception("question %r failed", question.id)
 
     ledger = scope.snapshot_costs()
     if chosen is not None:
@@ -168,8 +177,9 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
         tokens_used=ledger.total_completion_tokens,
         action_sequence=sequence,
         error=error,
+        internal_error=internal_error,
     )
-    if method in ("cot", "sc", "rag") and chosen is not None:
+    if method in BASELINE_METHODS and chosen is not None:
         # a baseline hands on only the trajectory it answered with
         candidates = [chosen]
     return record, candidates
@@ -187,10 +197,16 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
     Only each question's ``EvalRecord`` is kept. Its candidate trajectories
     go to ``on_candidates`` in question order, as soon as that question's
     turn comes, and are dropped afterwards; with no callback they are
-    dropped as soon as the question ends."""
+    dropped as soon as the question ends.
+
+    A run that needs an index (``rag``, or a tree method with RAFS, A6 or A7)
+    and has none is refused before the first question."""
     if method not in EVAL_METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {EVAL_METHODS}")
     cfg.validate()
+    if index is None and (method == "rag" or method not in BASELINE_METHODS and (
+            cfg.rafs_enabled or cfg.enabled_actions & RETRIEVAL_ACTIONS)):
+        raise ValidationError(f"method {method!r} with this configuration needs an index")
     if not questions:
         raise ValidationError("no questions to evaluate")
     if workers is None:
@@ -220,7 +236,7 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
     )
     # tree methods pick by factuality when the scorer is on, else by majority
     # vote; the vote is also what approximates the original verifier setup
-    if method in ("rstar", "rare"):
+    if method not in BASELINE_METHODS:
         selection_rule = "factuality" if cfg.rafs_enabled else "majority_vote"
     elif method == "sc":
         selection_rule = "majority_vote"
@@ -283,16 +299,14 @@ def report_to_record(report: RunReport) -> dict[str, Any]:
     }
 
 
-def dump_trajectories(path: str, entries: list[tuple[Question, list[Trajectory]]]) -> None:
-    """Write every candidate trajectory as one JSON object per line; a scored
-    candidate is followed by its statement-level factuality record."""
-    from .factuality import factuality_record
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for _, candidates in entries:
-            for traj in candidates:
-                fh.write(json.dumps(trajectory_to_record(traj), sort_keys=True))
-                fh.write("\n")
-                if traj.factuality is not None:
-                    fh.write(json.dumps(factuality_record(traj), sort_keys=True))
-                    fh.write("\n")
+def dump_trajectories(fh: TextIO, candidates: list[Trajectory]) -> None:
+    """Append one question's candidate trajectories to an open text file, one
+    JSON object per line, and flush; a scored candidate is followed by its
+    statement-level factuality record."""
+    for traj in candidates:
+        fh.write(json.dumps(trajectory_to_record(traj), sort_keys=True))
+        fh.write("\n")
+        if traj.factuality is not None:
+            fh.write(json.dumps(factuality_record(traj), sort_keys=True))
+            fh.write("\n")
+    fh.flush()

@@ -15,6 +15,8 @@ from .lm import LmBackend, request_for
 from .retrieval import RetrievalIndex, search
 from .types import ActionKind, ActionStep, Question, SearchConfig, Trajectory
 
+BASELINE_METHODS = ("cot", "sc", "rag")
+
 
 def select_rare(candidates: list[Trajectory]) -> Trajectory:
     """The candidate with the highest factuality score; ties break by
@@ -61,7 +63,7 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     with no parseable answer raises AbstainError and is recorded as
     incorrect by the harness.
     """
-    if method not in ("cot", "sc", "rag"):
+    if method not in BASELINE_METHODS:
         raise ValidationError(f"not a baseline method: {method!r}")
     prompts = prompts or default_prompts()
     question_text = q.render()

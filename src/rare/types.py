@@ -166,7 +166,6 @@ class Trajectory:
 class Statement:
     """One sentence of a trajectory, with its evidence and verdict."""
 
-    index: int
     text: str
     queries: tuple[str, ...] = ()
     evidence: tuple[DocumentRef, ...] = ()

@@ -30,7 +30,7 @@ from conftest import (
 from test_retrieval import brute_force_bm25, synthetic_corpus, synthetic_queries
 
 from rare.cli import main
-from rare.factuality import score_candidates, score_trajectory
+from rare.factuality import score_candidates
 from rare.harness import ABLATION_PRESETS, apply_preset, run_eval
 from rare.lm import HttpBackend, ScriptedBackend
 from rare.mcts import SearchTree, backpropagate, run_search, select, uct_score
@@ -63,9 +63,9 @@ def test_acceptance_01_factuality_worked_examples(conjunctivitis_question, index
         cfg = SearchConfig()
         q = conjunctivitis_question
 
-        report = score_trajectory(
-            make_reasoning_trajectory(q, REASONING_SCORE_06, "C"),
-            backend, index, cfg)
+        report = score_candidates(
+            [make_reasoning_trajectory(q, REASONING_SCORE_06, "C")],
+            backend, index, cfg)[0].factuality
         assert [s.label for s in report.statements] == [
             "supported", "supported", "supported",
             "not_supported", "not_supported"]
@@ -73,16 +73,16 @@ def test_acceptance_01_factuality_worked_examples(conjunctivitis_question, index
         assert report.not_supported_count == 2
         assert report.score == 0.6
 
-        full = score_trajectory(
-            make_reasoning_trajectory(q, REASONING_SCORE_10, "B"),
-            backend, index, cfg)
+        full = score_candidates(
+            [make_reasoning_trajectory(q, REASONING_SCORE_10, "B")],
+            backend, index, cfg)[0].factuality
         assert len(full.statements) == 10
         assert full.supported_count == 10
         assert full.score == 1.0
 
-        partial = score_trajectory(
-            make_reasoning_trajectory(q, REASONING_SCORE_0625, "D"),
-            backend, index, cfg)
+        partial = score_candidates(
+            [make_reasoning_trajectory(q, REASONING_SCORE_0625, "D")],
+            backend, index, cfg)[0].factuality
         assert len(partial.statements) == 8
         assert partial.supported_count == 5
         assert partial.score == 0.625

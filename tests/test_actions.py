@@ -263,28 +263,33 @@ class TestRetrievalIsolation:
             assert not step.queries
 
 
+def scaffold(prompts, kind):
+    """Template text up to its first placeholder: the few-shot part."""
+    return prompts.templates[kind].partition("{")[0]
+
+
 class TestPromptFidelity:
     def test_rendered_prompts_contain_scaffolds_verbatim(self, question, backend,
                                                          index):
         backend = RecordingBackend(backend)
         prompts = default_prompts()
         child_a1 = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
-        assert prompts.scaffold(A.A1) in child_a1.steps[-1].prompt_rendered
+        assert scaffold(prompts, A.A1) in child_a1.steps[-1].prompt_rendered
         child_a3 = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
-        assert prompts.scaffold(A.A3) in child_a3.steps[-1].prompt_rendered
+        assert scaffold(prompts, A.A3) in child_a3.steps[-1].prompt_rendered
         # A6 sends two prompts: query generation (a6 scaffold) then answering
         # via the retrieval-answer template (a7 scaffold)
         execute_action(A.A6, ActionContext(question), backend, index, CFG)
         log = backend.call_log()
         query_calls = [r for r in log if r.purpose == "query_gen"]
-        assert any(prompts.scaffold(A.A6) in r.prompt for r in query_calls)
+        assert any(scaffold(prompts, A.A6) in r.prompt for r in query_calls)
         answer_calls = [r for r in log if "### Relevant Documents" in r.prompt]
-        assert any(prompts.scaffold(A.A7) in r.prompt for r in answer_calls)
+        assert any(scaffold(prompts, A.A7) in r.prompt for r in answer_calls)
 
     def test_scaffold_is_nonempty_for_every_action(self):
         prompts = default_prompts()
         for kind in ActionKind:
-            assert len(prompts.scaffold(kind)) > 100
+            assert len(scaffold(prompts, kind)) > 100
 
     def test_from_dir_round_trip(self, tmp_path):
         for kind in ActionKind:

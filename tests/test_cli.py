@@ -117,6 +117,56 @@ class TestEvalCommand:
         assert {"text", "queries", "evidence_ids", "label"} == set(
             reports[0]["statements"][0])
 
+    def test_trajectories_are_written_while_the_run_goes_on(self, workspace, monkeypatch):
+        from rare import harness
+
+        traj_path = workspace["dir"] / "trajectories.jsonl"
+        evaluate_question = harness.evaluate_question
+        seen = {}
+
+        def peek(question, *args, **kwargs):
+            seen[question.id] = traj_path.read_text() if traj_path.exists() else None
+            return evaluate_question(question, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_question", peek)
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "rare",
+            "--index", str(workspace["index"]),
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--workers", "1", "--trajectories", str(traj_path),
+        ])
+        assert rc == 0
+        first, second = list(seen)[:2]
+        assert seen[first] == ""
+        written = [json.loads(line) for line in seen[second].splitlines()]
+        assert written and {x["question_id"] for x in written} == {first}
+        # the final file goes on from what was there while question 2 ran
+        assert traj_path.read_text().startswith(seen[second])
+
+    def test_internal_error_is_reported_then_exits_1(self, workspace, monkeypatch, capsys):
+        from rare import harness
+
+        questions = [json.loads(line)["id"]
+                     for line in workspace["dataset"].read_text().splitlines()]
+        select_majority = harness.select_majority
+
+        def fails_on_first(candidates):
+            if candidates[0].question_ref == questions[0]:
+                raise KeyError("stray")
+            return select_majority(candidates)
+
+        monkeypatch.setattr(harness, "select_majority", fails_on_first)
+        report_path = workspace["dir"] / "report.json"
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", str(report_path),
+        ])
+        assert rc == 1
+        records = json.loads(report_path.read_text())["records"]
+        assert [r["error"] for r in records] == ["KeyError: 'stray'"] + [None] * 3
+        assert "1 question(s) failed with an internal error" in capsys.readouterr().err
+
     def test_ablation_preset_flag(self, workspace):
         report_path = workspace["dir"] / "rstar_a6.json"
         rc = main([

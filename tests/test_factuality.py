@@ -12,13 +12,12 @@ from conftest import (
     make_reasoning_trajectory,
     rafs_rating_entries,
 )
-from rare.errors import ScriptMissError, ValidationError
+from rare.errors import ValidationError
 from rare.factuality import (
     factuality_record,
     generate_queries,
     rate_statement,
     score_candidates,
-    score_trajectory,
     split_sentences,
     split_statements,
 )
@@ -137,10 +136,15 @@ class TestRateStatement:
         assert self.rate("Supported? No: not supported on balance.") == "not_supported"
 
 
+def score_one(traj, backend, index, cfg=CFG):
+    """The report of a trajectory scored on its own."""
+    return score_candidates([traj], backend, index, cfg)[0].factuality
+
+
 class TestScoreTrajectory:
     def test_worked_example_three_of_five(self, question, backend, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
-        report = score_trajectory(traj, backend, index, CFG)
+        report = score_one(traj, backend, index)
         assert report.supported_count == 3
         assert report.not_supported_count == 2
         assert report.score == 0.6
@@ -150,21 +154,21 @@ class TestScoreTrajectory:
 
     def test_all_supported_scores_one(self, question, backend, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_10, "B")
-        report = score_trajectory(traj, backend, index, CFG)
+        report = score_one(traj, backend, index)
         assert len(report.statements) == 10
         assert report.supported_count == 10
         assert report.score == 1.0
 
     def test_five_of_eight_scores_0625(self, question, backend, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_0625, "D")
-        report = score_trajectory(traj, backend, index, CFG)
+        report = score_one(traj, backend, index)
         assert len(report.statements) == 8
         assert report.supported_count == 5
         assert report.score == 0.625
 
     def test_score_is_counts_division_done_last(self, question, backend, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_0625, "D")
-        report = score_trajectory(traj, backend, index, CFG)
+        report = score_one(traj, backend, index)
         assert 0.0 <= report.score <= 1.0
         assert report.score == report.supported_count / len(report.statements)
         assert report.supported_count + report.not_supported_count == len(
@@ -172,22 +176,17 @@ class TestScoreTrajectory:
 
     def test_statements_carry_queries_and_evidence(self, question, backend, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
-        report = score_trajectory(traj, backend, index, CFG)
+        report = score_one(traj, backend, index)
         for stmt in report.statements:
             assert stmt.queries
             assert len(stmt.queries) <= CFG.queries_per_call
             assert len(stmt.evidence) <= CFG.retrieval_top_k
 
-    def test_disabled_scorer_rejected(self, question, backend, index):
-        traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
-        with pytest.raises(ValidationError):
-            score_trajectory(traj, backend, index, replace(CFG, rafs_enabled=False))
-
     def test_pipeline_deterministic(self, question, index):
         def run():
             backend = ScriptedBackend(rafs_rating_entries())
             traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
-            report = score_trajectory(traj, backend, index, CFG)
+            report = score_one(traj, backend, index)
             return [(s.text, s.label, tuple(e.doc_id for e in s.evidence))
                     for s in report.statements]
 
@@ -266,14 +265,14 @@ class TestSharedStatements:
         scored = score_candidates(trajs, ScriptedBackend(rafs_rating_entries()),
                                   index, CFG)
         for traj, together in zip(trajs, scored):
-            alone = score_trajectory(traj, ScriptedBackend(rafs_rating_entries()),
-                                     index, CFG)
+            alone = score_one(traj, ScriptedBackend(rafs_rating_entries()), index)
             assert together.factuality == alone
             assert factuality_record(together) == factuality_record(
                 replace(traj, factuality=alone))
-            assert [s.index for s in alone.statements] == list(
-                range(len(alone.statements)))
         assert [t.factuality.score for t in scored] == [0.6, 1.0]
+        # the three shared sentences are the same checked objects in both reports
+        first, second = (t.factuality.statements for t in scored)
+        assert all(a is b for a, b in zip(first[:3], second[:3], strict=True))
 
     def test_failing_shared_sentence_fails_every_holder(self, question, index):
         first, second = sharing_candidates(question)
@@ -285,9 +284,7 @@ class TestSharedStatements:
         scored = score_candidates([first, second, third], backend, index, CFG)
         assert scored[0].factuality is None
         assert scored[1].factuality is None
-        alone = score_trajectory(third, ScriptedBackend(rafs_rating_entries()),
-                                 index, CFG)
+        alone = score_one(third, ScriptedBackend(rafs_rating_entries()), index)
         assert scored[2].factuality == alone
-        with pytest.raises(ScriptMissError):
-            score_trajectory(second, ScriptedBackend(entries + rafs_rating_entries()),
-                             index, CFG)
+        assert score_one(second, ScriptedBackend(entries + rafs_rating_entries()),
+                         index) is None

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from conftest import (
+    RecordingBackend,
     build_eval_fixture,
     fixture_corpus,
     make_eval_question,
@@ -152,6 +153,57 @@ class TestRunEval:
         questions, backend = build_eval_fixture(2, 2)
         with pytest.raises(ValidationError):
             run_eval(questions, "zen", backend, index, SearchConfig())
+
+    def test_unexpected_exception_costs_only_its_question(self, monkeypatch, caplog):
+        questions, backend = build_eval_fixture(3, 3)
+        select_majority = harness.select_majority
+
+        def fails_on_second(candidates):
+            if candidates[0].question_ref == questions[1].id:
+                raise KeyError("stray")
+            return select_majority(candidates)
+
+        monkeypatch.setattr(harness, "select_majority", fails_on_second)
+        with caplog.at_level("ERROR"):
+            report = run_eval(questions, "cot", backend, None, SearchConfig(), workers=1)
+        first, bad, last = report.records
+        assert first.correct and last.correct
+        assert not first.internal_error and not last.internal_error
+        assert bad.error == "KeyError: 'stray'"
+        assert bad.internal_error
+        assert bad.predicted is None and not bad.correct
+        assert report.accuracy == 2 / 3
+        (logged,) = [r for r in caplog.records if r.exc_info]
+        assert questions[1].id in logged.getMessage()
+        assert logged.exc_info[0] is KeyError
+
+    def test_rare_error_is_not_an_internal_error(self, index):
+        q_bad = make_eval_question("q99", "A")  # no script entries at all
+        cfg = apply_preset(SearchConfig(rollouts=2, rng_seed=0), "rare")
+        report = run_eval([q_bad], "rare", ScriptedBackend(rafs_generic_entries()),
+                          index, cfg, workers=1)
+        assert report.records[0].error.startswith("ScriptMissError: ")
+        assert not report.records[0].internal_error
+
+    @pytest.mark.parametrize("method,preset", [
+        ("rag", None), ("rare", "rare"), ("rstar", "rstar+rafs"), ("rstar", "rstar+a6"),
+        ("rstar", "rstar+a7"),
+    ])
+    def test_run_that_needs_an_index_is_refused_without_one(self, method, preset):
+        questions, backend = build_eval_fixture(2, 2)
+        cfg = SearchConfig(rng_seed=0)
+        if preset:
+            cfg = apply_preset(cfg, preset)
+        backend = RecordingBackend(backend)
+        with pytest.raises(ValidationError, match="needs an index"):
+            run_eval(questions, method, backend, None, cfg, workers=1)
+        assert not backend.call_log()
+
+    def test_rstar_without_retrieval_runs_without_index(self):
+        questions, backend = build_eval_fixture(2, 2)
+        cfg = apply_preset(SearchConfig(rollouts=2, rng_seed=0), "rstar")
+        report = run_eval(questions, "rstar", backend, None, cfg, workers=1)
+        assert [r.error for r in report.records] == [None, None]
 
 
 class SlowFirstQuestion(LmBackend):
