@@ -18,6 +18,7 @@ from .harness import (
     load_dataset,
     report_to_record,
     run_eval,
+    trajectory_stats,
 )
 from .lm import HttpBackend, load_script
 from .retrieval import build_index, load_corpus, load_index, save_index, search
@@ -158,6 +159,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         f"avg_tokens={report.avg_tokens:.1f}",
         file=sys.stderr,
     )
+    stats = trajectory_stats(report)
+    if stats:
+        print("top action sequences of correct answers:", file=sys.stderr)
+        for sequence, count in stats:
+            print(f"  {count:4d}  {'->'.join(kind.value for kind in sequence)}",
+                  file=sys.stderr)
     internal = sum(1 for r in report.records if r.internal_error)
     if internal:
         print(f"error: {internal} question(s) failed with an internal error; "

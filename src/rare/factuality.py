@@ -3,10 +3,12 @@
 Four steps per trajectory: split the reasoning into sentence statements,
 generate retrieval queries per statement, retrieve evidence for each query,
 and rate every statement Supported or Not Supported against its evidence.
-The trajectory's score is the supported proportion. Candidates scored
-together come from one tree and share sentences, so each distinct statement
-is checked once per question and its result reused by every candidate that
-holds it.
+The trajectory's score is the supported proportion. Only ``select_rare``'s
+winner needs an exact score, so candidates are checked best first, as in
+Fagin, Lotem and Naor's threshold algorithm: checking stops once the
+best-ranked candidate's upper bound is exact. Candidates from one tree share
+sentences, so each distinct statement is checked at most once per question
+and its result reused by every candidate that holds it.
 
 The scorer calls the same backend instance as the generator unless the caller
 hands it a different one.
@@ -152,33 +154,62 @@ def rate_statement(statement: str, evidence: tuple, backend: LmBackend) -> str:
 
 def score_candidates(candidates: list[Trajectory], backend: LmBackend,
                      index: RetrievalIndex, cfg: SearchConfig) -> list[Trajectory]:
-    """Attach factuality reports to candidates. Candidates from one tree share
-    sentences: each distinct sentence is queried, retrieved for and rated once,
-    in first-seen order, and every report that holds it shares that Statement.
-    A backend or retrieval failure leaves every holder ``factuality=None``
-    (score -1); a sentence that only failed candidates hold is not checked."""
+    """Attach factuality reports to the candidates that ``select_rare`` needs
+    to find its winner. A candidate's bound is (sentences rated Supported +
+    sentences unchecked) / its sentence count, per occurrence; checked in
+    full, it equals the report's score bit for bit. No sentences bound 0.0, a
+    failure -1.0. Each round takes the candidate with the smallest
+    ``select_rare`` key under its bound (first position wins a tie): a failed
+    or fully checked one is the winner; else its distinct unchecked sentences
+    are checked in order, each once per call, their Statement shared by every
+    report that holds it. A backend or retrieval failure fails every holder
+    and ends the round. Only fully checked, non-failed candidates get a
+    report; the rest keep ``factuality=None`` (score -1), which is at most
+    their bound, so ``select_rare`` picks what scoring everything would pick.
+    A one-element list is always checked in full."""
     sentence_lists = [split_statements(traj) for traj in candidates]
-    holders: dict[str, set[int]] = {}
+    # one entry per occurrence, as make_factuality_report counts them
+    holders: dict[str, list[int]] = {}
     for k, sentences in enumerate(sentence_lists):
         for sentence in sentences:
-            holders.setdefault(sentence, set()).add(k)
-    checked: dict[str, Statement] = {}
+            holders.setdefault(sentence, []).append(k)
+    supported = [0] * len(candidates)
+    unchecked = [len(sentences) for sentences in sentence_lists]
     failed: set[int] = set()
-    for sentence, ks in holders.items():
-        if ks <= failed:
-            continue
-        try:
-            queries = generate_queries(sentence, backend, cfg.queries_per_call)
-            hit_lists = [search(index, query, cfg.retrieval_top_k) for query in queries]
-            evidence = merge_hits(hit_lists, cfg.retrieval_top_k)
-            label = rate_statement(sentence, evidence, backend)
-        except (LmBackendError, CorpusError):
-            failed |= ks
-            continue
-        checked[sentence] = Statement(sentence, tuple(queries), evidence, label)
+    checked: dict[str, Statement] = {}
+
+    def bound(k: int) -> float:
+        if k in failed:
+            return -1.0
+        n = len(sentence_lists[k])
+        return (supported[k] + unchecked[k]) / n if n else 0.0
+
+    # select_rare's key without the score; the position settles a tie
+    static_keys = [(-traj.terminal_reward, len(traj.steps), traj.content_hash(), k)
+                   for k, traj in enumerate(candidates)]
+    while static_keys:
+        k = min(static_keys, key=lambda key: (-bound(key[-1]), *key))[-1]
+        if k in failed or not unchecked[k]:
+            break
+        for sentence in dict.fromkeys(sentence_lists[k]):
+            if sentence in checked:
+                continue
+            try:
+                queries = generate_queries(sentence, backend, cfg.queries_per_call)
+                hit_lists = [search(index, query, cfg.retrieval_top_k) for query in queries]
+                evidence = merge_hits(hit_lists, cfg.retrieval_top_k)
+                label = rate_statement(sentence, evidence, backend)
+            except (LmBackendError, CorpusError):
+                failed.update(holders[sentence])
+                break
+            checked[sentence] = Statement(sentence, tuple(queries), evidence, label)
+            for j in holders[sentence]:
+                unchecked[j] -= 1
+                supported[j] += label == SUPPORTED
     return [
-        traj if k in failed else replace(traj, factuality=make_factuality_report(
+        replace(traj, factuality=make_factuality_report(
             checked[sentence] for sentence in sentences))
+        if k not in failed and not unchecked[k] else traj
         for k, (traj, sentences) in enumerate(zip(candidates, sentence_lists))
     ]
 

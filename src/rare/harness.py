@@ -301,8 +301,10 @@ def report_to_record(report: RunReport) -> dict[str, Any]:
 
 def dump_trajectories(fh: TextIO, candidates: list[Trajectory]) -> None:
     """Append one question's candidate trajectories to an open text file, one
-    JSON object per line, and flush; a scored candidate is followed by its
-    statement-level factuality record."""
+    JSON object per line, and flush. A candidate that carries a factuality
+    report is followed by its statement-level record; ``score_candidates``
+    reports only the candidates it checked in full, which include the
+    chosen one unless its check failed."""
     for traj in candidates:
         fh.write(json.dumps(trajectory_to_record(traj), sort_keys=True))
         fh.write("\n")

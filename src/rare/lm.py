@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import threading
 import time
 from collections import Counter
@@ -335,10 +336,12 @@ class HttpBackend(LmBackend):
     POSTs ``{base_url}/v1/chat/completions`` and reads
     ``choices[*].message.content`` plus usage token counts. Transport
     failures (any ``requests`` exception, HTTP 429 or 5xx) are retried with
-    exponential backoff; after a 429 or 5xx the wait is the longer of that
-    backoff and ``Retry-After`` (seconds, or an HTTP date; a past date
-    counts as 0). Every wait is capped at
-    ``timeout``. Other failures surface immediately. If the endpoint
+    exponential backoff and full jitter: each wait is drawn uniformly from
+    zero to the backoff, by a private RNG, so workers that failed together
+    do not retry together and no seeded RNG is drawn from. After a 429 or
+    5xx the wait is at least ``Retry-After`` (seconds, or an HTTP date; a
+    past date counts as 0). Every wait is capped at ``timeout``. Other
+    failures surface immediately. If the endpoint
     returns fewer choices than requested the client tops up with follow-up
     posts, still recorded as one logical call.
     """
@@ -363,6 +366,7 @@ class HttpBackend(LmBackend):
         self._session = session
         self._local = threading.local()
         self._created: list[requests.Session] = []
+        self._jitter = random.Random()
 
     def _thread_session(self) -> requests.Session:
         """The injected session if one was given, else one session per
@@ -438,7 +442,7 @@ class HttpBackend(LmBackend):
         retry_after = 0.0
         for attempt in range(self.max_attempts):
             if attempt:
-                backoff = self.backoff_base * (2 ** (attempt - 1))
+                backoff = self._jitter.uniform(0.0, self.backoff_base * (2 ** (attempt - 1)))
                 time.sleep(min(max(backoff, retry_after), self.timeout))
                 retry_after = 0.0
             try:

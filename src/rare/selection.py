@@ -20,8 +20,8 @@ BASELINE_METHODS = ("cot", "sc", "rag")
 
 def select_rare(candidates: list[Trajectory]) -> Trajectory:
     """The candidate with the highest factuality score; ties break by
-    higher reward, then fewer steps, then trajectory hash. Candidates whose
-    report failed carry score -1 and rank last."""
+    higher reward, then fewer steps, then trajectory hash. Candidates with no
+    report (failed, or not needed to find the winner) score -1 and rank last."""
     if not candidates:
         raise ValidationError("empty candidate list")
     return min(

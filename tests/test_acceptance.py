@@ -201,13 +201,18 @@ def test_acceptance_06_selection_rule_and_monotonicity(conjunctivitis_question,
         q = conjunctivitis_question
         backend = ScriptedBackend(rafs_rating_entries())
         cfg = SearchConfig()
-        candidates = score_candidates([
+        unscored = [
             make_reasoning_trajectory(q, REASONING_SCORE_10, "B"),
             make_reasoning_trajectory(q, REASONING_SCORE_0625, "D"),
             make_reasoning_trajectory(q, REASONING_SCORE_06, "C"),
-        ], backend, index, cfg)
+        ]
+        # each candidate scored alone carries its full report
+        candidates = [score_candidates([t], backend, index, cfg)[0] for t in unscored]
         assert sorted(t.factuality.score for t in candidates) == [0.6, 0.625, 1.0]
         assert select_rare(candidates).final_answer == "B"
+        # scored together, only what decides the winner is checked
+        joint = score_candidates(unscored, backend, index, cfg)
+        assert select_rare(joint).final_answer == "B"
 
         # monotonicity: push any other candidate above the maximum
         from dataclasses import replace

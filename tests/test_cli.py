@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,8 +111,21 @@ class TestEvalCommand:
         assert trajectories
         assert {"question_id", "actions", "steps", "final_answer",
                 "terminal_reward", "factuality_score"} <= set(trajectories[0])
-        # every scored candidate is followed by its statement-level record
-        assert len(reports) == len(trajectories)
+        # every factuality record follows the scored trajectory it names
+        for before, after in zip(lines, lines[1:]):
+            if "statements" in after:
+                assert before["trajectory_hash"] == after["trajectory_hash"]
+                assert before["question_id"] == after["question_id"]
+                assert before["factuality_score"] is not None
+                assert before["factuality_score"] == after["score"]
+        # and every scored trajectory is followed by one
+        assert len(reports) == sum(x["factuality_score"] is not None for x in trajectories)
+        # each question's chosen path is among the scored ones
+        scored = {(x["question_id"], x["final_answer"], tuple(x["actions"]))
+                  for x, after in zip(lines, lines[1:]) if "statements" in after}
+        for record in report["records"]:
+            assert (record["question_id"], record["predicted"],
+                    tuple(record["action_sequence"])) in scored
         assert {"question_id", "trajectory_hash", "statements",
                 "score"} == set(reports[0])
         assert {"text", "queries", "evidence_ids", "label"} == set(
@@ -193,6 +207,24 @@ class TestEvalCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["avg_calls"] == 1.0
+
+    def test_eval_prints_top_sequences_after_the_summary(self, workspace, capsys):
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "rare",
+            "--index", str(workspace["index"]),
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--rollouts", "4", "--seed", "0",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        summary, header, *rows = captured.err.splitlines()
+        assert summary.startswith("method=rare questions=4 ")
+        assert header == "top action sequences of correct answers:"
+        counts = Counter("->".join(record["action_sequence"])
+                         for record in report["records"] if record["correct"])
+        assert sorted((int(count), key) for count, key in map(str.split, rows)) == sorted(
+            (count, key) for key, count in counts.items())
 
     def test_eval_closes_its_backend(self, workspace, monkeypatch):
         from rare.lm import ScriptedBackend

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     REASONING_SCORE_06,
@@ -12,7 +12,8 @@ from conftest import (
     make_reasoning_trajectory,
     rafs_rating_entries,
 )
-from rare.errors import ValidationError
+from rare.actions import merge_hits
+from rare.errors import CorpusError, LmBackendError, ValidationError
 from rare.factuality import (
     factuality_record,
     generate_queries,
@@ -22,13 +23,16 @@ from rare.factuality import (
     split_statements,
 )
 from rare.lm import ScriptEntry, ScriptedBackend
-from rare.retrieval import build_index
+from rare.retrieval import build_index, search
+from rare.selection import select_rare
 from rare.types import (
     ActionKind,
     ActionStep,
     DocumentRef,
     SearchConfig,
+    Statement,
     Trajectory,
+    make_factuality_report,
 )
 
 
@@ -201,13 +205,17 @@ class TestScoreCandidates:
             make_reasoning_trajectory(question, REASONING_SCORE_06, "C"),
         ]
 
-        def score_order(order):
+        def chosen(order):
             backend = ScriptedBackend(rafs_rating_entries())
             scored = score_candidates([trajs[i] for i in order], backend, index, CFG)
-            return {t.final_answer: t.factuality.score for t in scored}
+            winner = select_rare(scored)
+            return winner.final_answer, winner.factuality
 
-        assert score_order([0, 1, 2]) == score_order([2, 0, 1]) == {
-            "B": 1.0, "D": 0.625, "C": 0.6}
+        answer, report = chosen([0, 1, 2])
+        assert chosen([2, 0, 1]) == chosen([1, 2, 0]) == (answer, report)
+        assert answer == "B"
+        assert report == score_one(trajs[0], ScriptedBackend(rafs_rating_entries()), index)
+        assert report.score == 1.0
 
     def test_always_supported_rater_gives_one_everywhere(self, question, index):
         backend = ScriptedBackend([
@@ -219,7 +227,9 @@ class TestScoreCandidates:
             make_reasoning_trajectory(question, REASONING_SCORE_0625, "D"),
         ]
         scored = score_candidates(trajs, backend, index, CFG)
-        assert all(t.factuality.score == 1.0 for t in scored)
+        reported = [t for t in scored if t.factuality is not None]
+        assert reported
+        assert all(t.factuality.score == 1.0 for t in reported)
 
     def test_backend_failure_leaves_score_minus_one(self, question, index):
         # rating entries missing entirely: the report aborts per trajectory
@@ -288,3 +298,135 @@ class TestSharedStatements:
         assert scored[2].factuality == alone
         assert score_one(second, ScriptedBackend(entries + rafs_rating_entries()),
                          index) is None
+
+
+# Sentences for generated candidate sets; each splits as one statement.
+CLAIMS = [f"Claim number {i} holds for this patient." for i in range(8)]
+VERDICTS = ("Supported", "Not Supported", "fail_query", "fail_rating")
+FIXTURE_INDEX = build_index(fixture_corpus())
+
+
+def claims_backend(verdicts) -> ScriptedBackend:
+    """Rates ``CLAIMS[i]`` by ``verdicts[i]``; a ``fail_*`` verdict makes that
+    sentence's query or rating request raise ``ScriptMissError``."""
+    entries = []
+    for claim, verdict in zip(CLAIMS, verdicts):
+        marker = (f"Statement: {claim}\n",)
+        if verdict == "fail_query":
+            entries.append(ScriptEntry("query_gen", (), substrings=marker))
+        elif verdict == "fail_rating":
+            entries.append(ScriptEntry("rating", (), substrings=marker))
+        else:
+            entries.append(ScriptEntry("rating", (verdict,), substrings=marker))
+    entries.append(ScriptEntry("query_gen", ("allergic conjunctivitis treatment",)))
+    return ScriptedBackend(entries)
+
+
+def claims_candidate(claim_ids, n_steps=1, reward=0.0) -> Trajectory:
+    """A candidate whose last of ``n_steps`` steps states the given claims;
+    the earlier steps are empty, so they add steps but no sentences."""
+    outputs = [""] * (n_steps - 1) + [" ".join(CLAIMS[i] for i in claim_ids)]
+    steps = tuple(ActionStep(ActionKind.A1, "p", out) for out in outputs)
+    return Trajectory("q", steps, final_answer="A", terminal_reward=reward)
+
+
+def score_in_full(candidates, backend, index, cfg=CFG):
+    """Reference scorer: checks every distinct sentence of every candidate and
+    reports every candidate that holds no failed sentence."""
+    sentence_lists = [split_statements(traj) for traj in candidates]
+    checked, failed = {}, set()
+    for sentence in dict.fromkeys(s for sentences in sentence_lists for s in sentences):
+        try:
+            queries = generate_queries(sentence, backend, cfg.queries_per_call)
+            evidence = merge_hits([search(index, query, cfg.retrieval_top_k)
+                                   for query in queries], cfg.retrieval_top_k)
+            label = rate_statement(sentence, evidence, backend)
+        except (LmBackendError, CorpusError):
+            failed.add(sentence)
+            continue
+        checked[sentence] = Statement(sentence, tuple(queries), evidence, label)
+    return [
+        traj if failed.intersection(sentences) else replace(
+            traj, factuality=make_factuality_report(checked[s] for s in sentences))
+        for traj, sentences in zip(candidates, sentence_lists)
+    ]
+
+
+def chosen_position(scored) -> int:
+    winner = select_rare(scored)
+    return next(k for k, traj in enumerate(scored) if traj is winner)
+
+
+def asked_claims(backend: RecordingBackend) -> list[tuple[str, int]]:
+    """``(purpose, claim number)`` of each completed call, in order."""
+    return [(call.purpose, next(i for i, claim in enumerate(CLAIMS)
+                                if f"Statement: {claim}\n" in call.prompt))
+            for call in backend.call_log()]
+
+
+class TestBestFirst:
+    @settings(deadline=None)
+    @given(
+        st.lists(st.tuples(st.lists(st.integers(0, len(CLAIMS) - 1), max_size=4),
+                           st.integers(1, 3), st.sampled_from((0.0, 0.5, 1.0))),
+                 min_size=1, max_size=6),
+        st.lists(st.sampled_from(VERDICTS), min_size=len(CLAIMS), max_size=len(CLAIMS)),
+    )
+    def test_picks_what_full_scoring_picks(self, specs, verdicts):
+        candidates = [claims_candidate(ids, n_steps, reward)
+                      for ids, n_steps, reward in specs]
+        got = score_candidates(candidates, claims_backend(verdicts), FIXTURE_INDEX, CFG)
+        want = score_in_full(candidates, claims_backend(verdicts), FIXTURE_INDEX)
+        k = chosen_position(got)
+        assert k == chosen_position(want)
+        assert got[k].factuality == want[k].factuality
+        for together, full in zip(got, want):
+            if together.factuality is not None:
+                assert together.factuality == full.factuality
+
+    def test_failing_check_mid_round_ranks_every_holder_last(self):
+        verdicts = ["Supported", "fail_query", "Supported", "Supported",
+                    "Supported", "Not Supported", "Supported", "Supported"]
+        candidates = [
+            claims_candidate([0, 1, 2], reward=1.0),  # taken first; fails at claim 1
+            claims_candidate([1, 3], reward=0.5),     # also holds claim 1
+            claims_candidate([4, 5]),                 # scores 0.5 and wins
+            claims_candidate([2, 5], n_steps=2),      # bounded by 0.5, loses the tie
+        ]
+        backend = RecordingBackend(claims_backend(verdicts))
+        scored = score_candidates(candidates, backend, FIXTURE_INDEX, CFG)
+        assert [t.factuality_score() for t in scored] == [-1.0, -1.0, 0.5, -1.0]
+        assert scored[3].factuality is None
+        assert select_rare(scored) is scored[2]
+        # the failed query_gen never completes, and the round ends there:
+        # claim 2, next in the first round, is never asked
+        assert asked_claims(backend) == [
+            ("query_gen", 0), ("rating", 0),
+            ("query_gen", 4), ("rating", 4), ("query_gen", 5), ("rating", 5)]
+
+    def test_one_element_list_checks_every_sentence(self, question, index):
+        traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
+        backend = RecordingBackend(ScriptedBackend(rafs_rating_entries()))
+        report = score_candidates([traj], backend, index, CFG)[0].factuality
+        assert report.score == 0.6
+        statements = split_statements(traj)
+        assert [s.text for s in report.statements] == statements
+        assert [c.purpose for c in backend.call_log()] == ["query_gen", "rating"] * 5
+
+    def test_a_first_pick_scoring_one_requests_only_its_sentences(self, question, index):
+        best = replace(make_reasoning_trajectory(question, REASONING_SCORE_10, "B"),
+                       terminal_reward=1.0)
+        candidates = [
+            make_reasoning_trajectory(question, REASONING_SCORE_06, "C"),
+            best,
+            make_reasoning_trajectory(question, REASONING_SCORE_0625, "D"),
+        ]
+        backend = RecordingBackend(ScriptedBackend(rafs_rating_entries()))
+        scored = score_candidates(candidates, backend, index, CFG)
+        assert select_rare(scored) is scored[1]
+        assert scored[1].factuality.score == 1.0
+        assert scored[0].factuality is None and scored[2].factuality is None
+        log = backend.call_log()
+        assert len(log) == 2 * 10
+        own = split_statements(best)
+        assert all(any(f"Statement: {s}\n" in c.prompt for s in own) for c in log)

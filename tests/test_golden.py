@@ -23,7 +23,7 @@ from rare.lm import LmBackend
 from rare.retrieval import build_index
 from rare.types import SearchConfig, trajectory_to_record
 
-GOLDEN_DIGEST = "6a59985ccf24bc19dc73690480efef46b7c2bc3af5194b1862c9cc51d8d85bfa"
+GOLDEN_DIGEST = "687b07c17467d24c4cad57dab419875465ac0f32919d40b118c57c5d6303bcd6"
 
 
 class _RecordingBackend(LmBackend):

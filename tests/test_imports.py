@@ -19,8 +19,6 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 # the package, the benchmark and the tools; the tests do not count as callers
 CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("**/*.py")) + sorted(
     (ROOT / "tools").glob("**/*.py"))
-# only acceptance 09 calls it; whether ``rare eval`` prints it is still open
-UNCALLED_ALLOWED = {"harness.trajectory_stats"}
 
 
 def imported_names(tree: ast.Module):
@@ -109,7 +107,7 @@ def test_every_definition_has_a_caller():
         for qualified, name in definitions(ast.parse(path.read_text("utf-8")))
         if name not in referenced
     ]
-    assert sorted(set(uncalled) - UNCALLED_ALLOWED) == []
+    assert uncalled == []
 
 
 def test_an_uncalled_definition_is_found():

@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -419,6 +420,11 @@ def fake_backend(reply, **kwargs):
                        session=session, **kwargs), session
 
 
+def top_of_jitter(monkeypatch, backend):
+    """Make each jittered wait its upper end, the plain exponential backoff."""
+    monkeypatch.setattr(backend._jitter, "uniform", lambda low, high: high)
+
+
 def reply_body(content, usage=None):
     return {"choices": [{"message": {"content": content}}],
             "usage": usage or {"prompt_tokens": 3, "completion_tokens": 2}}
@@ -547,6 +553,7 @@ class TestHttpBackendFaults:
                                else reply_body("ok"))
         backend = HttpBackend("http://fake", model="m", timeout=5.0, backoff_base=0.25,
                               session=session)
+        top_of_jitter(monkeypatch, backend)
         assert backend.complete(LmRequest("hello")).completions == ("ok",)
         assert sleeps == [wait]
         assert len(session.posts) == 2
@@ -567,6 +574,7 @@ class TestHttpBackendFaults:
                                else reply_body("ok"))
         backend = HttpBackend("http://fake", model="m", timeout=5.0, backoff_base=0.25,
                               session=session)
+        top_of_jitter(monkeypatch, backend)
         assert backend.complete(LmRequest("hello")).completions == ("ok",)
         assert sleeps == [pytest.approx(wait)]
 
@@ -580,9 +588,45 @@ class TestHttpBackendFaults:
         replies = [requests.exceptions.ConnectionError("refused")] * 2 + [
             _FakeResponse({}, 429, {"Retry-After": "3"})]
         backend, _ = fake_backend(lambda payload: replies.pop(), max_attempts=3)
+        top_of_jitter(monkeypatch, backend)
         with pytest.raises(TransportError):
             backend.complete(LmRequest("hello"))
         assert sleeps == [3.0, 0.002]
+
+    def test_backoff_is_drawn_with_full_jitter(self, monkeypatch):
+        sleeps, draws = [], []
+        monkeypatch.setattr("rare.lm.time.sleep", sleeps.append)
+        replies = [
+            reply_body("ok"),
+            requests.exceptions.ConnectionError("refused"),
+            _FakeResponse({}, 503, {"Retry-After": "100"}),  # capped at the timeout
+            _FakeResponse({}, 429, {"Retry-After": "0.3"}),  # a floor above the draw
+            requests.exceptions.ConnectionError("refused"),
+        ]
+        session = _FakeSession(lambda payload: replies.pop())
+        backend = HttpBackend("http://fake", model="m", timeout=5.0, backoff_base=0.25,
+                              max_attempts=5, session=session)
+
+        def draw(low, high):
+            draws.append((low, high))
+            return high / 2
+
+        monkeypatch.setattr(backend._jitter, "uniform", draw)
+        assert backend.complete(LmRequest("hello")).completions == ("ok",)
+        assert draws == [(0.0, 0.25), (0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
+        assert sleeps == [0.125, 0.3, 5.0, 1.0]
+
+    def test_jitter_leaves_the_global_rng_alone(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("rare.lm.time.sleep", sleeps.append)
+        backend, _ = fake_backend(
+            lambda payload: requests.exceptions.ConnectionError("refused"), max_attempts=4)
+        state = random.getstate()
+        with pytest.raises(TransportError):
+            backend.complete(LmRequest("hello"))
+        assert random.getstate() == state
+        assert len(sleeps) == 3
+        assert all(0.0 <= wait <= 0.001 * 2 ** i for i, wait in enumerate(sleeps))
 
     def test_persistent_requests_error_becomes_transport_error(self):
         backend, session = fake_backend(
