@@ -1,9 +1,9 @@
 """The seven reasoning actions: prompts, execution, and output parsing.
 
 ``ACTION_SPECS`` holds one spec per action (template, prompt fields, parser,
-stop sequences, terminal rule) and ``execute_action`` runs any of them
-through one render -> complete -> parse path; A6 and A7 first retrieve
-documents for their queries. ``_NEXT_ACTIONS`` is the transition table: the
+stop sequences, terminal rule). ``action_request`` turns any of them into
+the request that actions, consistency rewards and baselines send; A6 and A7
+first retrieve documents. ``_NEXT_ACTIONS`` is the transition table: the
 actions legal after each kind of last step (``None`` for the root), always
 intersected with the enabled-action set. A5's rephrased question is used
 from then on. A2 and A6 end a trajectory by construction; an A3 whose
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Literal
 
 from .errors import NoViableChildError, ValidationError
-from .lm import LmBackend, request_for
+from .lm import LmBackend, LmRequest, request_for
 from .retrieval import RetrievalIndex, search
 from .types import (RETRIEVAL_ACTIONS, ActionKind, ActionStep, DocumentRef, Question,
                     SearchConfig, Trajectory)
@@ -251,18 +251,10 @@ def render_qa_steps(steps: tuple[ActionStep, ...]) -> str:
     return "\n".join(lines)
 
 
-def render_documents(hits: list[DocumentRef] | tuple[DocumentRef, ...],
-                     index: RetrievalIndex | None = None) -> str:
-    lines = []
-    for hit in hits:
-        title = ""
-        if index is not None:
-            try:
-                title = index.document(hit.doc_id).title
-            except KeyError:
-                title = ""
-        lines.append(f"{title}: {hit.snippet}" if title else hit.snippet)
-    return "\n".join(lines)
+def render_documents(hits: list[DocumentRef] | tuple[DocumentRef, ...]) -> str:
+    """``title: snippet`` per hit, or the bare snippet for a hit with no title."""
+    return "\n".join(f"{hit.title}: {hit.snippet}" if hit.title else hit.snippet
+                     for hit in hits)
 
 
 def merge_hits(hit_lists: list[list[DocumentRef]], cap: int) -> tuple[DocumentRef, ...]:
@@ -333,6 +325,15 @@ ACTION_SPECS: dict[ActionKind, ActionSpec] = {
 }
 
 
+def action_request(kind: ActionKind, ctx: ActionContext, prompts: PromptLibrary | None,
+                   purpose: str, n: int, documents: str = "") -> LmRequest:
+    """The request for action ``kind`` at ``ctx``: its spec's template and
+    fields rendered with ``documents``, and its spec's stop sequences."""
+    spec = ACTION_SPECS[kind]
+    prompt = (prompts or default_prompts()).render(spec.template, **spec.fields(ctx, documents))
+    return request_for(purpose, prompt, n, stop_sequences=spec.stop)
+
+
 def _queries(kind: ActionKind, ctx: ActionContext, backend: LmBackend,
              cfg: SearchConfig, prompts: PromptLibrary) -> list[str]:
     """Retrieval queries: A6 generates its own, A7 uses the pending sub-question."""
@@ -378,9 +379,8 @@ def execute_action(
         queries = tuple(_queries(kind, ctx, backend, cfg, prompts))
         retrieved = merge_hits([search(index, query, cfg.retrieval_top_k)
                                 for query in queries], cfg.retrieval_top_k)
-    prompt = prompts.render(spec.template,
-                            **spec.fields(ctx, render_documents(retrieved, index)))
-    resp = backend.complete(request_for("action_gen", prompt, n, stop_sequences=spec.stop))
+    req = action_request(kind, ctx, prompts, "action_gen", n, render_documents(retrieved))
+    resp = backend.complete(req)
 
     children = []
     for completion in resp.completions:
@@ -395,7 +395,7 @@ def execute_action(
             answer = None
         elif spec.ends != "answer" and answer is None:
             continue
-        step = ActionStep(kind, prompt, output, sub_question=sub_question,
+        step = ActionStep(kind, req.prompt, output, sub_question=sub_question,
                           retrieved=retrieved, queries=queries)
         children.append(ctx.extend(step, answer))
     if not children:

@@ -18,12 +18,13 @@ from .harness import (
     load_dataset,
     report_to_record,
     run_eval,
+    sequence_key,
     trajectory_stats,
 )
 from .lm import HttpBackend, load_script
 from .retrieval import build_index, load_corpus, load_index, save_index, search
 from .selection import BASELINE_METHODS
-from .types import SearchConfig
+from .types import SearchConfig, document_ref_to_record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,13 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--index")
     eval_cmd.add_argument("--backend", choices=("http", "script"), default="http")
     eval_cmd.add_argument("--script", help="script file for --backend script")
-    eval_cmd.add_argument("--rollouts", type=int, default=4)
-    eval_cmd.add_argument("--seed", type=int, default=0)
-    eval_cmd.add_argument("--exploration-c", type=float, default=1.0)
-    eval_cmd.add_argument("--max-depth", type=int, default=8)
-    eval_cmd.add_argument("--consistency-samples", type=int, default=3)
-    eval_cmd.add_argument("--top-k", type=int, default=5)
-    eval_cmd.add_argument("--queries-per-call", type=int, default=3)
+    eval_cmd.add_argument("--rollouts", type=int, default=SearchConfig.rollouts)
+    eval_cmd.add_argument("--seed", type=int, default=SearchConfig.rng_seed)
+    eval_cmd.add_argument("--exploration-c", type=float, default=SearchConfig.exploration_c)
+    eval_cmd.add_argument("--max-depth", type=int, default=SearchConfig.max_depth)
+    eval_cmd.add_argument("--consistency-samples", type=int,
+                          default=SearchConfig.n_consistency_samples)
+    eval_cmd.add_argument("--top-k", type=int, default=SearchConfig.retrieval_top_k)
+    eval_cmd.add_argument("--queries-per-call", type=int, default=SearchConfig.queries_per_call)
     eval_cmd.add_argument("--workers", type=int, default=None)
     eval_cmd.add_argument("--templates", help="directory of prompt template files")
     eval_cmd.add_argument("--lenient", action="store_true",
@@ -86,10 +88,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 def _cmd_index_query(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     for hit in search(index, args.q, args.k):
-        print(json.dumps(
-            {"doc_id": hit.doc_id, "score": hit.score, "snippet": hit.snippet},
-            sort_keys=True,
-        ))
+        print(json.dumps(document_ref_to_record(hit), sort_keys=True))
     return 0
 
 
@@ -163,8 +162,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if stats:
         print("top action sequences of correct answers:", file=sys.stderr)
         for sequence, count in stats:
-            print(f"  {count:4d}  {'->'.join(kind.value for kind in sequence)}",
-                  file=sys.stderr)
+            print(f"  {count:4d}  {sequence_key(sequence)}", file=sys.stderr)
     internal = sum(1 for r in report.records if r.internal_error)
     if internal:
         print(f"error: {internal} question(s) failed with an internal error; "
@@ -182,10 +180,7 @@ def main(argv: list[str] | None = None) -> int:
                 return _cmd_index_build(args)
             return _cmd_index_query(args)
         return _cmd_eval(args)
-    except RareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,15 +23,15 @@ from .actions import merge_hits, parse_queries
 from .errors import CorpusError, LmBackendError, ValidationError
 from .lm import LmBackend, request_for
 from .retrieval import RetrievalIndex, search
+from .selection import tie_break
 from .types import (
+    NOT_SUPPORTED,
+    SUPPORTED,
     SearchConfig,
     Statement,
     Trajectory,
     make_factuality_report,
 )
-
-SUPPORTED = "supported"
-NOT_SUPPORTED = "not_supported"
 
 QUERY_PROMPT = (
     "Write up to {n} short search queries that would retrieve evidence to"
@@ -185,8 +185,7 @@ def score_candidates(candidates: list[Trajectory], backend: LmBackend,
         return (supported[k] + unchecked[k]) / n if n else 0.0
 
     # select_rare's key without the score; the position settles a tie
-    static_keys = [(-traj.terminal_reward, len(traj.steps), traj.content_hash(), k)
-                   for k, traj in enumerate(candidates)]
+    static_keys = [(*tie_break(traj), k) for k, traj in enumerate(candidates)]
     while static_keys:
         k = min(static_keys, key=lambda key: (-bound(key[-1]), *key))[-1]
         if k in failed or not unchecked[k]:

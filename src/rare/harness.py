@@ -120,7 +120,8 @@ def load_dataset(path: str, strict: bool = True) -> list[Question]:
     return questions
 
 
-def _sequence_key(sequence: tuple[ActionKind, ...]) -> str:
+def sequence_key(sequence: tuple[ActionKind, ...]) -> str:
+    """An action sequence as the report's histogram keys it: ``A1->A2``."""
     return "->".join(kind.value for kind in sequence)
 
 
@@ -230,7 +231,7 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
             del candidates
 
     histogram = Counter(
-        _sequence_key(record.action_sequence)
+        sequence_key(record.action_sequence)
         for record in records
         if record.action_sequence
     )

@@ -502,6 +502,8 @@ def _parse_chat_body(body: dict[str, Any]) -> tuple[list[str], int, int]:
         completion_tokens = int(usage.get("completion_tokens", 0) or 0)
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise MalformedReplyError(f"malformed chat fields: {exc}") from None
+    if prompt_tokens < 0 or completion_tokens < 0:
+        raise MalformedReplyError("negative usage count")
     if not texts:
         raise MalformedReplyError("endpoint returned zero choices")
     if not all(isinstance(text, str) for text in texts):

@@ -24,14 +24,13 @@ from typing import Sequence
 from .actions import (
     ActionContext,
     PromptLibrary,
-    default_prompts,
+    action_request,
     execute_action,
     extract_answer,
-    render_cot_steps,
     valid_actions,
 )
 from .errors import NoCandidatesError, NoViableChildError, ValidationError
-from .lm import LmBackend, request_for
+from .lm import LmBackend
 from .retrieval import RetrievalIndex
 from .types import ActionKind, ActionStep, Question, SearchConfig, Trajectory, validate_question
 
@@ -203,15 +202,9 @@ def terminal_reward(trajs: Sequence[Trajectory], question: Question, backend: Lm
     context = trajs[0].steps[:-1]
     if any(traj.steps[:-1] != context for traj in trajs):
         raise ValidationError("terminal reward requires trajectories that share one context")
-    prompts = prompts or default_prompts()
-    ctx = context_from_steps(question, context)
-    prompt = prompts.render(ActionKind.A2, question=ctx.question_text(),
-                            steps=render_cot_steps(ctx.steps))
     n = cfg.n_consistency_samples
-    resp = backend.complete(
-        request_for("consistency", prompt, n * len(trajs),
-                    stop_sequences=("### Instruction",))
-    )
+    resp = backend.complete(action_request(ActionKind.A2, context_from_steps(question, context),
+                                           prompts, "consistency", n * len(trajs)))
     answers = [extract_answer(completion, question) for completion in resp.completions]
     return [(1 + answers[k * n:(k + 1) * n].count(traj.final_answer)) / (n + 1)
             for k, traj in enumerate(trajs)]

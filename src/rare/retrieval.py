@@ -24,7 +24,7 @@ import json
 import math
 import pickle
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CorpusError, ValidationError
@@ -84,15 +84,10 @@ class RetrievalIndex:
     k1: float
     b: float
     corpus_hash: str
-    _by_id: dict[str, Document] = field(default_factory=dict, repr=False)
 
     # (query, top_k) -> hits; None on a shared index. Not a dataclass field,
     # so neither pickles nor equality see it.
     _memo = None
-
-    def __post_init__(self) -> None:
-        if not self._by_id:
-            self._by_id = {doc.doc_id: doc for doc in self.documents}
 
     def for_question(self) -> "RetrievalIndex":
         """A shallow copy with an empty search memo, for one question's
@@ -100,9 +95,6 @@ class RetrievalIndex:
         view = copy.copy(self)
         view._memo = {}
         return view
-
-    def document(self, doc_id: str) -> Document:
-        return self._by_id[doc_id]
 
     def vocabulary_size(self) -> int:
         return len(self.postings)
@@ -120,8 +112,8 @@ def corpus_hash(corpus: Iterable[Document]) -> str:
 def build_index(corpus: Iterable[Document], k1: float = 1.2, b: float = 0.75) -> RetrievalIndex:
     """Index a corpus. Raises on duplicate doc ids, an empty corpus, or
     out-of-range BM25 parameters."""
-    if k1 <= 0:
-        raise ValidationError("k1 must be > 0")
+    if not 0 < k1 < math.inf:  # NaN fails every comparison
+        raise ValidationError("k1 must be finite and > 0")
     if not 0 <= b <= 1:
         raise ValidationError("b must be in [0, 1]")
     documents = tuple(corpus)
@@ -196,7 +188,7 @@ def _rank(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
     hits = []
     for position, score in ranked[:top_k]:
         doc = index.documents[position]
-        hits.append(DocumentRef(doc_id=doc.doc_id, score=score, snippet=make_snippet(doc.body)))
+        hits.append(DocumentRef(doc.doc_id, score, make_snippet(doc.body), doc.title))
     return hits
 
 

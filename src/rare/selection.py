@@ -8,27 +8,29 @@ and plain retrieval-augmented answering.
 
 from __future__ import annotations
 
-from .actions import (ActionContext, PromptLibrary, default_prompts, execute_action,
+from .actions import (ActionContext, PromptLibrary, action_request, execute_action,
                       extract_answer, render_documents)
 from .errors import AbstainError, NoViableChildError, ValidationError
-from .lm import LmBackend, request_for
+from .lm import LmBackend
 from .retrieval import RetrievalIndex, search
 from .types import ActionKind, ActionStep, Question, SearchConfig, Trajectory
 
 BASELINE_METHODS = ("cot", "sc", "rag")
 
 
+def tie_break(traj: Trajectory) -> tuple[float, int, str]:
+    """``select_rare``'s order among equal factuality scores: higher reward,
+    then fewer steps, then trajectory hash."""
+    return -traj.terminal_reward, len(traj.steps), traj.content_hash()
+
+
 def select_rare(candidates: list[Trajectory]) -> Trajectory:
-    """The candidate with the highest factuality score; ties break by
-    higher reward, then fewer steps, then trajectory hash. Candidates with no
-    report (failed, or not needed to find the winner) score -1 and rank last."""
+    """The candidate with the highest factuality score, ties broken by
+    ``tie_break`` and then by list position. Candidates with no report
+    (failed, or not needed to find the winner) score -1 and rank last."""
     if not candidates:
         raise ValidationError("empty candidate list")
-    return min(
-        candidates,
-        key=lambda t: (-t.factuality_score(), -t.terminal_reward,
-                       len(t.steps), t.content_hash()),
-    )
+    return min(candidates, key=lambda t: (-t.factuality_score(), *tie_break(t)))
 
 
 def select_majority(candidates: list[Trajectory]) -> Trajectory:
@@ -58,38 +60,35 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     caller votes over with ``select_majority``.
 
     cot: one A2 action at the root. sc: ``n_consistency_samples``
-    completions. rag: one retrieval round on the question stem, snippets
-    injected into the retrieval-answering prompt, then one completion. A run
-    with no parseable answer raises AbstainError and is recorded as
+    completions of A2's request at the root. rag: one retrieval round on the
+    question stem, then one completion of A6's request with those documents.
+    A run with no parseable answer raises AbstainError and is recorded as
     incorrect by the harness.
     """
     if method not in BASELINE_METHODS:
         raise ValidationError(f"not a baseline method: {method!r}")
-    prompts = prompts or default_prompts()
-    question_text = q.render()
+    root = ActionContext(q)
 
     if method == "cot":
         try:
-            ctx = execute_action(ActionKind.A2, ActionContext(q), backend, index, cfg,
+            ctx = execute_action(ActionKind.A2, root, backend, index, cfg,
                                  prompts, n_outcomes=1)[0]
         except NoViableChildError:
             raise AbstainError(f"cot produced no parseable answer for {q.id!r}") from None
         return [ctx.trajectory()]
 
     if method == "sc":
-        prompt = prompts.render(ActionKind.A2, question=question_text, steps="")
-        resp = backend.complete(
-            request_for("consistency", prompt, cfg.n_consistency_samples,
-                        stop_sequences=("### Instruction",))
-        )
+        req = action_request(ActionKind.A2, root, prompts, "consistency",
+                             cfg.n_consistency_samples)
+        resp = backend.complete(req)
         candidates = []
         for completion in resp.completions:
             text = completion.strip()
             answer = extract_answer(text, q)
             if answer is None:
                 continue
-            step = ActionStep(ActionKind.A2, prompt, text)
-            candidates.append(ActionContext(q).extend(step, answer).trajectory())
+            step = ActionStep(ActionKind.A2, req.prompt, text)
+            candidates.append(root.extend(step, answer).trajectory())
         if not candidates:
             raise AbstainError(f"sc produced no parseable answer for {q.id!r}")
         return candidates
@@ -98,13 +97,12 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     if index is None:
         raise ValidationError("rag requires a retrieval index")
     hits = tuple(search(index, q.stem, cfg.retrieval_top_k))
-    prompt = prompts.render(ActionKind.A7, sub_question=question_text,
-                            documents=render_documents(list(hits), index))
-    resp = backend.complete(request_for("action_gen", prompt, 1,
-                                        stop_sequences=("### Instruction",)))
+    req = action_request(ActionKind.A6, root, prompts, "action_gen", 1,
+                         render_documents(hits))
+    resp = backend.complete(req)
     text = resp.completions[0].strip()
     answer = extract_answer(text, q)
     if answer is None:
         raise AbstainError(f"rag produced no parseable answer for {q.id!r}")
-    step = ActionStep(ActionKind.A7, prompt, text, retrieved=hits, queries=(q.stem,))
-    return [ActionContext(q).extend(step, answer).trajectory()]
+    step = ActionStep(ActionKind.A7, req.prompt, text, retrieved=hits, queries=(q.stem,))
+    return [root.extend(step, answer).trajectory()]

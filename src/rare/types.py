@@ -16,6 +16,8 @@ from typing import Any, Iterable, Mapping
 from .errors import ValidationError
 
 LABELS = "ABCDE"
+SUPPORTED = "supported"
+NOT_SUPPORTED = "not_supported"
 
 
 class ActionKind(str, enum.Enum):
@@ -107,11 +109,13 @@ def validate_question(q: Question) -> None:
 
 @dataclass(frozen=True)
 class DocumentRef:
-    """A retrieved passage as embedded in a reasoning step."""
+    """A retrieved passage as embedded in a reasoning step. ``title`` is its
+    document's title, which prompts show; records leave it out."""
 
     doc_id: str
     score: float
     snippet: str
+    title: str = ""
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ class Statement:
     text: str
     queries: tuple[str, ...] = ()
     evidence: tuple[DocumentRef, ...] = ()
-    label: str | None = None  # "supported" | "not_supported", set after rating
+    label: str | None = None  # SUPPORTED | NOT_SUPPORTED, set after rating
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ class FactualityReport:
 def make_factuality_report(statements: Iterable[Statement]) -> FactualityReport:
     """Aggregate rated statements; score is supported / total, division last."""
     stmts = tuple(statements)
-    supported = sum(1 for s in stmts if s.label == "supported")
+    supported = sum(1 for s in stmts if s.label == SUPPORTED)
     not_supported = len(stmts) - supported
     score = supported / len(stmts) if stmts else 0.0
     return FactualityReport(stmts, supported, not_supported, score)
@@ -212,8 +216,8 @@ class SearchConfig:
     max_subquestion_chain: int = 6
 
     def validate(self) -> None:
-        if self.exploration_c <= 0:
-            raise ValidationError("exploration_c must be > 0")
+        if not 0 < self.exploration_c < float("inf"):  # NaN fails every comparison
+            raise ValidationError("exploration_c must be finite and > 0")
         for name in ("rollouts", "max_depth", "children_per_action",
                      "n_consistency_samples", "retrieval_top_k", "queries_per_call"):
             if getattr(self, name) < 1:

@@ -9,19 +9,22 @@ from conftest import (
 )
 from rare.actions import (
     ActionContext,
+    ACTION_SPECS,
     PromptLibrary,
+    action_request,
     default_prompts,
     execute_action,
     extract_answer,
     parse_first_step,
     parse_queries,
     parse_sub_qa,
+    render_documents,
     valid_actions,
 )
 from rare.errors import NoViableChildError, ValidationError
 from rare.lm import ScriptEntry, ScriptedBackend
 from rare.retrieval import build_index
-from rare.types import ActionKind, ActionStep, Question, SearchConfig
+from rare.types import ActionKind, ActionStep, DocumentRef, Question, SearchConfig
 
 A = ActionKind
 
@@ -241,6 +244,35 @@ class TestExecuteActions:
                                    index, CFG)[0]
             assert (child.answer is not None) == (
                 extract_answer(child.steps[-1].output, question) is not None)
+
+
+class TestActionRequest:
+    def test_a6_request_renders_the_a7_template_with_the_spec_stop(self, question):
+        req = action_request(A.A6, ActionContext(question), None, "action_gen", 2, "DOCS")
+        assert req.prompt == default_prompts().render(
+            A.A7, sub_question=question.render(), documents="DOCS")
+        assert req.stop_sequences == ACTION_SPECS[A.A6].stop == ("### Instruction",)
+        assert (req.purpose_tag, req.n_samples) == ("action_gen", 2)
+
+    def test_a2_request_at_a_context_renders_its_steps(self, question):
+        ctx = ctx_after(question, nonterminal(A.A1, "First step."))
+        req = action_request(A.A2, ctx, default_prompts(), "consistency", 3)
+        assert req.prompt == default_prompts().render(
+            A.A2, question=question.render(), steps="First step.")
+        assert req.purpose_tag == "consistency" and req.temperature > 0
+
+
+class TestRenderDocuments:
+    def test_titled_hit_shows_its_title_and_untitled_hit_its_snippet(self):
+        hits = (DocumentRef("a", 2.0, "alpha text", title="Alpha"),
+                DocumentRef("b", 1.0, "beta text"))
+        assert render_documents(hits) == "Alpha: alpha text\nbeta text"
+        assert render_documents(()) == ""
+
+    def test_a6_prompt_shows_each_hit_under_its_title(self, question, backend, index):
+        step = execute_action(A.A6, ActionContext(question), backend, index, CFG)[0].steps[-1]
+        assert step.retrieved and all(hit.title for hit in step.retrieved)
+        assert render_documents(step.retrieved) in step.prompt_rendered
 
 
 class TestRetrievalIsolation:

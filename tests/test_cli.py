@@ -17,7 +17,7 @@ from conftest import (
 )
 import rare
 from rare.cli import main
-from rare.types import ActionKind
+from rare.types import ActionKind, SearchConfig, config_to_record
 
 
 @pytest.fixture
@@ -52,7 +52,16 @@ class TestIndexCommands:
                  capsys.readouterr().out.strip().splitlines()]
         assert lines
         assert lines[0]["doc_id"] == "doc-beta"
-        assert all({"doc_id", "score", "snippet"} <= set(entry) for entry in lines)
+        assert all(set(entry) == {"doc_id", "score", "snippet"} for entry in lines)
+
+    @pytest.mark.parametrize("k1", ["nan", "inf"])
+    def test_build_with_a_non_finite_k1_exits_2(self, workspace, capsys, k1):
+        out = workspace["dir"] / "out.bin"
+        rc = main(["index", "build", "--corpus", str(workspace["corpus"]),
+                   "--out", str(out), "--k1", k1])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: k1 must be finite")
+        assert not out.exists()
 
     @pytest.mark.parametrize("which", ["empty", "corpus", "not_an_index"])
     def test_query_on_a_file_that_is_not_an_index_exits_2(self, workspace, capsys,
@@ -207,6 +216,26 @@ class TestEvalCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["avg_calls"] == 1.0
+
+    def test_flag_defaults_are_the_search_config_defaults(self, workspace, capsys):
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+        ])
+        assert rc == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert {k: v for k, v in config.items()
+                if k not in ("method", "selection_rule")} == config_to_record(SearchConfig())
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_exploration_c_exits_2(self, workspace, capsys, c):
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--exploration-c", c,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: exploration_c must be finite")
 
     def test_eval_prints_top_sequences_after_the_summary(self, workspace, capsys):
         rc = main([

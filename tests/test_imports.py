@@ -97,6 +97,35 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def action_prompt_spellings(tree: ast.Module):
+    """Lines that render an action template or spell out the action stop
+    sequence, both of which only ``rare.actions`` may do."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "render" and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and isinstance(node.args[0].value, ast.Name)
+                and node.args[0].value.id == "ActionKind"):
+            yield node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "### Instruction" in node.value):
+            yield node.lineno
+
+
+def test_action_requests_are_built_only_in_actions():
+    found = [f"{path.name}:{line}"
+             for path in PACKAGE if path.name != "actions.py"
+             for line in action_prompt_spellings(ast.parse(path.read_text("utf-8")))]
+    assert found == []
+
+
+def test_an_action_prompt_spelling_is_found():
+    tree = ast.parse("p = prompts.render(ActionKind.A2, question=q)\n"
+                     "s = ('### Instruction',)\nok = prompts.render(kind)\n"
+                     "f'{x}### Instruction'\n")
+    assert sorted(action_prompt_spellings(tree)) == [1, 2, 4]
+
+
 def test_every_definition_has_a_caller():
     referenced = set()
     for path in CALLERS:

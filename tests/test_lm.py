@@ -506,6 +506,16 @@ class TestHttpBackendFaults:
         with pytest.raises(MalformedReplyError):
             backend.complete(LmRequest("hello"))
 
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": -3, "completion_tokens": 2},
+        {"prompt_tokens": 3, "completion_tokens": -100},
+    ])
+    def test_negative_usage_is_malformed(self, usage):
+        backend, _ = fake_backend(lambda payload: reply_body("ok", usage))
+        with pytest.raises(MalformedReplyError, match="negative"):
+            backend.complete(LmRequest("hello"))
+        assert backend.snapshot_costs().total_completion_tokens == 0
+
     def test_bad_usage_costs_only_its_question(self):
         from conftest import make_eval_question
         from rare.harness import run_eval

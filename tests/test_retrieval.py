@@ -104,6 +104,9 @@ class TestBuildIndex:
             build_index(docs, k1=0.0)
         with pytest.raises(ValidationError):
             build_index(docs, b=1.5)
+        for k1 in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="k1 must be finite"):
+                build_index(docs, k1=k1)
 
     def test_vocabulary_matches_brute_force_tokenizer(self):
         docs = synthetic_corpus()
@@ -127,6 +130,12 @@ class TestSearch:
         hits = search(index, "zebra", 3)
         assert [h.doc_id for h in hits] == ["only"]
         assert hits[0].score > 0
+
+    def test_hits_carry_their_document_title(self):
+        index = build_index([Document("t", "Zebra facts", "zebra stripes"),
+                             Document("u", "", "zebra herds")])
+        assert {h.doc_id: h.title for h in search(index, "zebra", 5)} == {
+            "t": "Zebra facts", "u": ""}
 
     def test_matches_brute_force_oracle_on_fixture(self):
         docs = synthetic_corpus()

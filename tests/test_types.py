@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from rare.types import (
     Question,
     SearchConfig,
     derive_seed,
+    document_ref_to_record,
     question_from_record,
     validate_question,
 )
@@ -67,6 +70,11 @@ class TestActionStepInvariants:
             ActionStep(ActionKind.A1, "p", "out", retrieved=(ref,))
         step = ActionStep(ActionKind.A6, "p", "out", retrieved=(ref,))
         assert step.retrieved == (ref,)
+
+    def test_record_leaves_the_title_out(self):
+        ref = DocumentRef("d1", 1.0, "snippet", title="Title")
+        assert document_ref_to_record(ref) == {"doc_id": "d1", "score": 1.0,
+                                               "snippet": "snippet"}
 
     def test_sub_question_only_on_subquestion_actions(self):
         with pytest.raises(ValidationError):
@@ -164,6 +172,11 @@ class TestSearchConfig:
     def test_nonpositive_exploration_rejected(self):
         with pytest.raises(ValidationError):
             SearchConfig(exploration_c=0.0).validate()
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_exploration_rejected(self, c):
+        with pytest.raises(ValidationError, match="exploration_c"):
+            SearchConfig(exploration_c=c).validate()
 
     def test_derive_seed_depends_on_key_not_order(self):
         assert derive_seed(7, "q01") == derive_seed(7, "q01")
