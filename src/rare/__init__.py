@@ -2,7 +2,6 @@
 answer selection, plus an offline evaluation harness for multiple-choice QA."""
 
 from .actions import (
-    ActionContext,
     PromptLibrary,
     execute_action,
     extract_answer,

@@ -1,16 +1,17 @@
 """The seven reasoning actions: prompts, execution, and output parsing.
 
-``ACTION_SPECS`` holds one spec per action (template, prompt fields, parser,
-stop sequences, terminal rule). ``action_request`` turns any of them into
-the request that actions, consistency rewards and baselines send; A6 and A7
-first retrieve documents. ``_NEXT_ACTIONS`` is the transition table: the
-actions legal after each kind of last step (``None`` for the root), always
-intersected with the enabled-action set. A5's rephrased question is used
-from then on. A2 and A6 end a trajectory by construction; an A3 whose
-sub-question begins with the answer-now marker ends it too; any other step
-ends it when its output contains an extractable final answer. Once the
-sub-question chain reaches the configured cap, only A2 remains, which bounds
-trajectory depth.
+Every action acts at the end of a ``Trajectory`` and returns it extended by
+one step. ``ACTION_SPECS`` holds one spec per action (template, prompt
+fields, parser, stop sequences, terminal rule). ``action_request`` turns any
+of them into the request that actions, consistency rewards and baselines
+send; A6 and A7 first retrieve documents. ``_NEXT_ACTIONS`` is the
+transition table: the actions legal after each kind of last step (``None``
+for the root), always intersected with the enabled-action set. A5's
+rephrased question is used from then on. A2 and A6 end a trajectory by
+construction; an A3 whose sub-question begins with the answer-now marker
+ends it too; any other step ends it when its output contains an extractable
+final answer. Once the sub-question chain reaches the configured cap, only
+A2 remains, which bounds trajectory depth.
 """
 
 from __future__ import annotations
@@ -72,7 +73,10 @@ class PromptLibrary:
             file = base / f"{kind.value.lower()}.txt"
             if not file.is_file():
                 raise ValidationError(f"template file not found: {file}")
-            templates[kind] = file.read_text("utf-8")
+            try:
+                templates[kind] = file.read_text("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"template file {file} is not UTF-8: {exc}") from None
         return cls(templates)
 
     def render(self, kind: ActionKind, question: str = "", steps: str = "",
@@ -88,40 +92,6 @@ class PromptLibrary:
 @functools.cache
 def default_prompts() -> PromptLibrary:
     return PromptLibrary.from_dir()
-
-
-@dataclass(frozen=True)
-class ActionContext:
-    """Search state preceding the next action; ``answer`` is set once a step
-    has ended the trajectory with that final answer."""
-
-    question: Question
-    steps: tuple[ActionStep, ...] = ()
-    rephrased_stem: str | None = None
-    pending_sub_question: str | None = None
-    answer: str | None = None
-
-    def extend(self, step: ActionStep, answer: str | None = None) -> "ActionContext":
-        rephrased = step.output if step.kind == ActionKind.A5 else self.rephrased_stem
-        pending = None
-        if step.kind == ActionKind.A3 and answer is None:
-            pending = step.sub_question
-        return ActionContext(
-            question=self.question,
-            steps=self.steps + (step,),
-            rephrased_stem=rephrased,
-            pending_sub_question=pending,
-            answer=answer,
-        )
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(self.question.id, self.steps, final_answer=self.answer)
-
-    def subquestion_count(self) -> int:
-        return sum(1 for step in self.steps if step.kind == ActionKind.A3)
-
-    def question_text(self) -> str:
-        return self.question.render(self.rephrased_stem)
 
 
 def extract_answer(text: str, q: Question) -> str | None:
@@ -153,11 +123,11 @@ _NEXT_ACTIONS: dict[ActionKind | None, frozenset[ActionKind]] = {
 }
 
 
-def valid_actions(ctx: ActionContext, cfg: SearchConfig) -> frozenset[ActionKind]:
+def valid_actions(ctx: Trajectory, cfg: SearchConfig) -> frozenset[ActionKind]:
     """Subset of enabled actions legal at this context."""
-    if ctx.answer is not None:
+    if ctx.final_answer is not None:
         return frozenset()
-    if ctx.subquestion_count() >= cfg.max_subquestion_chain:
+    if sum(step.kind == ActionKind.A3 for step in ctx.steps) >= cfg.max_subquestion_chain:
         base = frozenset({ActionKind.A2})
     else:
         base = _NEXT_ACTIONS[ctx.steps[-1].kind if ctx.steps else None]
@@ -271,7 +241,7 @@ def merge_hits(hit_lists: list[list[DocumentRef]], cap: int) -> tuple[DocumentRe
 
 # --- execution ---------------------------------------------------------------
 
-def _cot_fields(ctx: ActionContext, documents: str) -> dict[str, str]:
+def _cot_fields(ctx: Trajectory, documents: str) -> dict[str, str]:
     return {"question": ctx.question_text(), "steps": render_cot_steps(ctx.steps)}
 
 
@@ -288,7 +258,7 @@ class ActionSpec:
     """
 
     template: ActionKind
-    fields: Callable[[ActionContext, str], dict[str, str]]
+    fields: Callable[[Trajectory, str], dict[str, str]]
     parse: Callable[[str], tuple[str | None, str] | None] = lambda c: (None, c.strip())
     stop: tuple[str, ...] = ("### Instruction",)
     ends: Literal["answer", "always", "marker"] = "answer"
@@ -325,7 +295,7 @@ ACTION_SPECS: dict[ActionKind, ActionSpec] = {
 }
 
 
-def action_request(kind: ActionKind, ctx: ActionContext, prompts: PromptLibrary | None,
+def action_request(kind: ActionKind, ctx: Trajectory, prompts: PromptLibrary | None,
                    purpose: str, n: int, documents: str = "") -> LmRequest:
     """The request for action ``kind`` at ``ctx``: its spec's template and
     fields rendered with ``documents``, and its spec's stop sequences."""
@@ -334,7 +304,7 @@ def action_request(kind: ActionKind, ctx: ActionContext, prompts: PromptLibrary 
     return request_for(purpose, prompt, n, stop_sequences=spec.stop)
 
 
-def _queries(kind: ActionKind, ctx: ActionContext, backend: LmBackend,
+def _queries(kind: ActionKind, ctx: Trajectory, backend: LmBackend,
              cfg: SearchConfig, prompts: PromptLibrary) -> list[str]:
     """Retrieval queries: A6 generates its own, A7 uses the pending sub-question."""
     if kind == ActionKind.A7:
@@ -350,19 +320,22 @@ def _queries(kind: ActionKind, ctx: ActionContext, backend: LmBackend,
 
 def execute_action(
     kind: ActionKind,
-    ctx: ActionContext,
+    ctx: Trajectory,
     backend: LmBackend,
     index: RetrievalIndex | None,
     cfg: SearchConfig,
     prompts: PromptLibrary | None = None,
     n_outcomes: int | None = None,
-) -> list[ActionContext]:
-    """Sample one action at one context and return the child contexts.
+    purpose: str = "action_gen",
+) -> list[Trajectory]:
+    """Sample one action at the end of ``ctx`` and return the child
+    trajectories.
 
     Returns up to ``n_outcomes`` (default ``cfg.children_per_action``)
     children, each ``ctx`` extended by one step and, when the step ends the
     trajectory, its answer; unparseable samples are discarded and an empty
-    harvest raises NoViableChildError. Backend failures propagate.
+    harvest raises NoViableChildError. Backend failures propagate. The
+    completions are requested under ``purpose``.
     """
     spec = ACTION_SPECS[kind]
     prompts = prompts or default_prompts()
@@ -379,7 +352,7 @@ def execute_action(
         queries = tuple(_queries(kind, ctx, backend, cfg, prompts))
         retrieved = merge_hits([search(index, query, cfg.retrieval_top_k)
                                 for query in queries], cfg.retrieval_top_k)
-    req = action_request(kind, ctx, prompts, "action_gen", n, render_documents(retrieved))
+    req = action_request(kind, ctx, prompts, purpose, n, render_documents(retrieved))
     resp = backend.complete(req)
 
     children = []

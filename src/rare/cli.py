@@ -130,8 +130,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg.validate()
     index = load_index(args.index) if args.index else None
 
+    # both output files are opened before the first question, so a bad path
+    # fails the run before any LM call instead of after all of them
     with contextlib.ExitStack() as stack:
         stack.enter_context(backend)
+        out = sys.stdout
+        if args.out:
+            out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
         if args.trajectories:
             sink = stack.enter_context(open(args.trajectories, "w", encoding="utf-8"))
         # each question's candidates are written as soon as its turn comes
@@ -141,16 +146,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             on_candidates=(lambda _, candidates: dump_trajectories(sink, candidates))
             if args.trajectories else None,
         )
-
-    record = report_to_record(report)
-    if preset:
-        record["config"]["ablation"] = preset
-    payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+        record = report_to_record(report)
+        if preset:
+            record["config"]["ablation"] = preset
+        out.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
     print(
         f"method={args.method} questions={len(report.records)} "

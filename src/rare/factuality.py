@@ -218,7 +218,7 @@ def factuality_record(traj: Trajectory) -> dict:
     if traj.factuality is None:
         raise ValidationError("trajectory carries no factuality report")
     return {
-        "question_id": traj.question_ref,
+        "question_id": traj.question.id,
         "trajectory_hash": traj.content_hash(),
         "statements": [
             {

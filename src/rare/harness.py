@@ -102,18 +102,18 @@ def load_dataset(path: str, strict: bool = True) -> list[Question]:
 
     questions: list[Question] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset: {exc}") from None
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line, object_pairs_hook=pairs_hook)
                 questions.append(question_from_record(record))
-            except (json.JSONDecodeError, ValidationError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
                 if strict:
                     raise DatasetError(str(exc), line_no=line_no) from None
                 logger.warning("skipping dataset line %d: %s", line_no, exc)

@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 PURPOSES = ("action_gen", "query_gen", "rating", "consistency")
 MATCH_KEYS = frozenset({"exact_hash", "substring"})
+MAX_TOKENS = 1024  # completion cap that HttpBackend sends with every request
 
 # The endpoint's temperature drives sampling diversity; rating is greedy.
 DEFAULT_TEMPERATURES = {
@@ -62,7 +63,6 @@ class LmRequest:
     prompt: str
     n_samples: int = 1
     temperature: float = 0.0
-    max_tokens: int = 1024
     stop_sequences: tuple[str, ...] = ()
     purpose_tag: str = "action_gen"
 
@@ -71,8 +71,6 @@ class LmRequest:
             raise ValidationError("invalid request: n_samples must be >= 1")
         if self.temperature < 0:
             raise ValidationError("invalid request: temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValidationError("invalid request: max_tokens must be >= 1")
         if self.purpose_tag not in PURPOSES:
             raise ValidationError(f"invalid request: unknown purpose {self.purpose_tag!r}")
 
@@ -280,14 +278,14 @@ def load_script(path: str) -> ScriptedBackend:
     ``purpose``, optional ``match`` ({"exact_hash": h} or {"substring": s-or-list}),
     and ``completions``."""
     entries: list[ScriptEntry] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ValidationError(f"script line {line_no}: {exc}") from None
             entries.append(script_entry_from_record(record, line_no))
     return ScriptedBackend(entries)
@@ -429,7 +427,7 @@ class HttpBackend(LmBackend):
             "messages": [{"role": "user", "content": req.prompt}],
             "n": n,
             "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         if req.stop_sequences:
             payload["stop"] = list(req.stop_sequences)
@@ -540,13 +538,12 @@ class ScopedBackend(LmBackend):
 
 
 def request_for(purpose: str, prompt: str, n_samples: int = 1,
-                stop_sequences: Sequence[str] = (), max_tokens: int = 1024) -> LmRequest:
+                stop_sequences: Sequence[str] = ()) -> LmRequest:
     """Build a request with the purpose's default temperature."""
     return LmRequest(
         prompt=prompt,
         n_samples=n_samples,
         temperature=DEFAULT_TEMPERATURES[purpose],
-        max_tokens=max_tokens,
         stop_sequences=tuple(stop_sequences),
         purpose_tag=purpose,
     )

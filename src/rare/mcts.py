@@ -5,12 +5,12 @@ expansion (one sampled child per legal action), simulation (uniform random
 actions to a terminal state or the depth cap), terminal-reward scoring by
 self-consistency voting, and additive backpropagation along the path.
 
-Candidates are every distinct terminal trajectory discovered, keyed by a hash
-of their step outputs; each carries its consistency reward when returned.
-A candidate is rewarded when it is first seen, and candidates that share a
-context share one ``consistency`` request: the answered children of an
-expansion are rewarded together, each voting on its own slice of the
-samples.
+Each node's ``ctx`` is the ``Trajectory`` from the root to it. Candidates are
+every distinct terminal trajectory discovered, keyed by a hash of their step
+outputs; each carries its consistency reward when returned. A candidate is
+rewarded when it is first seen, and candidates that share a context share one
+``consistency`` request: the answered children of an expansion are rewarded
+together, each voting on its own slice of the samples.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .actions import (
-    ActionContext,
     PromptLibrary,
     action_request,
     execute_action,
@@ -32,7 +31,7 @@ from .actions import (
 from .errors import NoCandidatesError, NoViableChildError, ValidationError
 from .lm import LmBackend
 from .retrieval import RetrievalIndex
-from .types import ActionKind, ActionStep, Question, SearchConfig, Trajectory, validate_question
+from .types import ActionKind, Question, SearchConfig, Trajectory, validate_question
 
 
 def uct_score(child_q: float, child_visits: int, parent_visits: int, c: float) -> float:
@@ -59,7 +58,7 @@ class TreeNode:
     reference goes, without waiting for the cyclic garbage collector."""
 
     node_id: int
-    ctx: ActionContext
+    ctx: Trajectory
     parent_ref: "weakref.ref[TreeNode] | None" = None
     q_value: float = 0.0
     visits: int = 0
@@ -72,7 +71,7 @@ class TreeNode:
         return self.parent_ref() if self.parent_ref is not None else None
 
     def is_terminal(self) -> bool:
-        return self.terminal_failed or self.ctx.answer is not None
+        return self.terminal_failed or self.ctx.final_answer is not None
 
     def path_from_root(self) -> list["TreeNode"]:
         path: list[TreeNode] = []
@@ -94,9 +93,9 @@ class SearchTree:
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
         self.nodes: list[TreeNode] = []
-        self.root = self.add_node(parent=None, ctx=ActionContext(question))
+        self.root = self.add_node(parent=None, ctx=Trajectory(question))
 
-    def add_node(self, parent: TreeNode | None, ctx: ActionContext) -> TreeNode:
+    def add_node(self, parent: TreeNode | None, ctx: Trajectory) -> TreeNode:
         node = TreeNode(node_id=len(self.nodes), ctx=ctx,
                         parent_ref=weakref.ref(parent) if parent is not None else None)
         self.nodes.append(node)
@@ -161,10 +160,10 @@ def simulate(tree: SearchTree, node: TreeNode, backend: LmBackend,
     cap. A dead end (no legal action, or no viable outcome) ends the rollout
     with no final answer, which scores reward 0; so does a terminal-failed
     ``node``, whose own steps are returned without any LM call."""
-    if node.terminal_failed:
-        return node.ctx.trajectory()
     ctx = node.ctx
-    while ctx.answer is None and len(ctx.steps) < tree.cfg.max_depth:
+    if node.terminal_failed:
+        return ctx
+    while ctx.final_answer is None and len(ctx.steps) < tree.cfg.max_depth:
         kinds = sorted(valid_actions(ctx, tree.cfg), key=lambda k: k.value)
         if not kinds:
             break
@@ -174,21 +173,14 @@ def simulate(tree: SearchTree, node: TreeNode, backend: LmBackend,
                                  prompts, n_outcomes=1)[0]
         except NoViableChildError:
             break
-    return ctx.trajectory()
-
-
-def context_from_steps(question: Question, steps: tuple[ActionStep, ...]) -> ActionContext:
-    """Rebuild the context preceding a step list (all steps non-terminal)."""
-    ctx = ActionContext(question)
-    for step in steps:
-        ctx = ctx.extend(step)
     return ctx
 
 
-def terminal_reward(trajs: Sequence[Trajectory], question: Question, backend: LmBackend,
+def terminal_reward(trajs: Sequence[Trajectory], backend: LmBackend,
                     cfg: SearchConfig, prompts: PromptLibrary | None = None) -> list[float]:
     """Self-consistency rewards of answered trajectories that share one
-    context: the same ``steps[:-1]``, hence the same A2 consistency prompt.
+    context: the same question and ``steps[:-1]``, hence the same A2
+    consistency prompt.
 
     One ``consistency`` request samples ``n = n_consistency_samples``
     answers per trajectory. Trajectory ``k`` gets the fraction of its n+1
@@ -199,13 +191,13 @@ def terminal_reward(trajs: Sequence[Trajectory], question: Question, backend: Lm
         raise ValidationError("terminal reward requires at least one trajectory")
     if any(traj.final_answer is None for traj in trajs):
         raise ValidationError("terminal reward requires a final answer")
-    context = trajs[0].steps[:-1]
-    if any(traj.steps[:-1] != context for traj in trajs):
+    context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
+    if any(Trajectory(traj.question, traj.steps[:-1]) != context for traj in trajs):
         raise ValidationError("terminal reward requires trajectories that share one context")
     n = cfg.n_consistency_samples
-    resp = backend.complete(action_request(ActionKind.A2, context_from_steps(question, context),
-                                           prompts, "consistency", n * len(trajs)))
-    answers = [extract_answer(completion, question) for completion in resp.completions]
+    resp = backend.complete(action_request(ActionKind.A2, context, prompts, "consistency",
+                                           n * len(trajs)))
+    answers = [extract_answer(text, context.question) for text in resp.completions]
     return [(1 + answers[k * n:(k + 1) * n].count(traj.final_answer)) / (n + 1)
             for k, traj in enumerate(trajs)]
 
@@ -244,7 +236,7 @@ def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | Non
                 if key not in candidates:
                     new.setdefault(key, traj)
         if new:
-            rewards = terminal_reward(list(new.values()), question, backend, cfg, prompts)
+            rewards = terminal_reward(list(new.values()), backend, cfg, prompts)
             for (key, traj), reward in zip(new.items(), rewards):
                 candidates[key] = replace(traj, terminal_reward=reward)
 
@@ -258,14 +250,14 @@ def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | Non
     for _ in range(cfg.rollouts):
         node = select(tree)
         if node.is_terminal():
-            backpropagate(tree, node, reward_of(node.ctx.trajectory()))
+            backpropagate(tree, node, reward_of(node.ctx))
             continue
 
         children = expand(tree, node, backend, index, prompts)
         if not children:
             backpropagate(tree, node, 0.0)
             continue
-        reward_new([child.ctx.trajectory() for child in children])
+        reward_new([child.ctx for child in children])
 
         start = tree.rng.choice(children)
         traj = simulate(tree, start, backend, index, prompts)

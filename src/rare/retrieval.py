@@ -211,14 +211,14 @@ def document_from_record(record: dict, line_no: int = 0) -> Document:
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus: {"id", "title", "text", "source"} per line."""
     docs: list[Document] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise CorpusError(f"corpus line {line_no}: {exc}") from None
             docs.append(document_from_record(record, line_no))
     return docs

@@ -8,8 +8,8 @@ and plain retrieval-augmented answering.
 
 from __future__ import annotations
 
-from .actions import (ActionContext, PromptLibrary, action_request, execute_action,
-                      extract_answer, render_documents)
+from .actions import (PromptLibrary, action_request, execute_action, extract_answer,
+                      render_documents)
 from .errors import AbstainError, NoViableChildError, ValidationError
 from .lm import LmBackend
 from .retrieval import RetrievalIndex, search
@@ -59,39 +59,25 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     """Single-pass baselines; returns the answered candidates, which the
     caller votes over with ``select_majority``.
 
-    cot: one A2 action at the root. sc: ``n_consistency_samples``
-    completions of A2's request at the root. rag: one retrieval round on the
-    question stem, then one completion of A6's request with those documents.
+    cot: one A2 action at the root. sc: the same action with
+    ``n_consistency_samples`` outcomes, requested as ``consistency``. rag:
+    one retrieval round on the question stem, then one completion of A6's
+    request with those documents.
     A run with no parseable answer raises AbstainError and is recorded as
     incorrect by the harness.
     """
     if method not in BASELINE_METHODS:
         raise ValidationError(f"not a baseline method: {method!r}")
-    root = ActionContext(q)
+    root = Trajectory(q)
 
-    if method == "cot":
+    if method != "rag":
         try:
-            ctx = execute_action(ActionKind.A2, root, backend, index, cfg,
-                                 prompts, n_outcomes=1)[0]
+            return execute_action(
+                ActionKind.A2, root, backend, index, cfg, prompts,
+                n_outcomes=1 if method == "cot" else cfg.n_consistency_samples,
+                purpose="action_gen" if method == "cot" else "consistency")
         except NoViableChildError:
-            raise AbstainError(f"cot produced no parseable answer for {q.id!r}") from None
-        return [ctx.trajectory()]
-
-    if method == "sc":
-        req = action_request(ActionKind.A2, root, prompts, "consistency",
-                             cfg.n_consistency_samples)
-        resp = backend.complete(req)
-        candidates = []
-        for completion in resp.completions:
-            text = completion.strip()
-            answer = extract_answer(text, q)
-            if answer is None:
-                continue
-            step = ActionStep(ActionKind.A2, req.prompt, text)
-            candidates.append(root.extend(step, answer).trajectory())
-        if not candidates:
-            raise AbstainError(f"sc produced no parseable answer for {q.id!r}")
-        return candidates
+            raise AbstainError(f"{method} produced no parseable answer for {q.id!r}") from None
 
     # rag
     if index is None:
@@ -105,4 +91,4 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     if answer is None:
         raise AbstainError(f"rag produced no parseable answer for {q.id!r}")
     step = ActionStep(ActionKind.A7, req.prompt, text, retrieved=hits, queries=(q.stem,))
-    return [root.extend(step, answer).trajectory()]
+    return [root.extend(step, answer)]

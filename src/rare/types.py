@@ -142,13 +142,32 @@ class ActionStep:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A root-to-leaf reasoning path for one question."""
+    """A reasoning path for one question: the search state before the next
+    action and, once a step has ended it with ``final_answer``, a candidate.
+    What the next prompt needs (``pending_sub_question``, ``question_text``)
+    is derived from the steps."""
 
-    question_ref: str
-    steps: tuple[ActionStep, ...]
+    question: Question
+    steps: tuple[ActionStep, ...] = ()
     final_answer: str | None = None
     terminal_reward: float = 0.0
     factuality: "FactualityReport | None" = None
+
+    def extend(self, step: ActionStep, answer: str | None = None) -> "Trajectory":
+        """This path plus ``step``; ``answer`` is set when the step ends it."""
+        return Trajectory(self.question, self.steps + (step,), answer)
+
+    @property
+    def pending_sub_question(self) -> str | None:
+        """The sub-question of an unanswered A3 last step, which A4 and A7 act on."""
+        if self.final_answer is None and self.steps and self.steps[-1].kind == ActionKind.A3:
+            return self.steps[-1].sub_question
+        return None
+
+    def question_text(self) -> str:
+        """The question as prompts show it, rephrased by the latest A5 step."""
+        return self.question.render(next(
+            (step.output for step in reversed(self.steps) if step.kind == ActionKind.A5), None))
 
     def action_sequence(self) -> tuple[ActionKind, ...]:
         return tuple(step.kind for step in self.steps)
@@ -310,7 +329,7 @@ def action_step_to_record(step: ActionStep) -> dict[str, Any]:
 
 def trajectory_to_record(traj: Trajectory) -> dict[str, Any]:
     return {
-        "question_id": traj.question_ref,
+        "question_id": traj.question.id,
         "actions": [k.value for k in traj.action_sequence()],
         "steps": [action_step_to_record(s) for s in traj.steps],
         "final_answer": traj.final_answer,

@@ -216,7 +216,7 @@ def make_reasoning_trajectory(question: Question, text: str, answer: str):
     from rare.types import ActionKind, ActionStep, Trajectory
 
     step = ActionStep(ActionKind.A2, "(fixture prompt)", text)
-    return Trajectory(question.id, (step,), final_answer=answer)
+    return Trajectory(question, (step,), final_answer=answer)
 
 
 def build_eval_fixture(n_questions: int, n_correct: int,

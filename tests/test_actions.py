@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     RecordingBackend,
@@ -8,7 +9,6 @@ from conftest import (
     tree_entries_for,
 )
 from rare.actions import (
-    ActionContext,
     ACTION_SPECS,
     PromptLibrary,
     action_request,
@@ -24,7 +24,8 @@ from rare.actions import (
 from rare.errors import NoViableChildError, ValidationError
 from rare.lm import ScriptEntry, ScriptedBackend
 from rare.retrieval import build_index
-from rare.types import ActionKind, ActionStep, DocumentRef, Question, SearchConfig
+from rare.types import (SUBQUESTION_ACTIONS, ActionKind, ActionStep, DocumentRef, Question,
+                        SearchConfig, Trajectory)
 
 A = ActionKind
 
@@ -49,7 +50,7 @@ CFG = SearchConfig()
 
 def ctx_after(question, *steps):
     """Context after each ``(step, answer)`` pair in turn."""
-    ctx = ActionContext(question)
+    ctx = Trajectory(question)
     for step, answer in steps:
         ctx = ctx.extend(step, answer)
     return ctx
@@ -87,7 +88,7 @@ class TestExtractAnswer:
 
 class TestValidActions:
     def test_root_with_all_enabled(self, question):
-        ctx = ActionContext(question)
+        ctx = Trajectory(question)
         assert valid_actions(ctx, CFG) == frozenset({A.A1, A.A2, A.A3, A.A5, A.A6})
 
     def test_after_nonterminal_a3(self, question):
@@ -99,7 +100,7 @@ class TestValidActions:
     def test_disabled_actions_never_appear(self, question):
         cfg = SearchConfig(enabled_actions=frozenset(
             {A.A1, A.A2, A.A3, A.A4, A.A5}))
-        ctx_root = ActionContext(question)
+        ctx_root = Trajectory(question)
         ctx_a3 = ctx_after(question, nonterminal(A.A3, "s", "W?"))
         assert A.A6 not in valid_actions(ctx_root, cfg)
         assert A.A7 not in valid_actions(ctx_a3, cfg)
@@ -128,7 +129,7 @@ class TestValidActions:
     def test_closure_under_extension(self, question, backend, index):
         # whatever outcome is appended, the next legal set stays within the
         # enabled set
-        ctx = ActionContext(question)
+        ctx = Trajectory(question)
         for _ in range(4):
             kinds = valid_actions(ctx, CFG)
             assert kinds <= CFG.enabled_actions
@@ -178,49 +179,78 @@ class TestParsers:
         assert parse_queries("Document 1.1: not a query", 3) == []
 
 
+class TestDerivedState:
+    """``pending_sub_question`` and ``question_text()`` are derived from the
+    steps; they must match a step-by-step replay in which an A5 step sets the
+    rephrasing and each step sets the pending sub-question to its own when it
+    is an unanswered A3 step, and clears it otherwise."""
+
+    @given(st.data())
+    def test_matches_a_replay_of_step_bookkeeping(self, data):
+        question = make_eval_question("q01", "B")
+        traj, rephrased, pending = Trajectory(question), None, None
+        texts = st.text(alphabet="ab ?", max_size=6)
+        for _ in range(data.draw(st.integers(0, 10))):
+            kinds = valid_actions(traj, CFG)
+            if not kinds:
+                break
+            kind = data.draw(st.sampled_from(sorted(kinds, key=lambda k: k.value)))
+            # A4 and A7 act on the pending sub-question; A3 asks a new one
+            sub_question = data.draw(texts) if kind == A.A3 else (
+                pending if kind in SUBQUESTION_ACTIONS else None)
+            answer = data.draw(st.sampled_from(question.labels)
+                               if kind in (A.A2, A.A6) else st.none() | st.just("A"))
+            step = ActionStep(kind, "p", data.draw(texts), sub_question=sub_question)
+            traj = traj.extend(step, answer)
+            if kind == A.A5:
+                rephrased = step.output
+            pending = sub_question if kind == A.A3 and answer is None else None
+            assert traj.pending_sub_question == pending
+            assert traj.question_text() == question.render(rephrased)
+
+
 class TestExecuteActions:
     def test_a6_parses_queries_and_retrieves(self, question, backend, index):
-        children = execute_action(A.A6, ActionContext(question), backend, index, CFG)
+        children = execute_action(A.A6, Trajectory(question), backend, index, CFG)
         step = children[0].steps[-1]
         assert len(step.queries) == 3
         assert step.retrieved
-        assert children[0].answer == "B"
+        assert children[0].final_answer == "B"
 
     def test_a3_marker_terminal(self, question, backend, index):
-        ctx = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
-        assert ctx.answer is None
+        ctx = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
+        assert ctx.final_answer is None
         assert ctx.pending_sub_question == ctx.steps[-1].sub_question
         second = execute_action(A.A3, ctx, backend, index, CFG)[0]
         assert second.steps[-1].sub_question.startswith("Now we can answer the question")
-        assert second.answer == "B"
+        assert second.final_answer == "B"
 
     def test_a2_extracts_answer(self, question, backend, index):
-        child = execute_action(A.A2, ActionContext(question), backend, index, CFG)[0]
-        assert child.answer == "B"
+        child = execute_action(A.A2, Trajectory(question), backend, index, CFG)[0]
+        assert child.final_answer == "B"
         assert "the answer is B" in child.steps[-1].output
 
     def test_a1_produces_nonterminal_step(self, question, backend, index):
-        child = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
-        assert child.answer is None
+        child = execute_action(A.A1, Trajectory(question), backend, index, CFG)[0]
+        assert child.final_answer is None
         assert child.steps[-1].output.startswith("Step 1:")
 
     def test_a5_sets_rephrased_stem_for_descendants(self, question, backend, index):
-        ctx = execute_action(A.A5, ActionContext(question), backend, index, CFG)[0]
+        ctx = execute_action(A.A5, Trajectory(question), backend, index, CFG)[0]
         output = ctx.steps[-1].output
-        assert ctx.rephrased_stem == output
-        assert ctx.question_text() == output
+        assert ctx.question_text() == output != question.render()
         # descendants keep it
         later = ctx.extend(*nonterminal(A.A1))
-        assert later.rephrased_stem == output
+        assert later.question_text() == output
 
     def test_a4_reanswers_pending_subquestion(self, question, backend, index):
-        ctx = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
+        ctx = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
         step = execute_action(A.A4, ctx, backend, index, CFG)[0].steps[-1]
         assert step.sub_question == ctx.steps[-1].sub_question
         assert step.kind == A.A4
 
     def test_a7_retrieves_for_subquestion(self, question, backend, index):
-        ctx = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
+        ctx = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
         sub_question = ctx.steps[-1].sub_question
         step = execute_action(A.A7, ctx, backend, index, CFG)[0].steps[-1]
         assert step.retrieved
@@ -229,26 +259,26 @@ class TestExecuteActions:
 
     def test_a7_without_pending_subquestion_rejected(self, question, backend, index):
         with pytest.raises(ValidationError):
-            execute_action(A.A7, ActionContext(question), backend, index, CFG)
+            execute_action(A.A7, Trajectory(question), backend, index, CFG)
 
     def test_unparseable_a2_discarded_raises_no_viable_child(self, question, index):
         backend = ScriptedBackend([
             ScriptEntry("action_gen", ("rambling without a verdict",)),
         ])
         with pytest.raises(NoViableChildError):
-            execute_action(A.A2, ActionContext(question), backend, index, CFG)
+            execute_action(A.A2, Trajectory(question), backend, index, CFG)
 
     def test_terminal_soundness_on_executed_steps(self, question, backend, index):
         for kind in (A.A1, A.A2, A.A5, A.A6):
-            child = execute_action(kind, ActionContext(question), backend,
+            child = execute_action(kind, Trajectory(question), backend,
                                    index, CFG)[0]
-            assert (child.answer is not None) == (
+            assert (child.final_answer is not None) == (
                 extract_answer(child.steps[-1].output, question) is not None)
 
 
 class TestActionRequest:
     def test_a6_request_renders_the_a7_template_with_the_spec_stop(self, question):
-        req = action_request(A.A6, ActionContext(question), None, "action_gen", 2, "DOCS")
+        req = action_request(A.A6, Trajectory(question), None, "action_gen", 2, "DOCS")
         assert req.prompt == default_prompts().render(
             A.A7, sub_question=question.render(), documents="DOCS")
         assert req.stop_sequences == ACTION_SPECS[A.A6].stop == ("### Instruction",)
@@ -270,7 +300,7 @@ class TestRenderDocuments:
         assert render_documents(()) == ""
 
     def test_a6_prompt_shows_each_hit_under_its_title(self, question, backend, index):
-        step = execute_action(A.A6, ActionContext(question), backend, index, CFG)[0].steps[-1]
+        step = execute_action(A.A6, Trajectory(question), backend, index, CFG)[0].steps[-1]
         assert step.retrieved and all(hit.title for hit in step.retrieved)
         assert render_documents(step.retrieved) in step.prompt_rendered
 
@@ -280,7 +310,7 @@ class TestRetrievalIsolation:
         cfg = SearchConfig(enabled_actions=frozenset(
             {A.A1, A.A2, A.A3, A.A4, A.A5}))
         backend = ScriptedBackend(tree_entries_for(question, "B"))
-        ctx = ActionContext(question)
+        ctx = Trajectory(question)
         seen_kinds = set()
         for _ in range(5):
             kinds = valid_actions(ctx, cfg)
@@ -305,13 +335,13 @@ class TestPromptFidelity:
                                                          index):
         backend = RecordingBackend(backend)
         prompts = default_prompts()
-        child_a1 = execute_action(A.A1, ActionContext(question), backend, index, CFG)[0]
+        child_a1 = execute_action(A.A1, Trajectory(question), backend, index, CFG)[0]
         assert scaffold(prompts, A.A1) in child_a1.steps[-1].prompt_rendered
-        child_a3 = execute_action(A.A3, ActionContext(question), backend, index, CFG)[0]
+        child_a3 = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
         assert scaffold(prompts, A.A3) in child_a3.steps[-1].prompt_rendered
         # A6 sends two prompts: query generation (a6 scaffold) then answering
         # via the retrieval-answer template (a7 scaffold)
-        execute_action(A.A6, ActionContext(question), backend, index, CFG)
+        execute_action(A.A6, Trajectory(question), backend, index, CFG)
         log = backend.call_log()
         query_calls = [r for r in log if r.purpose == "query_gen"]
         assert any(scaffold(prompts, A.A6) in r.prompt for r in query_calls)

@@ -87,6 +87,14 @@ class TestIndexCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: corpus line 2:")
 
+    def test_build_on_a_corpus_line_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b'{"id": "a", "text": "body"}\n{"id": "b", "text": "\xff"}\n')
+        rc = main(["index", "build", "--corpus", str(corpus),
+                   "--out", str(tmp_path / "out.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: corpus line 2:")
+
     def test_build_missing_corpus_exits_2(self, tmp_path):
         rc = main(["index", "build", "--corpus", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "out.bin")])
@@ -174,7 +182,7 @@ class TestEvalCommand:
         select_majority = harness.select_majority
 
         def fails_on_first(candidates):
-            if candidates[0].question_ref == questions[0]:
+            if candidates[0].question.id == questions[0]:
                 raise KeyError("stray")
             return select_majority(candidates)
 
@@ -292,6 +300,35 @@ class TestEvalCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_template_that_is_not_utf8_exits_2(self, workspace, capsys):
+        templates = workspace["dir"] / "templates"
+        templates.mkdir()
+        for kind in ActionKind:
+            (templates / f"{kind.value.lower()}.txt").write_text(
+                "scaffold {question}", encoding="utf-8")
+        (templates / "a2.txt").write_bytes(b"scaffold \xff {question}")
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", "cot", "--templates", str(templates),
+            "--backend", "script", "--script", str(workspace["script"]),
+        ])
+        assert rc == 2
+        assert "a2.txt is not UTF-8" in capsys.readouterr().err
+
+    def test_out_in_a_missing_directory_exits_2_before_the_first_question(
+            self, workspace, monkeypatch):
+        from rare import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_eval", lambda *a, **k: calls.append(a))
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", str(workspace["dir"] / "missing" / "report.json"),
+        ])
+        assert rc == 2
+        assert calls == []
+
     def test_zero_workers_exits_2(self, workspace, capsys):
         rc = main([
             "eval", "--dataset", str(workspace["dataset"]),
@@ -319,6 +356,18 @@ class TestEvalCommand:
         ])
         assert rc == 2
         assert "error: script line 1" in capsys.readouterr().err
+
+    def test_script_line_that_is_not_utf8_exits_2(self, workspace, capsys):
+        script = workspace["dir"] / "bad_script.jsonl"
+        script.write_bytes(workspace["script"].read_bytes() + b'{"purpose": "\xff"}\n')
+        lines = len(workspace["script"].read_bytes().splitlines())
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", "cot",
+            "--backend", "script", "--script", str(script),
+        ])
+        assert rc == 2
+        assert f"error: script line {lines + 1}:" in capsys.readouterr().err
 
     def test_script_backend_requires_script_path(self, workspace):
         rc = main([
@@ -350,11 +399,14 @@ class TestEvalCommand:
         report = json.loads((workspace["dir"] / "lenient.json").read_text())
         assert report["num_questions"] == 1
 
-    @pytest.mark.parametrize("line", ["7", '["id", "question"]'])
+    # "\udcff" is written as the byte 0xff, which is not UTF-8
+    @pytest.mark.parametrize("line", ["7", '["id", "question"]',
+                                      pytest.param('{"id": "\udcff"}', id="not_utf8")])
     def test_non_object_dataset_line_fails_or_is_skipped(self, workspace, capsys, line):
         bad = workspace["dir"] / "bad.jsonl"
         good_line = workspace["dataset"].read_text().splitlines()[0]
-        bad.write_text(good_line + "\n" + line + "\n", encoding="utf-8")
+        bad.write_text(good_line + "\n" + line + "\n", encoding="utf-8",
+                       errors="surrogateescape")
         args = [
             "eval", "--dataset", str(bad), "--method", "cot",
             "--backend", "script", "--script", str(workspace["script"]),

@@ -9,6 +9,7 @@ from conftest import (
     REASONING_SCORE_10,
     RecordingBackend,
     fixture_corpus,
+    make_eval_question,
     make_reasoning_trajectory,
     rafs_rating_entries,
 )
@@ -85,7 +86,7 @@ class TestSplitStatements:
 
     def test_empty_trajectory_rejected(self, question):
         with pytest.raises(ValidationError):
-            split_statements(Trajectory(question.id, ()))
+            split_statements(Trajectory(question, ()))
 
     def test_multi_step_outputs_concatenated(self, question):
         steps = (
@@ -93,7 +94,7 @@ class TestSplitStatements:
                        sub_question="What causes it?"),
             ActionStep(ActionKind.A2, "p", "The answer is B: Ketotifen eye drops."),
         )
-        traj = Trajectory(question.id, steps, final_answer="B")
+        traj = Trajectory(question, steps, final_answer="B")
         assert split_statements(traj) == [
             "The cause is pollen.", "The answer is B: Ketotifen eye drops."]
 
@@ -253,7 +254,7 @@ def sharing_candidates(question):
         ActionStep(ActionKind.A3, "p", prefix, sub_question="What fits best?"),
         ActionStep(ActionKind.A2, "p", SHARED_TAIL),
     )
-    return [first, Trajectory(question.id, steps, final_answer="B")]
+    return [first, Trajectory(question, steps, final_answer="B")]
 
 
 class TestSharedStatements:
@@ -327,7 +328,8 @@ def claims_candidate(claim_ids, n_steps=1, reward=0.0) -> Trajectory:
     the earlier steps are empty, so they add steps but no sentences."""
     outputs = [""] * (n_steps - 1) + [" ".join(CLAIMS[i] for i in claim_ids)]
     steps = tuple(ActionStep(ActionKind.A1, "p", out) for out in outputs)
-    return Trajectory("q", steps, final_answer="A", terminal_reward=reward)
+    return Trajectory(make_eval_question("q", "A"), steps, final_answer="A",
+                      terminal_reward=reward)
 
 
 def score_in_full(candidates, backend, index, cfg=CFG):

@@ -159,7 +159,7 @@ class TestRunEval:
         select_majority = harness.select_majority
 
         def fails_on_second(candidates):
-            if candidates[0].question_ref == questions[1].id:
+            if candidates[0].question.id == questions[1].id:
                 raise KeyError("stray")
             return select_majority(candidates)
 

@@ -340,6 +340,7 @@ class TestHttpBackend:
         assert sent["model"] == "m"
         assert sent["n"] == 2
         assert sent["messages"] == [{"role": "user", "content": "hello"}]
+        assert sent["max_tokens"] == 1024
 
     def test_malformed_body_raises(self, chat_server):
         url, handler = chat_server

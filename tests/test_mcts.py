@@ -225,7 +225,7 @@ class TestSimulate:
 class TestTerminalReward:
     def make_traj(self, question, answer="B", text="beta therapy", context=()):
         step = ActionStep(A.A2, "p", f"The answer is {answer}: {text}.")
-        return Trajectory(question.id, context + (step,), final_answer=answer)
+        return Trajectory(question, context + (step,), final_answer=answer)
 
     def consistency_backend(self, question, completions):
         return ScriptedBackend([ScriptEntry("consistency", tuple(completions))])
@@ -234,7 +234,7 @@ class TestTerminalReward:
         backend = self.consistency_backend(
             question, ["The answer is B: beta therapy."] * 3)
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward([self.make_traj(question)], question, backend, cfg) == [1.0]
+        assert terminal_reward([self.make_traj(question)], backend, cfg) == [1.0]
 
     def test_vote_counting(self, question):
         backend = self.consistency_backend(question, [
@@ -243,12 +243,12 @@ class TestTerminalReward:
             "The answer is B: beta therapy.",
         ])
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward([self.make_traj(question)], question, backend, cfg) == [0.75]
+        assert terminal_reward([self.make_traj(question)], backend, cfg) == [0.75]
 
     def test_unparseable_samples_leave_own_vote_only(self, question):
         backend = self.consistency_backend(question, ["mumble", "''", "no label"])
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward([self.make_traj(question)], question, backend, cfg) == [0.25]
+        assert terminal_reward([self.make_traj(question)], backend, cfg) == [0.25]
 
     def test_each_trajectory_votes_on_its_own_slice_in_order(self, question):
         # nine distinct samples: A's slice agrees 3 times, B's twice, C's once
@@ -259,30 +259,30 @@ class TestTerminalReward:
                  for label, text in (("A", "alpha therapy"), ("B", "beta therapy"),
                                      ("C", "gamma therapy"))]
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward(trajs, question, recording, cfg) == [1.0, 0.75, 0.5]
+        assert terminal_reward(trajs, recording, cfg) == [1.0, 0.75, 0.5]
         assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
             ("consistency", 9)]
 
     def test_requires_final_answer(self, question):
-        traj = Trajectory(question.id, (ActionStep(A.A1, "p", "thought"),))
+        traj = Trajectory(question, (ActionStep(A.A1, "p", "thought"),))
         backend = self.consistency_backend(question, ["x"])
         with pytest.raises(ValidationError):
-            terminal_reward([traj], question, backend, SearchConfig())
+            terminal_reward([traj], backend, SearchConfig())
         with pytest.raises(ValidationError, match="final answer"):
-            terminal_reward([self.make_traj(question), traj], question, backend,
+            terminal_reward([self.make_traj(question), traj], backend,
                             SearchConfig())
 
     def test_requires_at_least_one_trajectory(self, question):
         backend = self.consistency_backend(question, ["x"])
         with pytest.raises(ValidationError, match="at least one"):
-            terminal_reward([], question, backend, SearchConfig())
+            terminal_reward([], backend, SearchConfig())
 
     def test_requires_one_shared_context(self, question):
         backend = self.consistency_backend(question, ["x"])
         other = (ActionStep(A.A1, "p", "Step 1: a thought."),)
         trajs = [self.make_traj(question), self.make_traj(question, context=other)]
         with pytest.raises(ValidationError, match="share one context"):
-            terminal_reward(trajs, question, backend, SearchConfig())
+            terminal_reward(trajs, backend, SearchConfig())
 
 
 class TestBackpropagate:

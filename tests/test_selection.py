@@ -23,7 +23,7 @@ def traj_with_scores(answer, factuality=None, reward=0.0, n_steps=1, tag="x"):
     report = None
     if factuality is not None:
         report = FactualityReport((), 0, 0, factuality)
-    return Trajectory("q", steps, final_answer=answer,
+    return Trajectory(make_eval_question("q", "B"), steps, final_answer=answer,
                       terminal_reward=reward, factuality=report)
 
 
