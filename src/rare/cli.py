@@ -7,6 +7,7 @@ import contextlib
 import json
 import os
 import sys
+import tempfile
 
 from .actions import PromptLibrary
 from .errors import RareError
@@ -107,6 +108,29 @@ def _make_backend(args: argparse.Namespace):
     return HttpBackend.from_env(env)
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file that replaces ``path`` when the block ends without an
+    exception. It is created beside ``path`` at once, so a bad directory
+    fails the run before any LM call, and a run that is refused or crashes
+    leaves an earlier file at ``path`` as it was."""
+    if os.path.isdir(path):  # else the rename would fail only after the run
+        raise IsADirectoryError(f"is a directory: {path!r}")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives a new file
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.ablation and args.method in BASELINE_METHODS:
         raise RareError(f"--ablation applies to rstar and rare only, not {args.method!r}")
@@ -130,15 +154,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg.validate()
     index = load_index(args.index) if args.index else None
 
-    # both output files are opened before the first question, so a bad path
-    # fails the run before any LM call instead of after all of them
     with contextlib.ExitStack() as stack:
         stack.enter_context(backend)
         out = sys.stdout
         if args.out:
-            out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+            out = stack.enter_context(_replacing(args.out))
         if args.trajectories:
-            sink = stack.enter_context(open(args.trajectories, "w", encoding="utf-8"))
+            sink = stack.enter_context(_replacing(args.trajectories))
         # each question's candidates are written as soon as its turn comes
         report = run_eval(
             questions, args.method, backend, index, cfg,

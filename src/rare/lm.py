@@ -22,6 +22,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -39,6 +40,10 @@ if TYPE_CHECKING:
 PURPOSES = ("action_gen", "query_gen", "rating", "consistency")
 MATCH_KEYS = frozenset({"exact_hash", "substring"})
 MAX_TOKENS = 1024  # completion cap that HttpBackend sends with every request
+# Lines each ScriptedBackend memo keeps. A 40-question rare pass of the
+# benchmark's tree-cpu workload reads 581 distinct lines; a full memo is
+# emptied and refills from the lines that follow.
+LINE_MEMO_SIZE = 2048
 
 # The endpoint's temperature drives sampling diversity; rating is greedy.
 DEFAULT_TEMPERATURES = {
@@ -153,17 +158,56 @@ class ScriptEntry:
     substrings: tuple[str, ...] = ()
 
 
+class _LineMemo(dict):
+    """``memo[line]`` is ``compute(line)``, kept for up to ``LINE_MEMO_SIZE``
+    lines. ``compute`` must not refer to the memo's owner, or the two form a
+    reference cycle. Workers share a memo without a lock: a store is one dict
+    operation of a value that depends only on the line, so racing stores
+    agree, and a store lost to an emptying costs only a recomputation."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, line: str):
+        value = self.compute(line)
+        if len(self) >= LINE_MEMO_SIZE:
+            self.clear()
+        self[line] = value
+        return value
+
+
+def _scan_line(groups, substrings, line: str) -> tuple[str, ...]:
+    """The ``substrings`` that occur in ``line``. Every occurrence of ``s``
+    begins with ``s[:3]``, so scanning for each prefix of ``groups`` visits
+    them all."""
+    found: set[str] = set()
+    for prefix, lengths in groups:
+        i = line.find(prefix)
+        while i >= 0:
+            for n in lengths:
+                s = line[i:i + n]
+                if s in substrings:
+                    found.add(s)
+            i = line.find(prefix, i + 1)
+    return tuple(found)
+
+
 class _PurposeIndex:
     """One purpose's entries, indexed for presence-first dispatch.
 
-    Every distinct non-empty substring is filed under its first three
-    characters and its length. Each entry is filed under one key: its
-    ``exact_hash`` if it has one, else its substring that is rarest in the
-    bucket, else it is a candidate for every prompt. A request first finds
-    which substrings occur in the prompt (every occurrence of ``s`` begins
-    with ``s[:3]``, so scanning the prompt for each prefix visits them all),
-    then checks only the entries keyed by those substrings or by the
-    prompt's hash, in script order."""
+    Every distinct non-empty substring without a line break is filed under
+    its first three characters and its length. Each entry is filed under one
+    key: its ``exact_hash`` if it has one, else its substring that is rarest
+    in the bucket, else it is a candidate for every prompt. A request first
+    finds which substrings occur in the prompt, then checks only the entries
+    keyed by those substrings or by the prompt's hash, in script order.
+
+    A substring without a line break lies inside one line of the prompt, so
+    the prompt holds it exactly when one of its lines does. Each line is
+    scanned once and its substrings are memoized (``seen``); a prompt's are
+    the union over its lines. Substrings with a line break are tested on the
+    whole prompt."""
 
     def __init__(self, entries: Sequence[ScriptEntry]):
         self.entries = entries
@@ -171,11 +215,14 @@ class _PurposeIndex:
         self.needs = needs = [tuple(s for s in e.substrings if s) if "" in e.substrings
                               else e.substrings for e in entries]
         # substring -> how many times the entries hold it
-        self.substrings = holders = Counter(chain.from_iterable(needs))
+        holders = Counter(chain.from_iterable(needs))
+        self.spanning = tuple(s for s in holders if "\n" in s)
         groups: dict[str, dict[int, None]] = {}
         for s in holders:
-            groups.setdefault(s[:3], {})[len(s)] = None
-        self.groups = tuple((prefix, tuple(lengths)) for prefix, lengths in groups.items())
+            if "\n" not in s:
+                groups.setdefault(s[:3], {})[len(s)] = None
+        groups = tuple((prefix, tuple(lengths)) for prefix, lengths in groups.items())
+        self.seen = _LineMemo(partial(_scan_line, groups, holders))
         # Script positions, in script order.
         self.always: list[int] = []
         self.by_hash: dict[str, list[int]] = {}
@@ -194,18 +241,13 @@ class _PurposeIndex:
                     rarest = last if holders[last] < holders[first] else first
                 self.by_substring.setdefault(rarest, []).append(pos)
 
-    def match(self, prompt: str) -> ScriptEntry | None:
-        """The first matching entry in script order, or None."""
-        substrings = self.substrings
-        present: set[str] = set()
-        for prefix, lengths in self.groups:
-            i = prompt.find(prefix)
-            while i >= 0:
-                for n in lengths:
-                    s = prompt[i:i + n]
-                    if s in substrings:
-                        present.add(s)
-                i = prompt.find(prefix, i + 1)
+    def match(self, prompt: str, lines: list[str]) -> ScriptEntry | None:
+        """The first matching entry in script order, or None. ``lines`` is
+        ``prompt.split("\\n")``."""
+        # not set().union(*map(...)): CPython grows that argument tuple by
+        # resizing, which fills its tuple free lists (+3 MB peak RSS, tree-cpu)
+        present = set(chain.from_iterable(map(self.seen.__getitem__, lines)))
+        present.update(s for s in self.spanning if s in prompt)
         candidates = [self.always]
         candidates.extend(self.by_substring.get(s, ()) for s in present)
         if self.by_hash:
@@ -228,9 +270,17 @@ class ScriptedBackend(LmBackend):
     Dispatch picks the first matching entry in script order, as described on
     ``ScriptEntry``. The entries are indexed by purpose once, at
     construction (``_PurposeIndex``). A request first finds which of its
-    purpose's substrings occur in the prompt, in one scan per distinct
-    three-character prefix, and then checks only the entries keyed by those
-    substrings (or by the prompt's hash), still first match in script order.
+    purpose's substrings occur in the prompt, and then checks only the
+    entries keyed by those substrings (or by the prompt's hash), still first
+    match in script order.
+
+    Prompts are rendered from a few templates, so most of their lines repeat
+    earlier prompts. Each prompt is split once on ``"\\n"``; the substrings
+    a line holds (per purpose) and its whitespace-token count are memoized
+    per line, and the prompt's are the union and the sum over its lines.
+    Both are exact: ``str.split()`` treats ``"\\n"`` as whitespace, so no
+    token spans two lines. The token memo also counts completions, which
+    are the entries' own strings.
 
     With temperature 0 every sample equals the entry's first completion;
     otherwise samples cycle through the entry's completion list across the
@@ -245,13 +295,15 @@ class ScriptedBackend(LmBackend):
         buckets: dict[str, list[ScriptEntry]] = {}
         for entry in self.entries:
             buckets.setdefault(entry.purpose, []).append(entry)
-        # Built once and only read afterwards, so worker threads share it
-        # without a lock.
+        # Only the line memos change after construction; see _LineMemo for
+        # why worker threads share them without a lock.
         self._index = {purpose: _PurposeIndex(bucket) for purpose, bucket in buckets.items()}
+        self._tokens = _LineMemo(count_tokens)
 
     def _complete(self, req: LmRequest) -> LmResponse:
+        lines = req.prompt.split("\n")
         index = self._index.get(req.purpose_tag)
-        entry = index.match(req.prompt) if index is not None else None
+        entry = index.match(req.prompt, lines) if index is not None else None
         if entry is None:
             head = req.prompt[:80].replace("\n", " ")
             raise ScriptMissError(
@@ -266,10 +318,11 @@ class ScriptedBackend(LmBackend):
                 entry.completions[i % len(entry.completions)]
                 for i in range(req.n_samples)
             )
+        tokens = self._tokens.__getitem__
         return LmResponse(
             completions=samples,
-            prompt_tokens=count_tokens(req.prompt),
-            completion_tokens=sum(count_tokens(s) for s in samples),
+            prompt_tokens=sum(map(tokens, lines)),
+            completion_tokens=sum(map(tokens, samples)),
         )
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -156,7 +157,9 @@ class TestEvalCommand:
         seen = {}
 
         def peek(question, *args, **kwargs):
-            seen[question.id] = traj_path.read_text() if traj_path.exists() else None
+            # candidates go to a temporary file beside the target until the run ends
+            partial = list(workspace["dir"].glob(".trajectories.jsonl.*.tmp"))
+            seen[question.id] = partial[0].read_text() if len(partial) == 1 else None
             return evaluate_question(question, *args, **kwargs)
 
         monkeypatch.setattr(harness, "evaluate_question", peek)
@@ -328,6 +331,48 @@ class TestEvalCommand:
         ])
         assert rc == 2
         assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--trajectories"])
+    def test_output_path_that_is_a_directory_exits_2_before_the_first_question(
+            self, workspace, monkeypatch, flag):
+        from rare import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_eval", lambda *a, **k: calls.append(a))
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            flag, str(workspace["dir"]),
+        ])
+        assert rc == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--trajectories"])
+    def test_refused_run_leaves_an_earlier_output_file_as_it_was(self, workspace, flag):
+        earlier = workspace["dir"] / "earlier.json"
+        earlier.write_text("OLD REPORT\n", encoding="utf-8")
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "rare",
+            "--backend", "script", "--script", str(workspace["script"]),
+            flag, str(earlier),
+        ])  # no --index, which run_eval refuses
+        assert rc == 2
+        assert earlier.read_text(encoding="utf-8") == "OLD REPORT\n"
+        assert sorted(p.name for p in workspace["dir"].iterdir()
+                      if p.name.startswith(".")) == []
+
+    def test_output_files_get_the_mode_of_a_new_file(self, workspace):
+        out = workspace["dir"] / "report.json"
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert json.loads(out.read_text(encoding="utf-8"))["avg_calls"] == 1.0
 
     def test_zero_workers_exits_2(self, workspace, capsys):
         rc = main([

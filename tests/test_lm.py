@@ -1,6 +1,9 @@
+import gc
 import json
 import random
+import sys
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -14,6 +17,7 @@ from rare.errors import (
     TransportError,
     ValidationError,
 )
+from rare import lm
 from rare.lm import (
     HttpBackend,
     LmBackend,
@@ -92,6 +96,19 @@ class TestScriptedBackend:
 
         assert run().completions == run().completions
 
+    def test_a_used_backend_is_freed_without_the_cycle_collector(self):
+        # the line memos must not form a reference cycle with their owners
+        gc.disable()
+        try:
+            backend = scripted(ScriptEntry("action_gen", ("x",), substrings=("K",)))
+            backend.complete(LmRequest("K\np q"))
+            assert backend._tokens
+            owners = [weakref.ref(backend), weakref.ref(backend._index["action_gen"])]
+            del backend
+            assert [owner() for owner in owners] == [None, None]
+        finally:
+            gc.enable()
+
     def test_call_log_records_interactions(self):
         backend = RecordingBackend(scripted(ScriptEntry("action_gen", ("a",))))
         backend.complete(LmRequest("p1"))
@@ -103,7 +120,8 @@ class TestScriptedBackend:
 
 
 SCRIPT_PURPOSES = ("action_gen", "rating")
-prompts = st.text(alphabet="abc", max_size=12)
+ALPHABET = "abc\n "  # line breaks and spaces, so substrings and prompts span lines
+prompts = st.text(alphabet=ALPHABET, max_size=12)
 
 
 @st.composite
@@ -116,10 +134,10 @@ def dispatch_cases(draw):
     others. A prompt is random (up to 12 characters), joined from those
     prefixes, or one entry's substrings after a prefix, so a prefix often
     occurs before a longer substring that starts with it."""
-    words = draw(st.lists(st.text(alphabet="abc", min_size=4, max_size=6),
+    words = draw(st.lists(st.text(alphabet=ALPHABET, min_size=4, max_size=6),
                           min_size=1, max_size=3))
     fragments = sorted({w[:k] for w in words for k in range(len(w) + 1)})
-    prompt = st.one_of(prompts, st.lists(st.sampled_from(fragments + list("abc")),
+    prompt = st.one_of(prompts, st.lists(st.sampled_from(fragments + list(ALPHABET)),
                                          max_size=4).map("".join))
     rows = draw(st.lists(
         st.tuples(
@@ -137,7 +155,7 @@ def dispatch_cases(draw):
     ]
     call = st.tuples(prompt, st.sampled_from(SCRIPT_PURPOSES + ("query_gen",)))
     if entries:
-        lead = st.tuples(st.sampled_from(fragments), st.text(alphabet="abc", max_size=2))
+        lead = st.tuples(st.sampled_from(fragments), st.text(alphabet=ALPHABET, max_size=2))
         aimed = st.tuples(lead.map("".join), st.sampled_from(entries)).map(
             lambda pair: (pair[0] + "".join(pair[1].substrings), pair[1].purpose))
         call = st.one_of(call, aimed)
@@ -154,6 +172,31 @@ def first_match(entries, req):
     return None
 
 
+def check_dispatch(entries, calls):
+    """Sends every call twice, in two rounds, to one backend, so that the
+    second round is answered from the line memos, and checks each reply and
+    token count against ``first_match``. Returns the backend."""
+    backend = ScriptedBackend(entries)
+    for prompt, purpose in calls + calls:
+        req = LmRequest(prompt, n_samples=3, temperature=0.8, purpose_tag=purpose)
+        expected = first_match(entries, req)
+        if expected is None:
+            with pytest.raises(ScriptMissError,
+                               match=f"no script entry for purpose={purpose!r}"):
+                backend.complete(req)
+        elif not expected.completions:
+            with pytest.raises(ScriptMissError,
+                               match="matched script entry has no completions"):
+                backend.complete(req)
+        else:
+            first, second = expected.completions
+            resp = backend.complete(req)
+            assert resp.completions == (first, second, first)
+            assert resp.prompt_tokens == len(prompt.split())
+    assert backend.entries == tuple(entries)
+    return backend
+
+
 def action_entries(*substrings):
     """One action_gen entry per tuple of substrings, in order."""
     return [ScriptEntry("action_gen", (f"e{i}", f"e{i} again"), substrings=subs)
@@ -166,24 +209,47 @@ class TestScriptedDispatch:
     @example((action_entries(("abcab",), ()), [("abcaabcab", "action_gen")]))
     # one prefix, two lengths, and one substring a prefix of the other
     @example((action_entries(("abcab",), ("abc",)), [("abcc", "action_gen")]))
+    # the only matching substring holds a line break, so no single line holds it
+    @example((action_entries(("b\na",)), [("ab\nab", "action_gen"), ("ab\n", "action_gen")]))
     def test_matches_linear_first_match(self, case):
-        entries, calls = case
+        check_dispatch(*case)
+
+    def test_matches_linear_first_match_past_the_line_memo_bound(self, monkeypatch):
+        monkeypatch.setattr(lm, "LINE_MEMO_SIZE", 2)
+        entries = action_entries(("abc", "a b"), ("c\na",), ("abc",))
+        prompts = ["abc\nx a b", "x\nabc", "c\na b\nabc", "y y\nz", "abc\n\na b c"]
+        backend = check_dispatch(entries, [(p, "action_gen") for p in prompts])
+        assert len(backend._tokens) <= 2
+        assert all(len(index.seen) <= 2 for index in backend._index.values())
+
+    def test_workers_sharing_one_backend_get_exact_replies(self, monkeypatch):
+        monkeypatch.setattr(lm, "LINE_MEMO_SIZE", 3)  # memos are emptied while others read
+        entries = action_entries(("abc",), ("b\nc",), ("a b",), ())
+        prompts = [f"{head}\nline {i}" for i in range(30) for head in ("abc", "b\nc", "a b", "x")]
         backend = ScriptedBackend(entries)
-        for prompt, purpose in calls:
-            req = LmRequest(prompt, n_samples=3, temperature=0.8, purpose_tag=purpose)
-            expected = first_match(entries, req)
-            if expected is None:
-                with pytest.raises(ScriptMissError,
-                                   match=f"no script entry for purpose={purpose!r}"):
-                    backend.complete(req)
-            elif not expected.completions:
-                with pytest.raises(ScriptMissError,
-                                   match="matched script entry has no completions"):
-                    backend.complete(req)
-            else:
-                first, second = expected.completions
-                assert backend.complete(req).completions == (first, second, first)
-        assert backend.entries == tuple(entries)
+        wrong = []
+
+        def work():
+            for prompt in prompts:
+                req = LmRequest(prompt, n_samples=2, temperature=0.8)
+                resp = backend.complete(req)
+                if (resp.completions[0], resp.prompt_tokens) != (
+                        first_match(entries, req).completions[0], len(prompt.split())):
+                    wrong.append(prompt)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert backend.snapshot_costs().total_calls == len(threads) * len(prompts)
 
 
 class TestLedger:
