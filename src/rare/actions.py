@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
+import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -47,7 +48,10 @@ class PromptLibrary:
 
     Templates are plain text with ``{question}``, ``{steps}``,
     ``{sub_question}`` and ``{documents}`` placeholders; everything else
-    passes through verbatim, so few-shot scaffolds stay intact.
+    passes through verbatim, so few-shot scaffolds stay intact. Each template
+    is split once, at load, into literal text and one format string per
+    field; the templates ``str.format`` accepts are accepted and rendered
+    byte for byte as ``str.format`` renders them.
     """
 
     def __init__(self, templates: dict[ActionKind, str]):
@@ -55,8 +59,10 @@ class PromptLibrary:
         if missing:
             raise ValidationError(f"missing templates for {sorted(k.value for k in missing)}")
         self.templates = dict(templates)
+        self._pieces: dict[ActionKind, tuple[tuple[str, str], ...]] = {}
         for kind in ActionKind:
             try:
+                self._pieces[kind] = _split_template(self.templates[kind])
                 self.render(kind)
             except (KeyError, IndexError, ValueError, AttributeError) as exc:
                 raise ValidationError(
@@ -81,12 +87,23 @@ class PromptLibrary:
 
     def render(self, kind: ActionKind, question: str = "", steps: str = "",
                sub_question: str = "", documents: str = "") -> str:
-        return self.templates[kind].format(
-            question=question,
-            steps=steps,
-            sub_question=sub_question,
-            documents=documents,
-        )
+        fields = {"question": question, "steps": steps, "sub_question": sub_question,
+                  "documents": documents}
+        parts = []
+        for literal, field in self._pieces[kind]:
+            parts.append(literal)
+            if field:
+                parts.append(field.format(**fields))
+        return "".join(parts)
+
+
+def _split_template(template: str) -> tuple[tuple[str, str], ...]:
+    """``(literal text, format string of the field that follows or "")``
+    pairs, as ``str.format`` reads the template."""
+    return tuple(
+        (literal, "" if name is None else
+         "{" + name + ("!" + conv if conv else "") + (":" + spec if spec else "") + "}")
+        for literal, name, spec, conv in string.Formatter().parse(template))
 
 
 @functools.cache
@@ -100,7 +117,7 @@ def extract_answer(text: str, q: Question) -> str | None:
     The label must be one of the question's option keys; a letter that merely
     starts a longer word does not count.
     """
-    labels = set(q.labels)
+    labels = q.labels
     found = None
     for match in _ANSWER_RE.finditer(text):
         label = match.group(1).upper()

@@ -49,6 +49,7 @@ RATING_PROMPT = (
 )
 
 _TERMINATORS = ".?!"
+_TERMINATOR_RE = re.compile(r"[.?!]")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 
@@ -82,12 +83,14 @@ def _standalone(piece: str) -> bool:
 
 def split_sentences(text: str) -> list[str]:
     """Segment text at sentence terminators, then fold fragments under three
-    words into their neighbours unless they stand alone as sentences."""
+    words into their neighbours unless they stand alone as sentences. One
+    regex scan visits only the terminators."""
     text = " ".join(text.split())
     pieces: list[str] = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch in _TERMINATORS and _is_split_point(text, i):
+    for match in _TERMINATOR_RE.finditer(text):
+        i = match.start()
+        if _is_split_point(text, i):
             piece = text[start: i + 1].strip()
             if piece:
                 pieces.append(piece)

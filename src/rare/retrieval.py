@@ -239,7 +239,7 @@ def load_index(path: str) -> RetrievalIndex:
         # what pickle documents for malformed data, plus what a byte stream
         # that is not a pickle at all can hit
         except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-                IndexError, KeyError, TypeError, ValueError) as exc:
+                IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CorpusError(f"unrecognized index file: {path}: {exc}") from None
     if (not isinstance(payload, dict) or payload.get("format") != _PICKLE_FORMAT
             or not isinstance(payload.get("index"), RetrievalIndex)):

@@ -1,17 +1,21 @@
 """Core domain types: questions, actions, reasoning steps, trajectories, config.
 
 Everything here is an immutable value object, safe to share across worker
-threads. The ``*_to_record`` encoders write the JSON records of reports and
-trajectory files; only questions, which arrive from dataset files, have a
-``question_from_record`` decoder.
+threads. A value that is read again and again (a question's labels, a
+trajectory's hash and question text) is computed once per instance, on
+first use. The ``*_to_record`` encoders write the JSON records of reports
+and trajectory files; only questions, which arrive from dataset files, have
+a ``question_from_record`` decoder.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .errors import ValidationError
 
@@ -43,6 +47,22 @@ BASE_ACTIONS = frozenset(
 )
 
 
+def _per_instance(method):
+    """Keep a no-argument method's value in the instance's ``__dict__``: no
+    dataclass field, so equality, hashing, ``repr`` and ``replace`` never see
+    it. No lock: the value depends only on the instance."""
+    key = "_memo_" + method.__name__
+
+    @functools.wraps(method)
+    def memoized(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)
+            return value
+    return memoized
+
+
 @dataclass(frozen=True)
 class Question:
     """One multiple-choice question.
@@ -68,6 +88,7 @@ class Question:
         object.__setattr__(self, "options", pairs)
 
     @property
+    @_per_instance
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.options)
 
@@ -145,7 +166,8 @@ class Trajectory:
     """A reasoning path for one question: the search state before the next
     action and, once a step has ended it with ``final_answer``, a candidate.
     What the next prompt needs (``pending_sub_question``, ``question_text``)
-    is derived from the steps."""
+    is derived from the steps. ``question_text()`` and ``content_hash()``
+    are computed once per instance, on first use."""
 
     question: Question
     steps: tuple[ActionStep, ...] = ()
@@ -164,6 +186,7 @@ class Trajectory:
             return self.steps[-1].sub_question
         return None
 
+    @_per_instance
     def question_text(self) -> str:
         """The question as prompts show it, rephrased by the latest A5 step."""
         return self.question.render(next(
@@ -172,6 +195,7 @@ class Trajectory:
     def action_sequence(self) -> tuple[ActionKind, ...]:
         return tuple(step.kind for step in self.steps)
 
+    @_per_instance
     def content_hash(self) -> str:
         """Hash of the step outputs, used to deduplicate candidates."""
         h = hashlib.sha256()

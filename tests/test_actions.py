@@ -1,5 +1,7 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     RecordingBackend,
@@ -183,7 +185,9 @@ class TestDerivedState:
     """``pending_sub_question`` and ``question_text()`` are derived from the
     steps; they must match a step-by-step replay in which an A5 step sets the
     rephrasing and each step sets the pending sub-question to its own when it
-    is an unanswered A3 step, and clears it otherwise."""
+    is an unanswered A3 step, and clears it otherwise. ``question_text()``
+    and ``content_hash()`` are memoized per instance, so ``extend`` and
+    ``replace`` must give values of the new steps, never the parent's."""
 
     @given(st.data())
     def test_matches_a_replay_of_step_bookkeeping(self, data):
@@ -201,12 +205,19 @@ class TestDerivedState:
             answer = data.draw(st.sampled_from(question.labels)
                                if kind in (A.A2, A.A6) else st.none() | st.just("A"))
             step = ActionStep(kind, "p", data.draw(texts), sub_question=sub_question)
+            # read the parent's memos first: no child may inherit them
+            parent, parent_memos = traj, (traj.content_hash(), traj.question_text())
             traj = traj.extend(step, answer)
             if kind == A.A5:
                 rephrased = step.output
             pending = sub_question if kind == A.A3 and answer is None else None
             assert traj.pending_sub_question == pending
             assert traj.question_text() == question.render(rephrased)
+            assert traj.content_hash() == Trajectory(question, traj.steps).content_hash()
+            assert traj.content_hash() != parent_memos[0]
+            back = replace(traj, steps=parent.steps, final_answer=parent.final_answer)
+            assert back == parent
+            assert (back.content_hash(), back.question_text()) == parent_memos
 
 
 class TestExecuteActions:
@@ -330,6 +341,27 @@ def scaffold(prompts, kind):
     return prompts.templates[kind].partition("{")[0]
 
 
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+
+
+FIELD_NAMES = ("question", "steps", "sub_question", "documents")
+# literal text as a template writes it: a brace is doubled
+_literals = st.text(alphabet="ab {}\n", max_size=6).map(
+    lambda text: text.replace("{", "{{").replace("}", "}}"))
+_fields = st.builds(lambda name, conv, spec: "{" + name + conv + spec + "}",
+                    st.sampled_from(FIELD_NAMES),
+                    st.sampled_from(["", "!r", "!s"]),
+                    st.sampled_from(["", ":", ":>8", ":*^5", ":.2", ":<{steps}"]))
+_templates = st.builds(lambda pairs, tail: "".join(a + b for a, b in pairs) + tail,
+                       st.lists(st.tuples(_literals, _fields), max_size=4), _literals)
+_field_values = st.fixed_dictionaries(
+    {name: st.text(alphabet="ab{}\n", max_size=5) for name in FIELD_NAMES})
+
+
 class TestPromptFidelity:
     def test_rendered_prompts_contain_scaffolds_verbatim(self, question, backend,
                                                          index):
@@ -364,7 +396,8 @@ class TestPromptFidelity:
         with pytest.raises(ValidationError):
             PromptLibrary.from_dir(tmp_path)
 
-    @pytest.mark.parametrize("bad", ['{"json": 1}', "{0}", "{question", "{question.nope}"])
+    @pytest.mark.parametrize("bad", ['{"json": 1}', "{0}", "{question", "{question.nope}",
+                                     "x}y", "{question!}", "{question:}}"])
     def test_unrenderable_template_rejected(self, tmp_path, bad):
         for kind in ActionKind:
             (tmp_path / f"{kind.value.lower()}.txt").write_text(
@@ -373,3 +406,12 @@ class TestPromptFidelity:
         with pytest.raises(ValidationError, match="A4"):
             PromptLibrary.from_dir(tmp_path)
 
+    @given(template=_templates, fields=_field_values)
+    @example(template="{{a}}{question!r:>8}\n}}{steps:*^5}{{",
+             fields=dict.fromkeys(FIELD_NAMES, "{x}"))
+    def test_render_equals_str_format(self, template, fields):
+        """Rendering the pieces split at load gives what ``str.format`` gives
+        on the whole template, for every template and field value: the same
+        text, or the same exception type when a nested spec is invalid."""
+        lib = PromptLibrary(dict.fromkeys(ActionKind, template))
+        assert outcome(lib.render, A.A4, **fields) == outcome(template.format, **fields)

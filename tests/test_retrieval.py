@@ -258,7 +258,9 @@ class TestPersistence:
         b'{"id": "a", "title": "T", "text": "body text"}\n',
         pickle.dumps({"format": 1, "corpus_hash": "x"})[:-3],
         pickle.dumps({"format": 1, "corpus_hash": "x", "index": 5}),
-    ], ids=["empty", "jsonl", "truncated", "not_an_index"])
+        # a protocol-5 BYTEARRAY8 opcode whose length overflows a C ssize_t
+        b"\x80\x05\x96" + (2**63).to_bytes(8, "little"),
+    ], ids=["empty", "jsonl", "truncated", "not_an_index", "length_overflow"])
     def test_load_rejects_malformed_file(self, tmp_path, content):
         path = tmp_path / "bad.bin"
         path.write_bytes(content)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import pytest
@@ -11,9 +13,11 @@ from rare.types import (
     DocumentRef,
     Question,
     SearchConfig,
+    Trajectory,
     derive_seed,
     document_ref_to_record,
     question_from_record,
+    trajectory_to_record,
     validate_question,
 )
 
@@ -153,6 +157,58 @@ class TestDatasetNormalization:
     def test_non_object_record_rejected(self, record):
         with pytest.raises(ValidationError, match="not a JSON object"):
             question_from_record(record)
+
+
+class TestPerInstanceMemos:
+    """``Question.labels``, ``Trajectory.content_hash()`` and
+    ``Trajectory.question_text()`` are computed once per instance. Nothing
+    outside the instance can tell."""
+
+    @staticmethod
+    def question(qid="q"):
+        return Question(qid, f"Which one in {qid}?", {"A": "x", "B": "y"})
+
+    @staticmethod
+    def path(question):
+        return Trajectory(question, (
+            ActionStep(ActionKind.A5, "p", "Which one, x or y?"),
+            ActionStep(ActionKind.A2, "p", "So the answer is B."),
+        ), "B", terminal_reward=0.5)
+
+    def test_a_read_trajectory_equals_a_fresh_copy(self):
+        read = self.path(self.question())
+        read.content_hash(), read.question_text(), read.question.labels
+        fresh = self.path(self.question())
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert (read.question, hash(read.question)) == (fresh.question, hash(fresh.question))
+        assert trajectory_to_record(read) == trajectory_to_record(fresh)
+
+    def test_memos_are_plain_values_outside_the_fields(self):
+        traj = self.path(self.question())
+        names = {field.name for field in dataclasses.fields(Trajectory)}
+        assert names == {"question", "steps", "final_answer", "terminal_reward",
+                         "factuality"}
+        assert set(vars(traj)) == names  # nothing is computed before first use
+        values = [traj.content_hash(), traj.question_text()]
+        memos = [value for name, value in vars(traj).items() if name not in names]
+        assert sorted(memos) == sorted(values)
+        # cached_property would take a lock per descriptor on Python 3.11
+        for cls in (Question, Trajectory):
+            assert not any(isinstance(attr, functools.cached_property)
+                           for attr in vars(cls).values())
+
+    def test_a_memo_never_crosses_instances(self):
+        first, second = self.question("q1"), self.question("q2")
+        root = Trajectory(first)
+        assert root.question_text() == first.render()
+        moved = dataclasses.replace(root, question=second)
+        assert moved.question_text() == second.render() != root.question_text()
+        answered = self.path(first)
+        unanswered = dataclasses.replace(answered, steps=answered.steps[:1])
+        assert answered.content_hash() != unanswered.content_hash()
+        assert unanswered.content_hash() == Trajectory(first, answered.steps[:1]).content_hash()
 
 
 class TestSearchConfig:
