@@ -3,6 +3,7 @@ answer selection, plus an offline evaluation harness for multiple-choice QA."""
 
 from .actions import (
     PromptLibrary,
+    Scope,
     execute_action,
     extract_answer,
     valid_actions,

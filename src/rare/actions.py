@@ -19,16 +19,16 @@ from __future__ import annotations
 import functools
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Literal
 
 from .errors import NoViableChildError, ValidationError
-from .lm import LmBackend, LmRequest, request_for
+from .lm import LmBackend, LmRequest, LmResponse, request_for
 from .retrieval import RetrievalIndex, search
 from .types import (RETRIEVAL_ACTIONS, ActionKind, ActionStep, DocumentRef, Question,
-                    SearchConfig, Trajectory)
+                    SearchConfig, Trajectory, derive_seed)
 
 ANSWER_NOW_MARKER = "now we can answer"
 
@@ -109,6 +109,40 @@ def _split_template(template: str) -> tuple[tuple[str, str], ...]:
 @functools.cache
 def default_prompts() -> PromptLibrary:
     return PromptLibrary.from_dir()
+
+
+class Scope(LmBackend):
+    """One question's state: the question, its config seeded from its id,
+    the shared backend and index, the prompts (the packaged ones by default),
+    its own ledger, and memos of its greedy requests and its searches
+    (``hits``, which it hands to ``search``). Nothing crosses questions.
+
+    A temperature-0 request equal to one already completed gets that
+    response back, reaches no backend and counts in no ledger. A request
+    that raised is not remembered; sampled requests always go through."""
+
+    def __init__(self, question: Question, cfg: SearchConfig, backend: LmBackend,
+                 index: RetrievalIndex | None = None, prompts: PromptLibrary | None = None):
+        super().__init__()
+        self.question = question
+        self.cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, question.id))
+        self.backend = backend
+        self.index = index
+        self.prompts = prompts if prompts is not None else default_prompts()
+        self.hits: dict[tuple[str, int], list[DocumentRef]] = {}
+        self._greedy: dict[LmRequest, LmResponse] = {}
+
+    def complete(self, req: LmRequest) -> LmResponse:
+        if req.temperature != 0:
+            return super().complete(req)
+        resp = self._greedy.get(req)
+        if resp is None:
+            resp = self._greedy[req] = super().complete(req)
+        return resp
+
+    def _complete(self, req: LmRequest) -> LmResponse:
+        # looked up on every call: a tracer may replace it on the instance
+        return self.backend.complete(req)
 
 
 def extract_answer(text: str, q: Question) -> str | None:
@@ -312,39 +346,31 @@ ACTION_SPECS: dict[ActionKind, ActionSpec] = {
 }
 
 
-def action_request(kind: ActionKind, ctx: Trajectory, prompts: PromptLibrary | None,
+def action_request(kind: ActionKind, ctx: Trajectory, prompts: PromptLibrary,
                    purpose: str, n: int, documents: str = "") -> LmRequest:
     """The request for action ``kind`` at ``ctx``: its spec's template and
     fields rendered with ``documents``, and its spec's stop sequences."""
     spec = ACTION_SPECS[kind]
-    prompt = (prompts or default_prompts()).render(spec.template, **spec.fields(ctx, documents))
+    prompt = prompts.render(spec.template, **spec.fields(ctx, documents))
     return request_for(purpose, prompt, n, stop_sequences=spec.stop)
 
 
-def _queries(kind: ActionKind, ctx: Trajectory, backend: LmBackend,
-             cfg: SearchConfig, prompts: PromptLibrary) -> list[str]:
+def _queries(kind: ActionKind, ctx: Trajectory, scope: Scope) -> list[str]:
     """Retrieval queries: A6 generates its own, A7 uses the pending sub-question."""
     if kind == ActionKind.A7:
         return [ctx.pending_sub_question]
-    prompt = prompts.render(ActionKind.A6, question=ctx.question_text())
-    resp = backend.complete(request_for("query_gen", prompt, 1,
-                                        stop_sequences=("\nQuestion 3",)))
-    queries = parse_queries(resp.completions[0], cfg.queries_per_call)
+    prompt = scope.prompts.render(ActionKind.A6, question=ctx.question_text())
+    resp = scope.complete(request_for("query_gen", prompt, 1,
+                                      stop_sequences=("\nQuestion 3",)))
+    queries = parse_queries(resp.completions[0], scope.cfg.queries_per_call)
     if not queries:
         raise NoViableChildError("A6 query generation produced no queries")
     return queries
 
 
-def execute_action(
-    kind: ActionKind,
-    ctx: Trajectory,
-    backend: LmBackend,
-    index: RetrievalIndex | None,
-    cfg: SearchConfig,
-    prompts: PromptLibrary | None = None,
-    n_outcomes: int | None = None,
-    purpose: str = "action_gen",
-) -> list[Trajectory]:
+def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
+                   n_outcomes: int | None = None,
+                   purpose: str = "action_gen") -> list[Trajectory]:
     """Sample one action at the end of ``ctx`` and return the child
     trajectories.
 
@@ -355,10 +381,10 @@ def execute_action(
     completions are requested under ``purpose``.
     """
     spec = ACTION_SPECS[kind]
-    prompts = prompts or default_prompts()
+    cfg = scope.cfg
     n = n_outcomes if n_outcomes is not None else cfg.children_per_action
     retrieves = kind in RETRIEVAL_ACTIONS
-    if retrieves and index is None:
+    if retrieves and scope.index is None:
         raise ValidationError(f"{kind.value} requires a retrieval index")
     if spec.pending and not ctx.pending_sub_question:
         raise ValidationError(f"{kind.value} requires a pending sub-question")
@@ -366,11 +392,11 @@ def execute_action(
     queries: tuple[str, ...] = ()
     retrieved: tuple[DocumentRef, ...] = ()
     if retrieves:
-        queries = tuple(_queries(kind, ctx, backend, cfg, prompts))
-        retrieved = merge_hits([search(index, query, cfg.retrieval_top_k)
+        queries = tuple(_queries(kind, ctx, scope))
+        retrieved = merge_hits([search(scope.index, query, cfg.retrieval_top_k, scope.hits)
                                 for query in queries], cfg.retrieval_top_k)
-    req = action_request(kind, ctx, prompts, purpose, n, render_documents(retrieved))
-    resp = backend.complete(req)
+    req = action_request(kind, ctx, scope.prompts, purpose, n, render_documents(retrieved))
+    resp = scope.complete(req)
 
     children = []
     for completion in resp.completions:

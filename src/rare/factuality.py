@@ -10,8 +10,8 @@ best-ranked candidate's upper bound is exact. Candidates from one tree share
 sentences, so each distinct statement is checked at most once per question
 and its result reused by every candidate that holds it.
 
-The scorer calls the same backend instance as the generator unless the caller
-hands it a different one.
+The scorer works in the question's ``Scope``, as the search does, so it pays
+for no greedy request or search that the search already made.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 
-from .actions import merge_hits, parse_queries
+from .actions import Scope, merge_hits, parse_queries
 from .errors import CorpusError, LmBackendError, ValidationError
 from .lm import LmBackend, request_for
-from .retrieval import RetrievalIndex, search
+from .retrieval import search
 from .selection import tie_break
 from .types import (
     NOT_SUPPORTED,
     SUPPORTED,
-    SearchConfig,
     Statement,
     Trajectory,
     make_factuality_report,
@@ -155,8 +154,7 @@ def rate_statement(statement: str, evidence: tuple, backend: LmBackend) -> str:
     return NOT_SUPPORTED
 
 
-def score_candidates(candidates: list[Trajectory], backend: LmBackend,
-                     index: RetrievalIndex, cfg: SearchConfig) -> list[Trajectory]:
+def score_candidates(candidates: list[Trajectory], scope: Scope) -> list[Trajectory]:
     """Attach factuality reports to the candidates that ``select_rare`` needs
     to find its winner. A candidate's bound is (sentences rated Supported +
     sentences unchecked) / its sentence count, per occurrence; checked in
@@ -170,6 +168,7 @@ def score_candidates(candidates: list[Trajectory], backend: LmBackend,
     report; the rest keep ``factuality=None`` (score -1), which is at most
     their bound, so ``select_rare`` picks what scoring everything would pick.
     A one-element list is always checked in full."""
+    cfg = scope.cfg
     sentence_lists = [split_statements(traj) for traj in candidates]
     # one entry per occurrence, as make_factuality_report counts them
     holders: dict[str, list[int]] = {}
@@ -197,10 +196,11 @@ def score_candidates(candidates: list[Trajectory], backend: LmBackend,
             if sentence in checked:
                 continue
             try:
-                queries = generate_queries(sentence, backend, cfg.queries_per_call)
-                hit_lists = [search(index, query, cfg.retrieval_top_k) for query in queries]
+                queries = generate_queries(sentence, scope, cfg.queries_per_call)
+                hit_lists = [search(scope.index, query, cfg.retrieval_top_k, scope.hits)
+                             for query in queries]
                 evidence = merge_hits(hit_lists, cfg.retrieval_top_k)
-                label = rate_statement(sentence, evidence, backend)
+                label = rate_statement(sentence, evidence, scope)
             except (LmBackendError, CorpusError):
                 failed.update(holders[sentence])
                 break

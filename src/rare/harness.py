@@ -1,10 +1,9 @@
 """Dataset loading, batch evaluation, cost accounting, trajectory statistics.
 
-Questions are evaluated independently on a bounded thread pool; each question
-gets a deterministic seed derived from its id so results never depend on pool
-size or scheduling order. Per-question costs are tracked through a scoped
-ledger wrapped around the shared backend; the same scope, and a per-question
-view of the index, answer a question's repeated greedy requests and searches
+Questions are evaluated independently on a bounded thread pool, each in its
+own ``Scope``. The scope seeds the question's config from its id, so results
+never depend on pool size or scheduling order; it keeps the question's cost
+ledger; and it answers the question's repeated greedy requests and searches
 without paying for them again.
 """
 
@@ -15,13 +14,13 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, TextIO
 
-from .actions import PromptLibrary
+from .actions import PromptLibrary, Scope
 from .errors import DatasetError, RareError, ValidationError
 from .factuality import factuality_record, score_candidates
-from .lm import LmBackend, ScopedBackend
+from .lm import LmBackend
 from .mcts import SearchTree, run_search
 from .retrieval import RetrievalIndex
 from .selection import BASELINE_METHODS, run_baseline, select_majority, select_rare
@@ -34,7 +33,6 @@ from .types import (
     SearchConfig,
     Trajectory,
     config_to_record,
-    derive_seed,
     question_from_record,
     trajectory_to_record,
 )
@@ -132,26 +130,21 @@ def evaluate_question(question: Question, method: str, backend: LmBackend,
     """Run one method on one question; any failure becomes an incorrect
     record whose ``error`` names the exception type. An exception that is not
     a ``RareError`` is a fault in the program: its traceback is logged and the
-    record is marked ``internal_error``.
-
-    The question's greedy LM requests and searches go through a per-question
-    scope and index view, so each distinct one is paid for once."""
-    scope = ScopedBackend(backend)
-    if index is not None:
-        index = index.for_question()
-    qcfg = cfg.with_seed(derive_seed(cfg.rng_seed, question.id))
+    record is marked ``internal_error``. The question runs in its own
+    ``Scope``."""
+    scope = Scope(question, cfg, backend, index, prompts)
     chosen: Trajectory | None = None
     candidates: list[Trajectory] = []
     error: str | None = None
     internal_error = False
     try:
         if method in BASELINE_METHODS:
-            candidates = run_baseline(method, question, scope, index, qcfg, prompts)
+            candidates = run_baseline(method, scope)
             chosen = select_majority(candidates)
         else:
-            candidates = run_search(SearchTree(question, qcfg), scope, index, prompts)
-            if qcfg.rafs_enabled:
-                candidates = score_candidates(candidates, scope, index, qcfg)
+            candidates = run_search(SearchTree(scope))
+            if cfg.rafs_enabled:
+                candidates = score_candidates(candidates, scope)
                 chosen = select_rare(candidates)
             else:
                 chosen = select_majority(candidates)
@@ -274,18 +267,11 @@ def trajectory_stats(report: RunReport, top_n: int = 10,
 
 
 def eval_record_to_record(record: EvalRecord) -> dict[str, Any]:
-    return {
-        "question_id": record.question_id,
-        "method": record.method,
-        "predicted": record.predicted,
-        "gold": record.gold,
-        "correct": record.correct,
-        "candidate_count": record.candidate_count,
-        "calls_used": record.calls_used,
-        "tokens_used": record.tokens_used,
-        "action_sequence": [kind.value for kind in record.action_sequence],
-        "error": record.error,
-    }
+    """Every field but ``internal_error``, in field order."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)
+           if f.name != "internal_error"}
+    out["action_sequence"] = [kind.value for kind in record.action_sequence]
+    return out
 
 
 def report_to_record(report: RunReport) -> dict[str, Any]:

@@ -3,7 +3,9 @@
 Two interchangeable backends sit behind one ``complete()`` contract: an HTTP
 client for chat-completions endpoints and a scripted backend that replays
 canned completions for tests and offline runs. Both maintain a thread-safe
-cost ledger counting calls and tokens per purpose.
+cost ledger counting calls and tokens per purpose. A question reaches the
+shared backend through its ``rare.actions.Scope``, which keeps the
+question's own ledger and answers its repeated greedy requests.
 
 ``requests`` is imported only when the HTTP backend opens a session or
 posts, so importing the package and running offline never load it.
@@ -354,8 +356,9 @@ def script_entry_from_record(record: Any, line_no: int = 0) -> ScriptEntry:
     if purpose not in PURPOSES:
         raise bad(f"bad purpose {purpose!r}")
     completions = record.get("completions")
-    if not isinstance(completions, list) or not completions:
-        raise bad("completions must be a nonempty list")
+    if not isinstance(completions, list) or not completions or not all(
+            isinstance(c, str) for c in completions):
+        raise bad("completions must be a nonempty list of strings")
     match = record.get("match") or {}
     if not isinstance(match, dict):
         raise bad("match must be an object")
@@ -375,7 +378,7 @@ def script_entry_from_record(record: Any, line_no: int = 0) -> ScriptEntry:
         raise bad("substring must be a string or a list of strings")
     return ScriptEntry(
         purpose=purpose,
-        completions=tuple(str(c) for c in completions),
+        completions=tuple(completions),
         exact_hash=exact_hash,
         substrings=substrings,
     )
@@ -560,34 +563,6 @@ def _parse_chat_body(body: dict[str, Any]) -> tuple[list[str], int, int]:
     if not all(isinstance(text, str) for text in texts):
         raise MalformedReplyError("choice content is not a string")
     return texts, prompt_tokens, completion_tokens
-
-
-class ScopedBackend(LmBackend):
-    """Forwards to a shared backend while keeping its own ledger, so callers
-    can attribute costs to one unit of work regardless of concurrency.
-
-    A scope also memoizes greedy work: a temperature-0 request equal to one
-    it already completed gets that earlier response back. Such a repeat is
-    not a call: it reaches no backend and neither ledger counts it. A request
-    that raised is not remembered, and sampled requests (temperature above 0)
-    always go through. ``evaluate_question`` makes one scope per question, so
-    nothing is remembered across questions."""
-
-    def __init__(self, inner: LmBackend):
-        super().__init__()
-        self.inner = inner
-        self._greedy: dict[LmRequest, LmResponse] = {}
-
-    def complete(self, req: LmRequest) -> LmResponse:
-        if req.temperature != 0:
-            return super().complete(req)
-        resp = self._greedy.get(req)
-        if resp is None:
-            resp = self._greedy[req] = super().complete(req)
-        return resp
-
-    def _complete(self, req: LmRequest) -> LmResponse:
-        return self.inner.complete(req)
 
 
 def request_for(purpose: str, prompt: str, n_samples: int = 1,

@@ -22,16 +22,14 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .actions import (
-    PromptLibrary,
+    Scope,
     action_request,
     execute_action,
     extract_answer,
     valid_actions,
 )
 from .errors import NoCandidatesError, NoViableChildError, ValidationError
-from .lm import LmBackend
-from .retrieval import RetrievalIndex
-from .types import ActionKind, Question, SearchConfig, Trajectory, validate_question
+from .types import ActionKind, Trajectory, validate_question
 
 
 def uct_score(child_q: float, child_visits: int, parent_visits: int, c: float) -> float:
@@ -84,16 +82,16 @@ class TreeNode:
 
 
 class SearchTree:
-    """One question's search tree plus its private random stream."""
+    """One question's search tree, searched in its scope, plus a private
+    random stream seeded from the scope's config."""
 
-    def __init__(self, question: Question, cfg: SearchConfig):
-        cfg.validate()
-        validate_question(question)
-        self.question = question
-        self.cfg = cfg
-        self.rng = random.Random(cfg.rng_seed)
+    def __init__(self, scope: Scope):
+        scope.cfg.validate()
+        validate_question(scope.question)
+        self.scope = scope
+        self.rng = random.Random(scope.cfg.rng_seed)
         self.nodes: list[TreeNode] = []
-        self.root = self.add_node(parent=None, ctx=Trajectory(question))
+        self.root = self.add_node(parent=None, ctx=Trajectory(scope.question))
 
     def add_node(self, parent: TreeNode | None, ctx: Trajectory) -> TreeNode:
         node = TreeNode(node_id=len(self.nodes), ctx=ctx,
@@ -124,12 +122,10 @@ def select(tree: SearchTree) -> TreeNode:
             return node
         if not node.children:
             return node
-        node = _best_child(node, tree.cfg.exploration_c)
+        node = _best_child(node, tree.scope.cfg.exploration_c)
 
 
-def expand(tree: SearchTree, node: TreeNode, backend: LmBackend,
-           index: RetrievalIndex | None,
-           prompts: PromptLibrary | None = None) -> list[TreeNode]:
+def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     """Add one sampled child per legal action. A node at the depth cap, or
     one where every action fails, is marked terminal-failed (reward 0)."""
     if node.is_terminal():
@@ -137,13 +133,14 @@ def expand(tree: SearchTree, node: TreeNode, backend: LmBackend,
     if node.expanded:
         raise ValidationError("node already expanded")
     node.expanded = True
-    if len(node.ctx.steps) >= tree.cfg.max_depth:
+    cfg = tree.scope.cfg
+    if len(node.ctx.steps) >= cfg.max_depth:
         node.terminal_failed = True
         return []
-    kinds = sorted(valid_actions(node.ctx, tree.cfg), key=lambda k: k.value)
+    kinds = sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value)
     for kind in kinds:
         try:
-            contexts = execute_action(kind, node.ctx, backend, index, tree.cfg, prompts)
+            contexts = execute_action(kind, node.ctx, tree.scope)
         except NoViableChildError:
             continue
         for ctx in contexts:
@@ -153,31 +150,27 @@ def expand(tree: SearchTree, node: TreeNode, backend: LmBackend,
     return list(node.children)
 
 
-def simulate(tree: SearchTree, node: TreeNode, backend: LmBackend,
-             index: RetrievalIndex | None,
-             prompts: PromptLibrary | None = None) -> Trajectory:
+def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
     """Uniform-random rollout from ``node`` to a terminal state or the depth
     cap. A dead end (no legal action, or no viable outcome) ends the rollout
     with no final answer, which scores reward 0; so does a terminal-failed
     ``node``, whose own steps are returned without any LM call."""
-    ctx = node.ctx
+    ctx, cfg = node.ctx, tree.scope.cfg
     if node.terminal_failed:
         return ctx
-    while ctx.final_answer is None and len(ctx.steps) < tree.cfg.max_depth:
-        kinds = sorted(valid_actions(ctx, tree.cfg), key=lambda k: k.value)
+    while ctx.final_answer is None and len(ctx.steps) < cfg.max_depth:
+        kinds = sorted(valid_actions(ctx, cfg), key=lambda k: k.value)
         if not kinds:
             break
         kind = tree.rng.choice(kinds)
         try:
-            ctx = execute_action(kind, ctx, backend, index, tree.cfg,
-                                 prompts, n_outcomes=1)[0]
+            ctx = execute_action(kind, ctx, tree.scope, n_outcomes=1)[0]
         except NoViableChildError:
             break
     return ctx
 
 
-def terminal_reward(trajs: Sequence[Trajectory], backend: LmBackend,
-                    cfg: SearchConfig, prompts: PromptLibrary | None = None) -> list[float]:
+def terminal_reward(trajs: Sequence[Trajectory], scope: Scope) -> list[float]:
     """Self-consistency rewards of answered trajectories that share one
     context: the same question and ``steps[:-1]``, hence the same A2
     consistency prompt.
@@ -194,9 +187,9 @@ def terminal_reward(trajs: Sequence[Trajectory], backend: LmBackend,
     context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
     if any(Trajectory(traj.question, traj.steps[:-1]) != context for traj in trajs):
         raise ValidationError("terminal reward requires trajectories that share one context")
-    n = cfg.n_consistency_samples
-    resp = backend.complete(action_request(ActionKind.A2, context, prompts, "consistency",
-                                           n * len(trajs)))
+    n = scope.cfg.n_consistency_samples
+    resp = scope.complete(action_request(ActionKind.A2, context, scope.prompts,
+                                         "consistency", n * len(trajs)))
     answers = [extract_answer(text, context.question) for text in resp.completions]
     return [(1 + answers[k * n:(k + 1) * n].count(traj.final_answer)) / (n + 1)
             for k, traj in enumerate(trajs)]
@@ -210,8 +203,7 @@ def backpropagate(tree: SearchTree, leaf: TreeNode, reward: float) -> None:
         node.visits += 1
 
 
-def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | None,
-               prompts: PromptLibrary | None = None) -> list[Trajectory]:
+def run_search(tree: SearchTree) -> list[Trajectory]:
     """Run ``cfg.rollouts`` MCTS iterations on ``tree`` and return every
     distinct terminal trajectory discovered, each with its consistency
     reward attached. The tree keeps the finished search for inspection.
@@ -222,7 +214,7 @@ def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | Non
     ``terminal_reward`` call right after the expansion rewards them all; a
     simulation that ends with a new answer is rewarded on its own before it
     is backpropagated. No candidate is left to reward when the search ends."""
-    question, cfg = tree.question, tree.cfg
+    scope = tree.scope
 
     candidates: dict[str, Trajectory] = {}  # content hash -> rewarded trajectory
 
@@ -236,7 +228,7 @@ def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | Non
                 if key not in candidates:
                     new.setdefault(key, traj)
         if new:
-            rewards = terminal_reward(list(new.values()), backend, cfg, prompts)
+            rewards = terminal_reward(list(new.values()), scope)
             for (key, traj), reward in zip(new.items(), rewards):
                 candidates[key] = replace(traj, terminal_reward=reward)
 
@@ -247,22 +239,22 @@ def run_search(tree: SearchTree, backend: LmBackend, index: RetrievalIndex | Non
         reward_new([traj])
         return candidates[traj.content_hash()].terminal_reward
 
-    for _ in range(cfg.rollouts):
+    for _ in range(scope.cfg.rollouts):
         node = select(tree)
         if node.is_terminal():
             backpropagate(tree, node, reward_of(node.ctx))
             continue
 
-        children = expand(tree, node, backend, index, prompts)
+        children = expand(tree, node)
         if not children:
             backpropagate(tree, node, 0.0)
             continue
         reward_new([child.ctx for child in children])
 
         start = tree.rng.choice(children)
-        traj = simulate(tree, start, backend, index, prompts)
+        traj = simulate(tree, start)
         backpropagate(tree, start, reward_of(traj))
 
     if not candidates:
-        raise NoCandidatesError(f"no terminal trajectory for question {question.id!r}")
+        raise NoCandidatesError(f"no terminal trajectory for question {scope.question.id!r}")
     return list(candidates.values())

@@ -14,11 +14,14 @@ documents with average length avgdl:
 Repeated query tokens contribute once per repetition. Only documents sharing
 at least one token with the query are candidates; results order by
 (score desc, doc_id asc).
+
+The index is shared and never changes once built. A question's searches pass
+``search`` that question's memo (``Scope.hits``), so each distinct query of
+a question is scored once.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CorpusError, ValidationError
-from .types import DocumentRef
+from .types import DocumentRef, text_of
 
 SOURCES = ("wikipedia", "pubmed", "textbook", "statpearls", "other")
 
@@ -71,10 +74,7 @@ class Document:
 
 @dataclass
 class RetrievalIndex:
-    """Inverted index over a fixed corpus. Immutable once built.
-
-    ``for_question`` gives a view that shares every field and adds its own
-    memo of search results; the shared index itself never holds one."""
+    """Inverted index over a fixed corpus. Immutable once built."""
 
     documents: tuple[Document, ...]
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc position, tf)]
@@ -84,17 +84,6 @@ class RetrievalIndex:
     k1: float
     b: float
     corpus_hash: str
-
-    # (query, top_k) -> hits; None on a shared index. Not a dataclass field,
-    # so neither pickles nor equality see it.
-    _memo = None
-
-    def for_question(self) -> "RetrievalIndex":
-        """A shallow copy with an empty search memo, for one question's
-        searches; the shared index is left as it was."""
-        view = copy.copy(self)
-        view._memo = {}
-        return view
 
     def vocabulary_size(self) -> int:
         return len(self.postings)
@@ -148,15 +137,15 @@ def build_index(corpus: Iterable[Document], k1: float = 1.2, b: float = 0.75) ->
     )
 
 
-def search(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
+def search(index: RetrievalIndex, query: str, top_k: int,
+           memo: dict[tuple[str, int], list[DocumentRef]] | None = None) -> list[DocumentRef]:
     """Rank documents by BM25 against ``query``; empty query gives [].
 
-    On a view from ``for_question``, a repeated ``(query, top_k)`` is
-    answered from the view's memo without scoring again. Every call returns
-    a new list."""
+    With a ``memo``, a ``(query, top_k)`` already in it is answered from it
+    without scoring again, and a new one is added. Every call returns a new
+    list."""
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")
-    memo = index._memo
     if memo is None:
         return _rank(index, query, top_k)
     hits = memo.get((query, top_k))
@@ -195,15 +184,19 @@ def _rank(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
 def document_from_record(record: dict, line_no: int = 0) -> Document:
     if not isinstance(record, dict):
         raise ValidationError(f"corpus line {line_no}: not a JSON object")
-    if "id" not in record or "text" not in record:
-        raise ValidationError(f"corpus line {line_no}: missing 'id' or 'text'")
+    try:
+        doc_id, body = text_of(record["id"], "'id'"), text_of(record["text"], "'text'")
+    except KeyError:
+        raise ValidationError(f"corpus line {line_no}: missing 'id' or 'text'") from None
+    except ValidationError as exc:
+        raise ValidationError(f"corpus line {line_no}: {exc}") from None
     source = str(record.get("source", "other") or "other")
     if source not in SOURCES:
         source = "other"
     return Document(
-        doc_id=str(record["id"]),
+        doc_id=doc_id,
         title=str(record.get("title", "") or ""),
-        body=str(record["text"]),
+        body=body,
         source=source,
     )
 

@@ -8,12 +8,11 @@ and plain retrieval-augmented answering.
 
 from __future__ import annotations
 
-from .actions import (PromptLibrary, action_request, execute_action, extract_answer,
+from .actions import (Scope, action_request, execute_action, extract_answer,
                       render_documents)
 from .errors import AbstainError, NoViableChildError, ValidationError
-from .lm import LmBackend
-from .retrieval import RetrievalIndex, search
-from .types import ActionKind, ActionStep, Question, SearchConfig, Trajectory
+from .retrieval import search
+from .types import ActionKind, ActionStep, Trajectory
 
 BASELINE_METHODS = ("cot", "sc", "rag")
 
@@ -53,9 +52,7 @@ def select_majority(candidates: list[Trajectory]) -> Trajectory:
     return min(group, key=lambda t: (-t.terminal_reward, t.content_hash()))
 
 
-def run_baseline(method: str, q: Question, backend: LmBackend,
-                 index: RetrievalIndex | None, cfg: SearchConfig,
-                 prompts: PromptLibrary | None = None) -> list[Trajectory]:
+def run_baseline(method: str, scope: Scope) -> list[Trajectory]:
     """Single-pass baselines; returns the answered candidates, which the
     caller votes over with ``select_majority``.
 
@@ -68,24 +65,25 @@ def run_baseline(method: str, q: Question, backend: LmBackend,
     """
     if method not in BASELINE_METHODS:
         raise ValidationError(f"not a baseline method: {method!r}")
+    q, cfg = scope.question, scope.cfg
     root = Trajectory(q)
 
     if method != "rag":
         try:
             return execute_action(
-                ActionKind.A2, root, backend, index, cfg, prompts,
+                ActionKind.A2, root, scope,
                 n_outcomes=1 if method == "cot" else cfg.n_consistency_samples,
                 purpose="action_gen" if method == "cot" else "consistency")
         except NoViableChildError:
             raise AbstainError(f"{method} produced no parseable answer for {q.id!r}") from None
 
     # rag
-    if index is None:
+    if scope.index is None:
         raise ValidationError("rag requires a retrieval index")
-    hits = tuple(search(index, q.stem, cfg.retrieval_top_k))
-    req = action_request(ActionKind.A6, root, prompts, "action_gen", 1,
+    hits = tuple(search(scope.index, q.stem, cfg.retrieval_top_k, scope.hits))
+    req = action_request(ActionKind.A6, root, scope.prompts, "action_gen", 1,
                          render_documents(hits))
-    resp = backend.complete(req)
+    resp = scope.complete(req)
     text = resp.completions[0].strip()
     answer = extract_answer(text, q)
     if answer is None:

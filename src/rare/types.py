@@ -14,7 +14,7 @@ import enum
 import functools
 import hashlib
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Any, Iterable
 
 from .errors import ValidationError
@@ -82,9 +82,9 @@ class Question:
         # accept a mapping or any iterable of pairs, store canonical tuples
         opts = self.options
         if isinstance(opts, Mapping):
-            pairs = tuple((str(k), str(v)) for k, v in opts.items())
+            pairs = tuple([(str(k), str(v)) for k, v in opts.items()])
         else:
-            pairs = tuple((str(k), str(v)) for k, v in opts)
+            pairs = tuple([(str(k), str(v)) for k, v in opts])
         object.__setattr__(self, "options", pairs)
 
     @property
@@ -273,9 +273,6 @@ class SearchConfig:
         if ActionKind.A7 in self.enabled_actions and ActionKind.A3 not in self.enabled_actions:
             raise ValidationError("A7 enabled requires A3 enabled")
 
-    def with_seed(self, seed: int) -> "SearchConfig":
-        return replace(self, rng_seed=seed)
-
 
 def derive_seed(base_seed: int, key: str) -> int:
     """Stable per-question seed, independent of scheduling order."""
@@ -284,6 +281,13 @@ def derive_seed(base_seed: int, key: str) -> int:
 
 
 # --- record codecs -----------------------------------------------------------
+
+def text_of(value: Any, what: str) -> str:
+    """A record's text field: a string, or a number written as one."""
+    if isinstance(value, (str, int, float)):
+        return str(value)
+    raise ValidationError(f"{what} must be a string or a number, not {type(value).__name__}")
+
 
 def question_from_record(record: Mapping[str, Any]) -> Question:
     """Decode one dataset record. Normalizes numeric option keys and yes/no
@@ -294,13 +298,14 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
         raise ValidationError("record missing 'id' or 'question'")
     raw_options = record.get("options") or {}
     if isinstance(raw_options, Mapping):
-        pairs = [(str(k), str(v)) for k, v in raw_options.items()]
-    elif isinstance(raw_options, (list, tuple)) and all(
+        raw_options = raw_options.items()
+    elif not isinstance(raw_options, (list, tuple)) or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw_options):
-        pairs = [(str(k), str(v)) for k, v in raw_options]
-    else:
         raise ValidationError(f"record {record.get('id')!r}: options must be an object "
                               "or a list of [label, text] pairs")
+    # a string value, the usual case, skips the call
+    pairs = [(str(k), v if type(v) is str else text_of(v, "option text"))
+             for k, v in raw_options]
     answer = record.get("answer")
     answer = None if answer is None else str(answer)
 
@@ -326,8 +331,8 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
                 answer = answer.strip().upper()
 
     q = Question(
-        id=str(record["id"]),
-        stem=str(record["question"]),
+        id=text_of(record["id"], "'id'"),
+        stem=text_of(record["question"], "'question'"),
         options=pairs,
         gold_label=answer,
         domain_tag=str(record.get("domain", "") or ""),
@@ -364,16 +369,7 @@ def trajectory_to_record(traj: Trajectory) -> dict[str, Any]:
 
 
 def config_to_record(cfg: SearchConfig) -> dict[str, Any]:
-    return {
-        "exploration_c": cfg.exploration_c,
-        "rollouts": cfg.rollouts,
-        "max_depth": cfg.max_depth,
-        "children_per_action": cfg.children_per_action,
-        "n_consistency_samples": cfg.n_consistency_samples,
-        "enabled_actions": sorted(k.value for k in cfg.enabled_actions),
-        "rafs_enabled": cfg.rafs_enabled,
-        "retrieval_top_k": cfg.retrieval_top_k,
-        "queries_per_call": cfg.queries_per_call,
-        "rng_seed": cfg.rng_seed,
-        "max_subquestion_chain": cfg.max_subquestion_chain,
-    }
+    """Every config field, in field order; the enabled actions sorted."""
+    record = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    record["enabled_actions"] = sorted(k.value for k in cfg.enabled_actions)
+    return record

@@ -29,6 +29,7 @@ from conftest import (
 )
 from test_retrieval import brute_force_bm25, synthetic_corpus, synthetic_queries
 
+from rare.actions import Scope
 from rare.cli import main
 from rare.factuality import score_candidates
 from rare.harness import ABLATION_PRESETS, apply_preset, run_eval
@@ -59,13 +60,12 @@ def index():
 def test_acceptance_01_factuality_worked_examples(conjunctivitis_question, index):
     with criterion("factuality worked examples (0.6 / 1.0 / 0.625)"):
         started = time.perf_counter()
-        backend = ScriptedBackend(rafs_rating_entries())
-        cfg = SearchConfig()
         q = conjunctivitis_question
+        scope = Scope(q, SearchConfig(), ScriptedBackend(rafs_rating_entries()), index)
 
         report = score_candidates(
             [make_reasoning_trajectory(q, REASONING_SCORE_06, "C")],
-            backend, index, cfg)[0].factuality
+            scope)[0].factuality
         assert [s.label for s in report.statements] == [
             "supported", "supported", "supported",
             "not_supported", "not_supported"]
@@ -75,14 +75,14 @@ def test_acceptance_01_factuality_worked_examples(conjunctivitis_question, index
 
         full = score_candidates(
             [make_reasoning_trajectory(q, REASONING_SCORE_10, "B")],
-            backend, index, cfg)[0].factuality
+            scope)[0].factuality
         assert len(full.statements) == 10
         assert full.supported_count == 10
         assert full.score == 1.0
 
         partial = score_candidates(
             [make_reasoning_trajectory(q, REASONING_SCORE_0625, "D")],
-            backend, index, cfg)[0].factuality
+            scope)[0].factuality
         assert len(partial.statements) == 8
         assert partial.supported_count == 5
         assert partial.score == 0.625
@@ -105,7 +105,7 @@ def test_acceptance_02_uct_matches_direct_evaluation():
         rng = random.Random(7)
         question = make_eval_question("q01", "B")
         for _ in range(100):
-            tree = SearchTree(question, SearchConfig())
+            tree = SearchTree(Scope(question, SearchConfig(), None))
             tree.root.expanded = True
             visits = [rng.choice([0, 0, 1, 3, 9]) for _ in range(rng.randint(2, 6))]
             if not any(v == 0 for v in visits):
@@ -124,7 +124,7 @@ def test_acceptance_03_backpropagation_replay_exact():
     with criterion("backpropagation replay on a 500-node random tree"):
         rng = random.Random(99)
         question = make_eval_question("q01", "B")
-        tree = SearchTree(question, SearchConfig())
+        tree = SearchTree(Scope(question, SearchConfig(), None))
         nodes = [tree.root]
         for _ in range(499):
             node = tree.add_node(rng.choice(nodes), tree.root.ctx)
@@ -207,11 +207,12 @@ def test_acceptance_06_selection_rule_and_monotonicity(conjunctivitis_question,
             make_reasoning_trajectory(q, REASONING_SCORE_06, "C"),
         ]
         # each candidate scored alone carries its full report
-        candidates = [score_candidates([t], backend, index, cfg)[0] for t in unscored]
+        candidates = [score_candidates([t], Scope(q, cfg, backend, index))[0]
+                      for t in unscored]
         assert sorted(t.factuality.score for t in candidates) == [0.6, 0.625, 1.0]
         assert select_rare(candidates).final_answer == "B"
         # scored together, only what decides the winner is checked
-        joint = score_candidates(unscored, backend, index, cfg)
+        joint = score_candidates(unscored, Scope(q, cfg, backend, index))
         assert select_rare(joint).final_answer == "B"
 
         # monotonicity: push any other candidate above the maximum
@@ -323,8 +324,8 @@ def test_acceptance_10_live_backend_smoke(conjunctivitis_question, index):
         backend = HttpBackend.from_env(dict(os.environ))
         q = conjunctivitis_question
         cfg = SearchConfig(rollouts=2, n_consistency_samples=2, rng_seed=0)
-        candidates = run_search(SearchTree(q, cfg), backend, index)
-        scored = score_candidates(candidates, backend, index, cfg)
+        scope = Scope(q, cfg, backend, index)
+        scored = score_candidates(run_search(SearchTree(scope)), scope)
         chosen = select_rare(scored)
         assert chosen.final_answer in dict(q.options)
         assert any(t.factuality is not None for t in scored)

@@ -13,6 +13,7 @@ from conftest import (
 from rare.actions import (
     ACTION_SPECS,
     PromptLibrary,
+    Scope,
     action_request,
     default_prompts,
     execute_action,
@@ -27,7 +28,7 @@ from rare.errors import NoViableChildError, ValidationError
 from rare.lm import ScriptEntry, ScriptedBackend
 from rare.retrieval import build_index
 from rare.types import (SUBQUESTION_ACTIONS, ActionKind, ActionStep, DocumentRef, Question,
-                        SearchConfig, Trajectory)
+                        SearchConfig, Trajectory, derive_seed)
 
 A = ActionKind
 
@@ -48,6 +49,11 @@ def index():
 
 
 CFG = SearchConfig()
+
+
+@pytest.fixture
+def scope(question, backend, index):
+    return Scope(question, CFG, backend, index)
 
 
 def ctx_after(question, *steps):
@@ -128,7 +134,7 @@ class TestValidActions:
         ctx = ctx_after(question, *outcomes)
         assert valid_actions(ctx, CFG) == frozenset({A.A2})
 
-    def test_closure_under_extension(self, question, backend, index):
+    def test_closure_under_extension(self, question, scope):
         # whatever outcome is appended, the next legal set stays within the
         # enabled set
         ctx = Trajectory(question)
@@ -138,7 +144,7 @@ class TestValidActions:
             if not kinds:
                 break
             kind = sorted(kinds, key=lambda k: k.value)[0]
-            ctx = execute_action(kind, ctx, backend, index, CFG)[0]
+            ctx = execute_action(kind, ctx, scope)[0]
             assert valid_actions(ctx, CFG) <= CFG.enabled_actions
 
 
@@ -221,75 +227,92 @@ class TestDerivedState:
 
 
 class TestExecuteActions:
-    def test_a6_parses_queries_and_retrieves(self, question, backend, index):
-        children = execute_action(A.A6, Trajectory(question), backend, index, CFG)
+    def test_a6_parses_queries_and_retrieves(self, question, scope):
+        children = execute_action(A.A6, Trajectory(question), scope)
         step = children[0].steps[-1]
         assert len(step.queries) == 3
         assert step.retrieved
         assert children[0].final_answer == "B"
 
-    def test_a3_marker_terminal(self, question, backend, index):
-        ctx = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
+    def test_a3_marker_terminal(self, question, scope):
+        ctx = execute_action(A.A3, Trajectory(question), scope)[0]
         assert ctx.final_answer is None
         assert ctx.pending_sub_question == ctx.steps[-1].sub_question
-        second = execute_action(A.A3, ctx, backend, index, CFG)[0]
+        second = execute_action(A.A3, ctx, scope)[0]
         assert second.steps[-1].sub_question.startswith("Now we can answer the question")
         assert second.final_answer == "B"
 
-    def test_a2_extracts_answer(self, question, backend, index):
-        child = execute_action(A.A2, Trajectory(question), backend, index, CFG)[0]
+    def test_a2_extracts_answer(self, question, scope):
+        child = execute_action(A.A2, Trajectory(question), scope)[0]
         assert child.final_answer == "B"
         assert "the answer is B" in child.steps[-1].output
 
-    def test_a1_produces_nonterminal_step(self, question, backend, index):
-        child = execute_action(A.A1, Trajectory(question), backend, index, CFG)[0]
+    def test_a1_produces_nonterminal_step(self, question, scope):
+        child = execute_action(A.A1, Trajectory(question), scope)[0]
         assert child.final_answer is None
         assert child.steps[-1].output.startswith("Step 1:")
 
-    def test_a5_sets_rephrased_stem_for_descendants(self, question, backend, index):
-        ctx = execute_action(A.A5, Trajectory(question), backend, index, CFG)[0]
+    def test_a5_sets_rephrased_stem_for_descendants(self, question, scope):
+        ctx = execute_action(A.A5, Trajectory(question), scope)[0]
         output = ctx.steps[-1].output
         assert ctx.question_text() == output != question.render()
         # descendants keep it
         later = ctx.extend(*nonterminal(A.A1))
         assert later.question_text() == output
 
-    def test_a4_reanswers_pending_subquestion(self, question, backend, index):
-        ctx = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
-        step = execute_action(A.A4, ctx, backend, index, CFG)[0].steps[-1]
+    def test_a4_reanswers_pending_subquestion(self, question, scope):
+        ctx = execute_action(A.A3, Trajectory(question), scope)[0]
+        step = execute_action(A.A4, ctx, scope)[0].steps[-1]
         assert step.sub_question == ctx.steps[-1].sub_question
         assert step.kind == A.A4
 
-    def test_a7_retrieves_for_subquestion(self, question, backend, index):
-        ctx = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
+    def test_a7_retrieves_for_subquestion(self, question, scope):
+        ctx = execute_action(A.A3, Trajectory(question), scope)[0]
         sub_question = ctx.steps[-1].sub_question
-        step = execute_action(A.A7, ctx, backend, index, CFG)[0].steps[-1]
+        step = execute_action(A.A7, ctx, scope)[0].steps[-1]
         assert step.retrieved
         assert step.queries == (sub_question,)
         assert step.sub_question == sub_question
 
-    def test_a7_without_pending_subquestion_rejected(self, question, backend, index):
+    def test_a7_without_pending_subquestion_rejected(self, question, scope):
         with pytest.raises(ValidationError):
-            execute_action(A.A7, Trajectory(question), backend, index, CFG)
+            execute_action(A.A7, Trajectory(question), scope)
 
     def test_unparseable_a2_discarded_raises_no_viable_child(self, question, index):
         backend = ScriptedBackend([
             ScriptEntry("action_gen", ("rambling without a verdict",)),
         ])
         with pytest.raises(NoViableChildError):
-            execute_action(A.A2, Trajectory(question), backend, index, CFG)
+            execute_action(A.A2, Trajectory(question), Scope(question, CFG, backend, index))
 
-    def test_terminal_soundness_on_executed_steps(self, question, backend, index):
+    def test_terminal_soundness_on_executed_steps(self, question, scope):
         for kind in (A.A1, A.A2, A.A5, A.A6):
-            child = execute_action(kind, Trajectory(question), backend,
-                                   index, CFG)[0]
+            child = execute_action(kind, Trajectory(question), scope)[0]
             assert (child.final_answer is not None) == (
                 extract_answer(child.steps[-1].output, question) is not None)
 
 
+class TestScope:
+    def test_config_is_seeded_from_the_question_id(self, question, backend, index):
+        cfg = SearchConfig(rollouts=3, rng_seed=7)
+        scope = Scope(question, cfg, backend, index)
+        assert scope.cfg == replace(cfg, rng_seed=derive_seed(7, question.id))
+        twin = Scope(replace(question, id="other"), cfg, backend, index)
+        assert twin.cfg.rng_seed != scope.cfg.rng_seed
+        assert (scope.backend, scope.index, scope.hits) == (backend, index, {})
+
+    def test_prompts_default_to_the_packaged_templates(self, question, backend, tmp_path):
+        assert Scope(question, CFG, backend).prompts is default_prompts()
+        for kind in ActionKind:
+            (tmp_path / f"{kind.value.lower()}.txt").write_text("{question}", encoding="utf-8")
+        custom = PromptLibrary.from_dir(tmp_path)
+        assert Scope(question, CFG, backend, prompts=custom).prompts is custom
+
+
 class TestActionRequest:
     def test_a6_request_renders_the_a7_template_with_the_spec_stop(self, question):
-        req = action_request(A.A6, Trajectory(question), None, "action_gen", 2, "DOCS")
+        req = action_request(A.A6, Trajectory(question), default_prompts(), "action_gen", 2,
+                             "DOCS")
         assert req.prompt == default_prompts().render(
             A.A7, sub_question=question.render(), documents="DOCS")
         assert req.stop_sequences == ACTION_SPECS[A.A6].stop == ("### Instruction",)
@@ -310,8 +333,8 @@ class TestRenderDocuments:
         assert render_documents(hits) == "Alpha: alpha text\nbeta text"
         assert render_documents(()) == ""
 
-    def test_a6_prompt_shows_each_hit_under_its_title(self, question, backend, index):
-        step = execute_action(A.A6, Trajectory(question), backend, index, CFG)[0].steps[-1]
+    def test_a6_prompt_shows_each_hit_under_its_title(self, question, scope):
+        step = execute_action(A.A6, Trajectory(question), scope)[0].steps[-1]
         assert step.retrieved and all(hit.title for hit in step.retrieved)
         assert render_documents(step.retrieved) in step.prompt_rendered
 
@@ -320,7 +343,7 @@ class TestRetrievalIsolation:
     def test_no_retrieval_payload_when_a6_a7_disabled(self, question, index):
         cfg = SearchConfig(enabled_actions=frozenset(
             {A.A1, A.A2, A.A3, A.A4, A.A5}))
-        backend = ScriptedBackend(tree_entries_for(question, "B"))
+        scope = Scope(question, cfg, ScriptedBackend(tree_entries_for(question, "B")), index)
         ctx = Trajectory(question)
         seen_kinds = set()
         for _ in range(5):
@@ -328,7 +351,7 @@ class TestRetrievalIsolation:
             if not kinds:
                 break
             kind = sorted(kinds, key=lambda k: k.value)[0]
-            ctx = execute_action(kind, ctx, backend, index, cfg)[0]
+            ctx = execute_action(kind, ctx, scope)[0]
             seen_kinds.add(kind)
         assert seen_kinds
         for step in ctx.steps:
@@ -366,14 +389,15 @@ class TestPromptFidelity:
     def test_rendered_prompts_contain_scaffolds_verbatim(self, question, backend,
                                                          index):
         backend = RecordingBackend(backend)
+        scope = Scope(question, CFG, backend, index)
         prompts = default_prompts()
-        child_a1 = execute_action(A.A1, Trajectory(question), backend, index, CFG)[0]
+        child_a1 = execute_action(A.A1, Trajectory(question), scope)[0]
         assert scaffold(prompts, A.A1) in child_a1.steps[-1].prompt_rendered
-        child_a3 = execute_action(A.A3, Trajectory(question), backend, index, CFG)[0]
+        child_a3 = execute_action(A.A3, Trajectory(question), scope)[0]
         assert scaffold(prompts, A.A3) in child_a3.steps[-1].prompt_rendered
         # A6 sends two prompts: query generation (a6 scaffold) then answering
         # via the retrieval-answer template (a7 scaffold)
-        execute_action(A.A6, Trajectory(question), backend, index, CFG)
+        execute_action(A.A6, Trajectory(question), scope)
         log = backend.call_log()
         query_calls = [r for r in log if r.purpose == "query_gen"]
         assert any(scaffold(prompts, A.A6) in r.prompt for r in query_calls)

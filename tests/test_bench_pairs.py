@@ -80,6 +80,58 @@ class TestSummarize:
         assert better["lm.inflight_mean"] == "higher"
 
 
+class TestVerdict:
+    """The no-regression verdict of a metric with a relative bound."""
+
+    @pytest.mark.parametrize("parent, change, better, expected", [
+        # a tight parent and a change within the bound
+        ([10.0, 10.1, 10.2, 10.3], [9.5, 9.6, 9.7, 9.8], "higher", "no_worse"),
+        # the change's median is 30% below the parent's, past a 25% bound
+        ([10.0, 10.1, 10.2, 10.3], [7.0, 7.1, 7.2, 7.3], "higher", "worse_beyond_bound"),
+        # lower is better: 30% slower is worse; 30% faster is no worse
+        ([20.0, 20.0, 20.0, 20.0], [26.0, 26.0, 26.0, 26.0], "lower", "worse_beyond_bound"),
+        ([20.0, 20.0, 20.0, 20.0], [14.0, 14.0, 14.0, 14.0], "lower", "no_worse"),
+        # exactly at the bound is not beyond it
+        ([20.0, 20.0, 20.0, 20.0], [25.0, 25.0, 25.0, 25.0], "lower", "no_worse"),
+        # the parent's IQR (22-31 ms around 28) is wider than the bound (7 ms)
+        ([16.0, 22.0, 32.0, 31.0, 28.0], [27.0, 22.0, 33.0, 29.0, 30.0], "lower",
+         "unresolved"),
+        # ... unless every change run beats every parent run
+        ([16.0, 22.0, 32.0, 31.0, 28.0], [12.0, 11.0, 15.0, 14.0, 13.0], "lower",
+         "no_worse"),
+        # a wide parent spread does not hide a median worse beyond the bound
+        ([16.0, 22.0, 32.0, 31.0, 28.0], [40.0, 41.0, 45.0, 39.0, 42.0], "lower",
+         "worse_beyond_bound"),
+    ])
+    def test_verdicts(self, parent, change, better, expected):
+        assert bench_pairs.verdict(parent, change, better, 0.25) == expected
+
+    def test_summary_gives_bounded_metrics_a_verdict(self):
+        pairs = pairs_of([6.0, 6.1, 6.2], [3.0, 3.1, 3.2])
+        for pair, setup in zip(pairs, [0.02, 0.03, 0.04]):
+            pair["parent"]["metrics"]["setup_s"]["value"] = setup
+        summary = bench_pairs.summarize(pairs, BETTER, {"questions_per_s": 0.25,
+                                                        "lm_calls_per_q": 0.02,
+                                                        "setup_s": 0.25})
+        metrics = summary["metrics"]
+        assert metrics["questions_per_s"]["verdict"] == "worse_beyond_bound"
+        # 68.3 -> 65.35 calls in every pair: identical per side, and better
+        assert metrics["lm_calls_per_q"]["verdict"] == "no_worse"
+        assert metrics["setup_s"]["verdict"] == "unresolved"
+        assert "verdict" not in metrics["question_ms.p50"]  # no bound given
+
+    def test_metric_equal_in_every_run_is_no_worse(self):
+        summary = bench_pairs.summarize(pairs_of([6.0, 6.1], [6.2, 6.3]), BETTER,
+                                        {"setup_s": 0.25})
+        assert summary["metrics"]["setup_s"] == {"identical": 0.03, "verdict": "no_worse"}
+
+    def test_bounds_come_from_the_benchmark_spec(self):
+        bounds = bench_pairs.metric_bounds()
+        assert bounds["setup_s"] == 0.25
+        assert bounds["lm_calls_per_q"] == 0.02
+        assert "lm.inflight_mean" not in bounds  # per-layer metrics have none
+
+
 @pytest.mark.parametrize("values, expected", [
     ([1.0, 2.0, 3.0, 4.0, 5.0], {"q1": 2.0, "median": 3.0, "q3": 4.0}),
     ([2.0, 4.0], {"q1": 2.5, "median": 3.0, "q3": 3.5}),
@@ -108,6 +160,7 @@ class TestMain:
         monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: "abc123")
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
         monkeypatch.setattr(bench_pairs, "metric_directions", lambda: BETTER)
+        monkeypatch.setattr(bench_pairs, "metric_bounds", lambda: {"questions_per_s": 0.25})
         return fake
 
     ARGS = ["--topic", "t", "--workload", "tree-cpu", "--seed", "3", "--pairs", "2"]
@@ -116,7 +169,9 @@ class TestMain:
         assert bench_pairs.main(self.ARGS + ["--seconds", "30"]) == 0
         assert len(fake_runs["args"]) == 4
         assert all(args[args.index("--seconds") + 1] == "30" for args in fake_runs["args"])
-        assert (tmp_path / "BENCH_t.json").exists()
+        doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+        metrics = doc["settings"]["tree-cpu seed 3 trace 0"]["summary"]["metrics"]
+        assert metrics["questions_per_s"]["verdict"] == "no_worse"
 
     def test_fractional_seconds_are_refused_before_any_run(self, fake_runs, tmp_path):
         # perfbench/run.py takes whole seconds; 2.5 used to reach every run

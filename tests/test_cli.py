@@ -96,6 +96,16 @@ class TestIndexCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: corpus line 2:")
 
+    def test_build_on_a_null_corpus_text_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "text": "body"}\n{"id": "b", "text": null}\n',
+                          encoding="utf-8")
+        rc = main(["index", "build", "--corpus", str(corpus),
+                   "--out", str(tmp_path / "out.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: corpus line 2: 'text'")
+        assert not (tmp_path / "out.bin").exists()
+
     def test_build_missing_corpus_exits_2(self, tmp_path):
         rc = main(["index", "build", "--corpus", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "out.bin")])
@@ -480,6 +490,42 @@ class TestEvalCommand:
         assert main(args + ["--lenient"]) == 0
         report = json.loads((workspace["dir"] / "lenient.json").read_text())
         assert report["num_questions"] == 1
+
+    @pytest.mark.parametrize("record", [
+        '{"id": null, "question": "q?", "options": {"A": "x", "B": "y"}}',
+        '{"id": "x", "question": null, "options": {"A": "x", "B": "y"}}',
+        '{"id": "x", "question": "q?", "options": {"A": null, "B": "y"}}',
+        '{"id": "x", "question": {"text": "q?"}, "options": {"A": "x", "B": "y"}}',
+    ], ids=["null_id", "null_question", "null_option", "object_question"])
+    def test_null_or_structured_text_fails_or_is_skipped(self, workspace, capsys, record):
+        bad = workspace["dir"] / "bad.jsonl"
+        good_line = workspace["dataset"].read_text().splitlines()[0]
+        bad.write_text(good_line + "\n" + record + "\n", encoding="utf-8")
+        args = [
+            "eval", "--dataset", str(bad), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", str(workspace["dir"] / "lenient.json"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: line 2:")
+        assert main(args + ["--lenient"]) == 0
+        report = json.loads((workspace["dir"] / "lenient.json").read_text())
+        assert [r["question_id"] for r in report["records"]] == ["q01"]
+
+    def test_non_string_script_completion_exits_2(self, workspace, capsys):
+        script = workspace["dir"] / "bad_script.jsonl"
+        script.write_text(workspace["script"].read_text()
+                          + '{"purpose": "rating", "completions": [null]}\n',
+                          encoding="utf-8")
+        lines = len(workspace["script"].read_text().splitlines())
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]),
+            "--method", "cot",
+            "--backend", "script", "--script", str(script),
+        ])
+        assert rc == 2
+        assert f"error: script line {lines + 1}: completions must be" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("method", ["cot", "sc", "rag"])
     def test_ablation_on_a_baseline_exits_2(self, workspace, capsys, method):

@@ -13,7 +13,7 @@ from conftest import (
     make_reasoning_trajectory,
     rafs_rating_entries,
 )
-from rare.actions import merge_hits
+from rare.actions import Scope, merge_hits
 from rare.errors import CorpusError, LmBackendError, ValidationError
 from rare.factuality import (
     factuality_record,
@@ -143,7 +143,7 @@ class TestRateStatement:
 
 def score_one(traj, backend, index, cfg=CFG):
     """The report of a trajectory scored on its own."""
-    return score_candidates([traj], backend, index, cfg)[0].factuality
+    return score_candidates([traj], Scope(traj.question, cfg, backend, index))[0].factuality
 
 
 class TestScoreTrajectory:
@@ -208,7 +208,8 @@ class TestScoreCandidates:
 
         def chosen(order):
             backend = ScriptedBackend(rafs_rating_entries())
-            scored = score_candidates([trajs[i] for i in order], backend, index, CFG)
+            scope = Scope(question, CFG, backend, index)
+            scored = score_candidates([trajs[i] for i in order], scope)
             winner = select_rare(scored)
             return winner.final_answer, winner.factuality
 
@@ -227,7 +228,7 @@ class TestScoreCandidates:
             make_reasoning_trajectory(question, REASONING_SCORE_06, "C"),
             make_reasoning_trajectory(question, REASONING_SCORE_0625, "D"),
         ]
-        scored = score_candidates(trajs, backend, index, CFG)
+        scored = score_candidates(trajs, Scope(question, CFG, backend, index))
         reported = [t for t in scored if t.factuality is not None]
         assert reported
         assert all(t.factuality.score == 1.0 for t in reported)
@@ -236,7 +237,7 @@ class TestScoreCandidates:
         # rating entries missing entirely: the report aborts per trajectory
         backend = ScriptedBackend([ScriptEntry("query_gen", ("q",))])
         traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
-        scored = score_candidates([traj], backend, index, CFG)
+        scored = score_candidates([traj], Scope(question, CFG, backend, index))
         assert scored[0].factuality is None
         assert scored[0].factuality_score() == -1.0
 
@@ -261,7 +262,7 @@ class TestSharedStatements:
     def test_each_distinct_sentence_checked_once(self, question, index):
         trajs = sharing_candidates(question)
         backend = RecordingBackend(ScriptedBackend(rafs_rating_entries()))
-        score_candidates(trajs, backend, index, CFG)
+        score_candidates(trajs, Scope(question, CFG, backend, index))
         distinct = list(dict.fromkeys(
             s for traj in trajs for s in split_statements(traj)))
         assert len(distinct) == 7  # five sentences, plus two new ones
@@ -273,8 +274,8 @@ class TestSharedStatements:
 
     def test_shared_reports_equal_stand_alone_reports(self, question, index):
         trajs = sharing_candidates(question)
-        scored = score_candidates(trajs, ScriptedBackend(rafs_rating_entries()),
-                                  index, CFG)
+        scored = score_candidates(
+            trajs, Scope(question, CFG, ScriptedBackend(rafs_rating_entries()), index))
         for traj, together in zip(trajs, scored):
             alone = score_one(traj, ScriptedBackend(rafs_rating_entries()), index)
             assert together.factuality == alone
@@ -292,7 +293,8 @@ class TestSharedStatements:
         # an entry without completions makes its match raise ScriptMissError
         entries = [ScriptEntry("query_gen", (), substrings=(shared,))]
         backend = ScriptedBackend(entries + rafs_rating_entries())
-        scored = score_candidates([first, second, third], backend, index, CFG)
+        scope = Scope(question, CFG, backend, index)
+        scored = score_candidates([first, second, third], scope)
         assert scored[0].factuality is None
         assert scored[1].factuality is None
         alone = score_one(third, ScriptedBackend(rafs_rating_entries()), index)
@@ -377,7 +379,8 @@ class TestBestFirst:
     def test_picks_what_full_scoring_picks(self, specs, verdicts):
         candidates = [claims_candidate(ids, n_steps, reward)
                       for ids, n_steps, reward in specs]
-        got = score_candidates(candidates, claims_backend(verdicts), FIXTURE_INDEX, CFG)
+        got = score_candidates(candidates, Scope(candidates[0].question, CFG,
+                                                 claims_backend(verdicts), FIXTURE_INDEX))
         want = score_in_full(candidates, claims_backend(verdicts), FIXTURE_INDEX)
         k = chosen_position(got)
         assert k == chosen_position(want)
@@ -396,7 +399,8 @@ class TestBestFirst:
             claims_candidate([2, 5], n_steps=2),      # bounded by 0.5, loses the tie
         ]
         backend = RecordingBackend(claims_backend(verdicts))
-        scored = score_candidates(candidates, backend, FIXTURE_INDEX, CFG)
+        scored = score_candidates(
+            candidates, Scope(candidates[0].question, CFG, backend, FIXTURE_INDEX))
         assert [t.factuality_score() for t in scored] == [-1.0, -1.0, 0.5, -1.0]
         assert scored[3].factuality is None
         assert select_rare(scored) is scored[2]
@@ -409,7 +413,8 @@ class TestBestFirst:
     def test_one_element_list_checks_every_sentence(self, question, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
         backend = RecordingBackend(ScriptedBackend(rafs_rating_entries()))
-        report = score_candidates([traj], backend, index, CFG)[0].factuality
+        scope = Scope(question, CFG, backend, index)
+        report = score_candidates([traj], scope)[0].factuality
         assert report.score == 0.6
         statements = split_statements(traj)
         assert [s.text for s in report.statements] == statements
@@ -424,7 +429,7 @@ class TestBestFirst:
             make_reasoning_trajectory(question, REASONING_SCORE_0625, "D"),
         ]
         backend = RecordingBackend(ScriptedBackend(rafs_rating_entries()))
-        scored = score_candidates(candidates, backend, index, CFG)
+        scored = score_candidates(candidates, Scope(question, CFG, backend, index))
         assert select_rare(scored) is scored[1]
         assert scored[1].factuality.score == 1.0
         assert scored[0].factuality is None and scored[2].factuality is None

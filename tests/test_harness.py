@@ -2,6 +2,7 @@ import gc
 import json
 import time
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -204,6 +205,23 @@ class TestRunEval:
         cfg = apply_preset(SearchConfig(rollouts=2, rng_seed=0), "rstar")
         report = run_eval(questions, "rstar", backend, None, cfg, workers=1)
         assert [r.error for r in report.records] == [None, None]
+
+    def test_no_memo_crosses_questions(self, index):
+        # same stem and options, so the same greedy prompts and searches
+        first = make_eval_question("q01", "B")
+        twin = replace(first, id="q01-twin")
+        entries = tree_entries_for(first, "B") + rafs_generic_entries()
+        cfg = apply_preset(SearchConfig(rollouts=4, rng_seed=0), "rare")
+
+        def records(questions):
+            report = run_eval(questions, "rare", ScriptedBackend(entries), index, cfg,
+                              workers=1)
+            assert [r.error for r in report.records] == [None] * len(questions)
+            return [(r.calls_used, r.tokens_used) for r in report.records]
+
+        together = records([first, twin])
+        assert together == records([first]) + records([twin])
+        assert all(calls > 0 for calls, _ in together)
 
 
 class SlowFirstQuestion(LmBackend):

@@ -10,7 +10,8 @@ import pytest
 import requests
 from hypothesis import example, given, strategies as st
 
-from conftest import RecordingBackend, write_script_file
+from conftest import RecordingBackend, make_eval_question, write_script_file
+from rare.actions import Scope
 from rare.errors import (
     MalformedReplyError,
     ScriptMissError,
@@ -22,7 +23,6 @@ from rare.lm import (
     HttpBackend,
     LmBackend,
     LmRequest,
-    ScopedBackend,
     ScriptEntry,
     ScriptedBackend,
     count_tokens,
@@ -31,6 +31,7 @@ from rare.lm import (
     request_for,
     _retry_after_s,
 )
+from rare.types import SearchConfig
 
 
 def scripted(*entries):
@@ -337,6 +338,13 @@ class TestScriptFile:
         with pytest.raises(ValidationError, match="^script line 2: "):
             load_script(str(path))
 
+    @pytest.mark.parametrize("completions", [[None], ["ok", 5], [{"a": "b"}], [["x"]]])
+    def test_completions_must_be_strings(self, tmp_path, completions):
+        path = tmp_path / "script.jsonl"
+        path.write_text(json.dumps({"purpose": "rating", "completions": completions}))
+        with pytest.raises(ValidationError, match="^script line 1: completions must be"):
+            load_script(str(path))
+
     def test_write_and_load_keep_hash_and_substrings(self, tmp_path):
         entry = ScriptEntry("rating", ("x",), exact_hash=prompt_key("p q"),
                             substrings=("zzz",))
@@ -584,9 +592,7 @@ class TestHttpBackendFaults:
         assert backend.snapshot_costs().total_completion_tokens == 0
 
     def test_bad_usage_costs_only_its_question(self):
-        from conftest import make_eval_question
         from rare.harness import run_eval
-        from rare.types import SearchConfig
 
         def reply(payload):
             prompt = payload["messages"][0]["content"]
@@ -759,12 +765,11 @@ class _TinyModelHandler(BaseHTTPRequestHandler):
 
 class TestHttpPipelineIntegration:
     def test_full_search_and_scoring_over_http(self):
-        from conftest import fixture_corpus, make_eval_question
+        from conftest import fixture_corpus
         from rare.factuality import score_candidates
         from rare.mcts import SearchTree, run_search
         from rare.retrieval import build_index
         from rare.selection import select_rare
-        from rare.types import SearchConfig
 
         server = HTTPServer(("127.0.0.1", 0), _TinyModelHandler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -775,8 +780,8 @@ class TestHttpPipelineIntegration:
                 question = make_eval_question("q01", "B")
                 index = build_index(fixture_corpus())
                 cfg = SearchConfig(rollouts=3, rng_seed=2)
-                candidates = run_search(SearchTree(question, cfg), backend, index)
-                scored = score_candidates(candidates, backend, index, cfg)
+                scope = Scope(question, cfg, backend, index)
+                scored = score_candidates(run_search(SearchTree(scope)), scope)
                 chosen = select_rare(scored)
             assert chosen.final_answer == "B"
             assert chosen.factuality is not None
@@ -821,11 +826,19 @@ memo_steps = st.lists(st.tuples(
 ), max_size=25)
 
 
+def scope_over(inner):
+    """A new question's scope over the shared backend ``inner``."""
+    return Scope(make_eval_question("q01", "B"), SearchConfig(), inner)
+
+
 class TestScopedBackend:
+    """``Scope`` as a backend: it forwards to the shared backend with a
+    ledger and a greedy memo of its own."""
+
     def test_scope_and_shared_ledgers_both_update(self):
         inner = scripted(ScriptEntry("action_gen", ("x y",)))
-        scope_a = ScopedBackend(inner)
-        scope_b = ScopedBackend(inner)
+        scope_a = scope_over(inner)
+        scope_b = scope_over(inner)
         scope_a.complete(LmRequest("p"))
         scope_a.complete(LmRequest("q"))
         scope_b.complete(LmRequest("p"))
@@ -835,19 +848,30 @@ class TestScopedBackend:
 
     def test_repeated_greedy_request_is_not_a_call(self):
         inner = scripted(ScriptEntry("action_gen", ("x y",)))
-        scope = ScopedBackend(inner)
+        scope = scope_over(inner)
         first = scope.complete(LmRequest("p"))
         assert scope.complete(LmRequest("p")) == first
         assert scope.snapshot_costs() == inner.snapshot_costs()
         assert inner.snapshot_costs().total_calls == 1
         # another scope, as another question gets, pays for it again
-        ScopedBackend(inner).complete(LmRequest("p"))
+        scope_over(inner).complete(LmRequest("p"))
         assert inner.snapshot_costs().total_calls == 2
+
+    def test_shared_backends_complete_is_looked_up_on_every_call(self):
+        # a tracer replaces the shared backend's ``complete`` on the instance
+        inner = scripted(ScriptEntry("action_gen", ("x y",)))
+        scope = scope_over(inner)
+        scope.complete(LmRequest("p", temperature=0.8))
+        seen = []
+        original = inner.complete
+        inner.complete = lambda req: seen.append(req) or original(req)
+        scope.complete(LmRequest("q", temperature=0.8))
+        assert [req.prompt for req in seen] == ["q"]
 
     @given(memo_steps)
     def test_greedy_memo_matches_a_scope_without_it(self, steps):
         flaky = _Flaky(memo_script())
-        scope = ScopedBackend(flaky)
+        scope = scope_over(flaky)
         reference = RecordingBackend(memo_script())  # forwards every request
         completed: set[LmRequest] = set()
         attempts = calls = 0
@@ -876,7 +900,7 @@ class TestScopedBackend:
 
     def test_failed_greedy_request_is_retried(self):
         flaky = _Flaky(memo_script())
-        scope = ScopedBackend(flaky)
+        scope = scope_over(flaky)
         flaky.fail_next = True
         with pytest.raises(TransportError):
             scope.complete(LmRequest("alpha"))

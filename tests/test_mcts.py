@@ -13,6 +13,7 @@ from conftest import (
     rafs_generic_entries,
     tree_entries_for,
 )
+from rare.actions import Scope
 from rare.errors import NoCandidatesError, ValidationError
 from rare.lm import ScriptEntry, ScriptedBackend
 from rare.mcts import (
@@ -77,6 +78,11 @@ class TestUctScore:
         assert uct_score(q, n_j, n, c) == pytest.approx(expected, abs=1e-12)
 
 
+def tree_for(question, cfg=None, backend=None, index=None):
+    """A search tree in a new scope; tests that make no LM call pass no backend."""
+    return SearchTree(Scope(question, cfg or SearchConfig(), backend, index))
+
+
 def manual_node(tree, parent, q_value=0.0, visits=0, expanded=False):
     node = tree.add_node(parent, tree.root.ctx)
     node.q_value = q_value
@@ -87,11 +93,11 @@ def manual_node(tree, parent, q_value=0.0, visits=0, expanded=False):
 
 class TestSelect:
     def test_fresh_tree_returns_root(self, question):
-        tree = SearchTree(question, SearchConfig())
+        tree = tree_for(question)
         assert select(tree) is tree.root
 
     def test_unvisited_child_selected_before_visited(self, question):
-        tree = SearchTree(question, SearchConfig())
+        tree = tree_for(question)
         tree.root.expanded = True
         tree.root.visits = 3
         visited = manual_node(tree, tree.root, q_value=2.0, visits=3)
@@ -100,7 +106,7 @@ class TestSelect:
         assert visited.visits == 3  # untouched
 
     def test_three_level_path_matches_hand_evaluated_uct(self, question):
-        tree = SearchTree(question, SearchConfig(exploration_c=1.0))
+        tree = tree_for(question, SearchConfig(exploration_c=1.0))
         root = tree.root
         root.expanded = True
         root.visits = 10
@@ -121,7 +127,7 @@ class TestSelect:
         assert select(tree) is d
 
     def test_ties_break_by_lowest_node_id(self, question):
-        tree = SearchTree(question, SearchConfig())
+        tree = tree_for(question)
         tree.root.expanded = True
         tree.root.visits = 2
         first = manual_node(tree, tree.root, q_value=0.5, visits=1)
@@ -133,8 +139,8 @@ class TestExpand:
     def test_root_expansion_creates_one_child_per_valid_kind(self, question,
                                                              backend, index):
         cfg = SearchConfig()
-        tree = SearchTree(question, cfg)
-        children = expand(tree, tree.root, backend, index)
+        tree = tree_for(question, cfg, backend, index)
+        children = expand(tree, tree.root)
         assert tree.root.expanded
         kinds = sorted(ch.ctx.steps[-1].kind.value for ch in children)
         assert kinds == ["A1", "A2", "A3", "A5", "A6"]
@@ -145,19 +151,19 @@ class TestExpand:
 
     def test_post_a3_expansion_limited_to_transition_kinds(self, question,
                                                            backend, index):
-        tree = SearchTree(question, SearchConfig())
-        root_children = expand(tree, tree.root, backend, index)
+        tree = tree_for(question, SearchConfig(), backend, index)
+        root_children = expand(tree, tree.root)
         a3_child = next(ch for ch in root_children
                         if ch.ctx.steps[-1].kind == A.A3)
-        grandchildren = expand(tree, a3_child, backend, index)
+        grandchildren = expand(tree, a3_child)
         kinds = {ch.ctx.steps[-1].kind for ch in grandchildren}
         assert kinds <= {A.A3, A.A4, A.A7}
 
     def test_expanding_twice_rejected(self, question, backend, index):
-        tree = SearchTree(question, SearchConfig())
-        expand(tree, tree.root, backend, index)
+        tree = tree_for(question, SearchConfig(), backend, index)
+        expand(tree, tree.root)
         with pytest.raises(ValidationError, match="already expanded"):
-            expand(tree, tree.root, backend, index)
+            expand(tree, tree.root)
 
     def test_no_viable_child_marks_terminal_failed(self, question, index):
         # every completion unparseable for the enders, empty for the rest
@@ -167,8 +173,8 @@ class TestExpand:
             ScriptEntry("query_gen", ("   ",)),
         ])
         cfg = SearchConfig(enabled_actions=frozenset({A.A1, A.A2}))
-        tree = SearchTree(question, cfg)
-        children = expand(tree, tree.root, backend, index)
+        tree = tree_for(question, cfg, backend, index)
+        children = expand(tree, tree.root)
         assert children == []
         assert tree.root.terminal_failed
         assert tree.root.is_terminal()
@@ -176,31 +182,32 @@ class TestExpand:
 
 class TestSimulate:
     def test_terminal_node_trajectory_unchanged(self, question, backend, index):
-        tree = SearchTree(question, SearchConfig())
-        children = expand(tree, tree.root, backend, index)
+        tree = tree_for(question, SearchConfig(), backend, index)
+        children = expand(tree, tree.root)
         a2_child = next(ch for ch in children if ch.ctx.steps[-1].kind == A.A2)
-        traj = simulate(tree, a2_child, backend, index)
+        traj = simulate(tree, a2_child)
         assert traj.final_answer == "B"
         assert traj.steps == a2_child.ctx.steps
 
     def test_terminal_failed_node_makes_no_call(self, question, backend, index):
-        tree = SearchTree(question, SearchConfig())
-        children = expand(tree, tree.root, backend, index)
+        recording = RecordingBackend(backend)
+        tree = tree_for(question, SearchConfig(), recording, index)
+        children = expand(tree, tree.root)
         a1_child = next(ch for ch in children if ch.ctx.steps[-1].kind == A.A1)
         a1_child.terminal_failed = True
-        recording = RecordingBackend(backend)
-        traj = simulate(tree, a1_child, recording, index)
-        assert recording.call_log() == ()
+        expanded = recording.call_log()
+        traj = simulate(tree, a1_child)
+        assert recording.call_log() == expanded
         assert traj.steps == a1_child.ctx.steps
         assert traj.final_answer is None
 
     def test_seeded_rollout_is_reproducible(self, question, index):
         def run(seed):
             backend = ScriptedBackend(tree_entries_for(question, "B"))
-            tree = SearchTree(question, SearchConfig(rng_seed=seed))
-            children = expand(tree, tree.root, backend, index)
+            tree = tree_for(question, SearchConfig(rng_seed=seed), backend, index)
+            children = expand(tree, tree.root)
             start = next(ch for ch in children if ch.ctx.steps[-1].kind == A.A3)
-            return trajectory_to_record(simulate(tree, start, backend, index))
+            return trajectory_to_record(simulate(tree, start))
 
         assert run(11) == run(11)
 
@@ -215,8 +222,8 @@ class TestSimulate:
             ScriptEntry("action_gen", ("no verdict",)),
         ])
         cfg = SearchConfig(enabled_actions=frozenset({A.A1, A.A3}), max_depth=4)
-        tree = SearchTree(question, cfg)
-        traj = simulate(tree, tree.root, backend, index)
+        tree = tree_for(question, cfg, backend, index)
+        traj = simulate(tree, tree.root)
         assert traj.final_answer is None
         assert traj.terminal_reward == 0.0
         assert len(traj.steps) <= 4
@@ -234,7 +241,8 @@ class TestTerminalReward:
         backend = self.consistency_backend(
             question, ["The answer is B: beta therapy."] * 3)
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward([self.make_traj(question)], backend, cfg) == [1.0]
+        scope = Scope(question, cfg, backend)
+        assert terminal_reward([self.make_traj(question)], scope) == [1.0]
 
     def test_vote_counting(self, question):
         backend = self.consistency_backend(question, [
@@ -243,12 +251,14 @@ class TestTerminalReward:
             "The answer is B: beta therapy.",
         ])
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward([self.make_traj(question)], backend, cfg) == [0.75]
+        scope = Scope(question, cfg, backend)
+        assert terminal_reward([self.make_traj(question)], scope) == [0.75]
 
     def test_unparseable_samples_leave_own_vote_only(self, question):
         backend = self.consistency_backend(question, ["mumble", "''", "no label"])
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward([self.make_traj(question)], backend, cfg) == [0.25]
+        scope = Scope(question, cfg, backend)
+        assert terminal_reward([self.make_traj(question)], scope) == [0.25]
 
     def test_each_trajectory_votes_on_its_own_slice_in_order(self, question):
         # nine distinct samples: A's slice agrees 3 times, B's twice, C's once
@@ -259,7 +269,8 @@ class TestTerminalReward:
                  for label, text in (("A", "alpha therapy"), ("B", "beta therapy"),
                                      ("C", "gamma therapy"))]
         cfg = SearchConfig(n_consistency_samples=3)
-        assert terminal_reward(trajs, recording, cfg) == [1.0, 0.75, 0.5]
+        scope = Scope(question, cfg, recording)
+        assert terminal_reward(trajs, scope) == [1.0, 0.75, 0.5]
         assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
             ("consistency", 9)]
 
@@ -267,27 +278,27 @@ class TestTerminalReward:
         traj = Trajectory(question, (ActionStep(A.A1, "p", "thought"),))
         backend = self.consistency_backend(question, ["x"])
         with pytest.raises(ValidationError):
-            terminal_reward([traj], backend, SearchConfig())
+            terminal_reward([traj], Scope(question, SearchConfig(), backend))
         with pytest.raises(ValidationError, match="final answer"):
-            terminal_reward([self.make_traj(question), traj], backend,
-                            SearchConfig())
+            terminal_reward([self.make_traj(question), traj],
+                            Scope(question, SearchConfig(), backend))
 
     def test_requires_at_least_one_trajectory(self, question):
         backend = self.consistency_backend(question, ["x"])
         with pytest.raises(ValidationError, match="at least one"):
-            terminal_reward([], backend, SearchConfig())
+            terminal_reward([], Scope(question, SearchConfig(), backend))
 
     def test_requires_one_shared_context(self, question):
         backend = self.consistency_backend(question, ["x"])
         other = (ActionStep(A.A1, "p", "Step 1: a thought."),)
         trajs = [self.make_traj(question), self.make_traj(question, context=other)]
         with pytest.raises(ValidationError, match="share one context"):
-            terminal_reward(trajs, backend, SearchConfig())
+            terminal_reward(trajs, Scope(question, SearchConfig(), backend))
 
 
 class TestBackpropagate:
     def build_chain(self, question, length):
-        tree = SearchTree(question, SearchConfig())
+        tree = tree_for(question)
         node = tree.root
         for _ in range(length - 1):
             node = manual_node(tree, node)
@@ -308,7 +319,7 @@ class TestBackpropagate:
             assert node.visits == 1
 
     def test_shared_prefix_accumulates(self, question):
-        tree = SearchTree(question, SearchConfig())
+        tree = tree_for(question)
         mid = manual_node(tree, tree.root)
         left = manual_node(tree, mid)
         right = manual_node(tree, mid)
@@ -324,7 +335,7 @@ class TestBackpropagate:
     @given(st.integers(0, 2**32 - 1))
     def test_replayed_sequence_matches_exactly(self, seed):
         rng = random.Random(seed)
-        tree = SearchTree(make_eval_question("q01", "B"), SearchConfig())
+        tree = tree_for(make_eval_question("q01", "B"))
         nodes = [tree.root]
         for _ in range(rng.randint(1, 60)):
             nodes.append(manual_node(tree, rng.choice(nodes)))
@@ -345,7 +356,7 @@ class TestBackpropagate:
 class TestRunSearch:
     def test_happy_path_produces_agreeing_candidates(self, question, backend, index):
         cfg = SearchConfig(rollouts=4, rng_seed=7)
-        candidates = run_search(SearchTree(question, cfg), backend, index)
+        candidates = run_search(tree_for(question, cfg, backend, index))
         assert candidates
         assert all(t.final_answer == "B" for t in candidates)
         assert all(0.0 <= t.terminal_reward <= 1.0 for t in candidates)
@@ -354,21 +365,22 @@ class TestRunSearch:
 
     def test_visit_conservation_matches_rollouts(self, question, backend, index):
         for rollouts in (2, 4):
-            tree = SearchTree(question, SearchConfig(rollouts=rollouts, rng_seed=3))
-            run_search(tree, ScriptedBackend(tree_entries_for(question, "B")), index)
+            tree = tree_for(question, SearchConfig(rollouts=rollouts, rng_seed=3),
+                            ScriptedBackend(tree_entries_for(question, "B")), index)
+            run_search(tree)
             assert tree.root.visits == rollouts
 
     def test_candidates_deduplicated_by_step_outputs(self, question, backend, index):
-        candidates = run_search(SearchTree(question, SearchConfig(rollouts=6, rng_seed=1)),
-                                backend, index)
+        candidates = run_search(tree_for(question, SearchConfig(rollouts=6, rng_seed=1),
+                                         backend, index))
         hashes = [t.content_hash() for t in candidates]
         assert len(hashes) == len(set(hashes))
 
     def test_full_determinism_under_fixed_seed(self, question, index):
         def run():
             backend = ScriptedBackend(tree_entries_for(question, "B"))
-            tree = SearchTree(question, SearchConfig(rollouts=4, rng_seed=42))
-            candidates = run_search(tree, backend, index)
+            tree = tree_for(question, SearchConfig(rollouts=4, rng_seed=42), backend, index)
+            candidates = run_search(tree)
             shape = [
                 (node.node_id,
                  node.parent.node_id if node.parent else None,
@@ -382,8 +394,8 @@ class TestRunSearch:
 
     def test_q_values_equal_replayed_reward_sums(self, question, index):
         backend = ScriptedBackend(tree_entries_for(question, "B"))
-        tree = SearchTree(question, SearchConfig(rollouts=5, rng_seed=9))
-        run_search(tree, backend, index)
+        tree = tree_for(question, SearchConfig(rollouts=5, rng_seed=9), backend, index)
+        run_search(tree)
         for node in tree.nodes:
             child_visits = sum(ch.visits for ch in node.children)
             assert node.visits >= child_visits
@@ -399,15 +411,15 @@ class TestRunSearch:
         cfg = SearchConfig(enabled_actions=frozenset({A.A1, A.A2}),
                            rollouts=2, max_depth=3)
         with pytest.raises(NoCandidatesError):
-            run_search(SearchTree(question, cfg), backend, index)
+            run_search(tree_for(question, cfg, backend, index))
 
     def test_answered_children_of_one_expansion_share_one_request(self, question,
                                                                    backend, index):
         # A2 and A6 both answer at the root; later rollouts revisit them
         cfg = SearchConfig(enabled_actions=frozenset({A.A2, A.A6}), rollouts=3)
         recording = RecordingBackend(backend)
-        tree = SearchTree(question, cfg)
-        candidates = run_search(tree, recording, index)
+        tree = tree_for(question, cfg, recording, index)
+        candidates = run_search(tree)
         answered = [child for child in tree.root.children if child.is_terminal()]
         assert len(answered) == len(candidates) == 2
         consistency = [r for r in recording.call_log() if r.purpose == "consistency"]
@@ -416,8 +428,8 @@ class TestRunSearch:
 
     def test_finished_tree_is_freed_without_the_cycle_collector(self, question,
                                                                 backend, index):
-        tree = SearchTree(question, SearchConfig(rollouts=4, rng_seed=7))
-        run_search(tree, backend, index)
+        tree = tree_for(question, SearchConfig(rollouts=4, rng_seed=7), backend, index)
+        run_search(tree)
         root = weakref.ref(tree.root)
         was_enabled = gc.isenabled()
         gc.disable()
@@ -431,7 +443,7 @@ class TestRunSearch:
     def test_uct_ordering_reduces_to_mean_reward_at_equal_visits(self, question):
         # with equal visit counts, scaling rewards by a positive constant
         # keeps the same argmax
-        tree = SearchTree(question, SearchConfig())
+        tree = tree_for(question)
         tree.root.expanded = True
         tree.root.visits = 6
         lo = manual_node(tree, tree.root, q_value=0.6, visits=3)

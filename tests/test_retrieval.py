@@ -186,43 +186,41 @@ class TestSearch:
             assert hit.score == pytest.approx(score, abs=1e-9)
 
 
-class TestQuestionView:
-    """``for_question`` views memoize searches without touching the shared
-    index."""
+class TestSearchMemo:
+    """A question's searches pass its memo to ``search``; the shared index is
+    never changed."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(synthetic_queries()),
                               st.integers(min_value=1, max_value=4)),
                     min_size=1, max_size=12))
-    def test_views_return_exactly_search_on_the_shared_index(self, calls):
+    def test_memo_searches_return_exactly_search_without_one(self, calls):
         index = build_index(synthetic_corpus(n_docs=30, seed=7))
         state = dict(vars(index))
-        first, second = index.for_question(), index.for_question()
+        first, second = {}, {}
         for query, top_k in calls:
             expected = search(index, query, top_k)
-            hits = search(first, query, top_k)
+            hits = search(index, query, top_k, first)
             assert hits == expected
             hits.append("junk")  # a caller's list is its own
             hits.clear()
-            assert search(first, query, top_k) == expected
-            assert search(second, query, top_k) == expected
-        assert first._memo is not second._memo
-        assert all(a is not b for a in first._memo.values() for b in second._memo.values())
+            assert search(index, query, top_k, first) == expected
+            assert search(index, query, top_k, second) == expected
+        assert all(a is not b for a in first.values() for b in second.values())
         assert vars(index) == state
-        assert index._memo is None
 
-    def test_view_keeps_its_own_memo(self):
+    def test_memo_keeps_only_its_own_searches(self):
         index = build_index(synthetic_corpus(n_docs=30, seed=7))
-        first, second = index.for_question(), index.for_question()
-        search(first, "alpha therapy", 3)
-        assert list(first._memo) == [("alpha therapy", 3)]
-        assert second._memo == {}
-        assert "_memo" not in vars(index)
+        first, second = {}, {}
+        search(index, "alpha therapy", 3, first)
+        assert list(first) == [("alpha therapy", 3)]
+        assert second == {}
 
-    def test_view_still_rejects_bad_top_k(self):
-        view = build_index(synthetic_corpus(n_docs=5)).for_question()
+    def test_memo_search_still_rejects_bad_top_k(self):
+        memo = {}
         with pytest.raises(ValidationError):
-            search(view, "alpha", 0)
+            search(build_index(synthetic_corpus(n_docs=5)), "alpha", 0, memo)
+        assert memo == {}
 
 
 class TestSnippet:
@@ -299,6 +297,24 @@ class TestCorpusFile:
         path.write_text('{"id": "a", "text": "body"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="corpus line 2"):
             load_corpus(str(path))
+
+    @pytest.mark.parametrize("value", ["null", '{"t": "x"}', '["x"]'])
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_null_or_structured_id_or_text_rejected(self, tmp_path, field, value):
+        path = tmp_path / "corpus.jsonl"
+        fields = {"id": '"b"', "text": '"body"', field: value}
+        path.write_text('{"id": "a", "text": "body"}\n'
+                        f'{{"id": {fields["id"]}, "text": {fields["text"]}}}\n',
+                        encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=f"corpus line 2: '{field}' must be a string or a number"):
+            load_corpus(str(path))
+
+    def test_numeric_id_and_text_are_written_as_text(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 7, "text": 2.5}\n', encoding="utf-8")
+        [doc] = load_corpus(str(path))
+        assert (doc.doc_id, doc.body) == ("7", "2.5")
 
     def test_empty_body_rejected(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fixture_corpus, make_eval_question
+from rare.actions import Scope
 from rare.errors import AbstainError, ValidationError
 from rare.lm import ScriptEntry, ScriptedBackend
 from rare.retrieval import build_index
@@ -153,7 +154,7 @@ class TestRunBaseline:
         backend = ScriptedBackend([
             ScriptEntry("action_gen", ("The answer is E: Nitrofurantoin.",)),
         ])
-        [chosen] = run_baseline("cot", q, backend, None, CFG)
+        [chosen] = run_baseline("cot", Scope(q, CFG, backend))
         assert chosen.final_answer == "E"
         assert backend.snapshot_costs().total_calls == 1
 
@@ -165,7 +166,7 @@ class TestRunBaseline:
                 "The answer is B: beta therapy.",
             )),
         ])
-        candidates = run_baseline("sc", question, backend, None, CFG)
+        candidates = run_baseline("sc", Scope(question, CFG, backend))
         assert select_majority(candidates).final_answer == "A"
         assert backend.snapshot_costs().total_calls == 1
         assert len(candidates) == 3
@@ -176,7 +177,7 @@ class TestRunBaseline:
                         ("Based on the documents, the answer is B: beta therapy.",),
                         substrings=("### Relevant Documents",)),
         ])
-        [chosen] = run_baseline("rag", question, backend, index, CFG)
+        [chosen] = run_baseline("rag", Scope(question, CFG, backend, index))
         assert chosen.final_answer == "B"
         assert chosen.steps[0].retrieved
         ledger = backend.snapshot_costs()
@@ -186,14 +187,14 @@ class TestRunBaseline:
     def test_cot_abstains_on_unparseable(self, question):
         backend = ScriptedBackend([ScriptEntry("action_gen", ("no verdict",))])
         with pytest.raises(AbstainError):
-            run_baseline("cot", question, backend, None, CFG)
+            run_baseline("cot", Scope(question, CFG, backend))
 
     def test_rag_requires_index(self, question):
         backend = ScriptedBackend([ScriptEntry("action_gen", ("x",))])
         with pytest.raises(ValidationError):
-            run_baseline("rag", question, backend, None, CFG)
+            run_baseline("rag", Scope(question, CFG, backend))
 
     def test_tree_methods_rejected_here(self, question):
         backend = ScriptedBackend([])
         with pytest.raises(ValidationError):
-            run_baseline("rare", question, backend, None, CFG)
+            run_baseline("rare", Scope(question, CFG, backend))

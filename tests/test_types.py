@@ -153,6 +153,25 @@ class TestDatasetNormalization:
         with pytest.raises(ValidationError):
             question_from_record({"question": "no id"})
 
+    @pytest.mark.parametrize("value", [None, {"text": "x"}, ["x"]])
+    @pytest.mark.parametrize("field", ["id", "question", "option"])
+    def test_null_or_structured_text_rejected(self, field, value):
+        record = {"id": "x", "question": "pick", "options": {"A": "a", "B": "b"}}
+        if field == "option":
+            record["options"]["A"] = value
+        else:
+            record[field] = value
+        with pytest.raises(ValidationError, match="must be a string or a number"):
+            question_from_record(record)
+        if field == "option":  # the list form too
+            record["options"] = [["A", value], ["B", "b"]]
+            with pytest.raises(ValidationError, match="must be a string or a number"):
+                question_from_record(record)
+
+    def test_numbers_are_written_as_text(self):
+        q = question_from_record({"id": 7, "question": 12, "options": {"A": 1, "B": 2.5}})
+        assert (q.id, q.stem, q.options) == ("7", "12", (("A", "1"), ("B", "2.5")))
+
     @pytest.mark.parametrize("record", [7, ["id", "question"], "question", None])
     def test_non_object_record_rejected(self, record):
         with pytest.raises(ValidationError, match="not a JSON object"):

@@ -11,8 +11,10 @@ alternating which side runs first (odd pairs run the parent first). Each
 run's last output line is its result. ``BENCH_<topic>.json`` gets one entry
 per (workload, seed, trace) setting with every run's result, and for every
 metric both sides' quartiles and the number of pairs the change won, by the
-direction BENCHMARK.json gives the metric. Running again with another
-setting adds its entry to the same file; the same setting is replaced.
+direction BENCHMARK.json gives the metric. Each end-to-end metric with a
+bound in BENCHMARK.json also gets a no-regression verdict (see ``verdict``).
+Running again with another setting adds its entry to the same file; the
+same setting is replaced.
 The exit code is 1, after the file is written, when any run failed.
 """
 
@@ -64,11 +66,34 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Whether the change is no worse than the parent on a metric with a
+    relative ``bound``:
+
+    - ``worse_beyond_bound``: the change's median is worse than the
+      parent's by more than ``bound`` times the parent's median;
+    - ``unresolved``: otherwise, when the parent's interquartile range is
+      wider than ``bound`` times its median, unless every run of the change
+      is better than every run of the parent;
+    - ``no_worse``: otherwise."""
+    sign = 1 if better == "higher" else -1
+    p, c = quartiles(parent), quartiles(change)
+    scale = bound * abs(p["median"])
+    if sign * (p["median"] - c["median"]) > scale:
+        return "worse_beyond_bound"
+    if p["q3"] - p["q1"] > scale and not all(
+            sign * (c_run - p_run) > 0 for c_run in change for p_run in parent):
+        return "unresolved"
+    return "no_worse"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's quartiles, the pairs the change won (ties
     count for neither side), and whether the change's median is better than
     the parent's by more than the parent's interquartile range. A metric
-    with no direction in ``better`` gets quartiles only."""
+    with no direction in ``better`` gets quartiles only; one with a bound in
+    ``bounds`` also gets its ``verdict``."""
     runs = [run for pair in pairs for run in (pair["parent"], pair["change"])]
     names = [name for name in pairs[0]["parent"]["metrics"]
              if all(name in run["metrics"] for run in runs)]
@@ -87,6 +112,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             entry["gain_beyond_parent_iqr"] = gap > spread
         if len(set(parent + change)) == 1:
             entry = {"identical": parent[0]}
+        if direction is not None and name in (bounds or {}):
+            entry["verdict"] = verdict(parent, change, direction, bounds[name])
         metrics[name] = entry
     return {
         "pairs": len(pairs),
@@ -96,10 +123,19 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
-def metric_directions() -> dict[str, str]:
+def benchmark_spec() -> dict:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        return json.load(fh)
+
+
+def metric_directions() -> dict[str, str]:
+    spec = benchmark_spec()
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def metric_bounds() -> dict[str, float]:
+    """The relative bound of each end-to-end metric that has one."""
+    return {m["name"]: m["bound"] for m in benchmark_spec()["end_to_end"] if "bound" in m}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -136,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                 "host": f"{platform.system()} {platform.machine()}, "
                         f"{len(os.sched_getaffinity(0))} CPUs usable"})
     key = f"{args.workload} seed {args.seed} trace {args.trace}"
-    summary = summarize(pairs, metric_directions())
+    summary = summarize(pairs, metric_directions(), metric_bounds())
     doc.setdefault("settings", {})[key] = {
         "command": "python3 perfbench/run.py " + " ".join(bench_args),
         "order": "alternating: odd pairs run the parent first, even pairs the change first",
