@@ -9,12 +9,8 @@ class ValidationError(RareError):
     """A domain object violates one of its invariants."""
 
 
-class DatasetError(RareError):
+class DatasetError(ValidationError):
     """A dataset file is unreadable or contains a malformed record."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class LmBackendError(RareError):
@@ -33,8 +29,9 @@ class ScriptMissError(LmBackendError):
     """The scripted backend has no entry matching a prompt."""
 
 
-class CorpusError(RareError):
-    """Corpus or index construction failure (duplicate ids, empty corpus)."""
+class CorpusError(ValidationError):
+    """Corpus or index construction failure (an unreadable corpus file,
+    duplicate ids, empty corpus)."""
 
 
 class NoViableChildError(RareError):

@@ -34,6 +34,7 @@ from .types import (
     Trajectory,
     config_to_record,
     question_from_record,
+    read_records,
     trajectory_to_record,
 )
 
@@ -90,32 +91,7 @@ class RunReport:
 def load_dataset(path: str, strict: bool = True) -> list[Question]:
     """Read a line-delimited question file. Malformed lines are fatal unless
     ``strict`` is off, in which case they are reported and skipped."""
-
-    def pairs_hook(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-        keys = [k for k, _ in pairs]
-        if len(set(keys)) != len(keys):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise ValidationError(f"duplicate label: {dupes}")
-        return dict(pairs)
-
-    questions: list[Question] = []
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset: {exc}") from None
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = json.loads(line, object_pairs_hook=pairs_hook)
-                questions.append(question_from_record(record))
-            except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
-                if strict:
-                    raise DatasetError(str(exc), line_no=line_no) from None
-                logger.warning("skipping dataset line %d: %s", line_no, exc)
-    return questions
+    return list(read_records(path, "", question_from_record, DatasetError, strict))
 
 
 def sequence_key(sequence: tuple[ActionKind, ...]) -> str:

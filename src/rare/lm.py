@@ -17,7 +17,6 @@ authors can verify ledger totals by hand.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import threading
@@ -35,6 +34,7 @@ from .errors import (
     TransportError,
     ValidationError,
 )
+from .types import read_records
 
 if TYPE_CHECKING:
     import requests
@@ -332,41 +332,28 @@ def load_script(path: str) -> ScriptedBackend:
     """Read a script file: one JSON object per line with keys
     ``purpose``, optional ``match`` ({"exact_hash": h} or {"substring": s-or-list}),
     and ``completions``."""
-    entries: list[ScriptEntry] = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"script line {line_no}: {exc}") from None
-            entries.append(script_entry_from_record(record, line_no))
-    return ScriptedBackend(entries)
+    return ScriptedBackend(read_records(path, "script ", script_entry_from_record,
+                                        ValidationError))
 
 
-def script_entry_from_record(record: Any, line_no: int = 0) -> ScriptEntry:
-    def bad(problem: str) -> ValidationError:
-        return ValidationError(f"script line {line_no}: {problem}")
-
+def script_entry_from_record(record: Any) -> ScriptEntry:
     if not isinstance(record, dict):
-        raise bad("expected a JSON object")
+        raise ValidationError("expected a JSON object")
     purpose = record.get("purpose")
     if purpose not in PURPOSES:
-        raise bad(f"bad purpose {purpose!r}")
+        raise ValidationError(f"bad purpose {purpose!r}")
     completions = record.get("completions")
     if not isinstance(completions, list) or not completions or not all(
             isinstance(c, str) for c in completions):
-        raise bad("completions must be a nonempty list of strings")
+        raise ValidationError("completions must be a nonempty list of strings")
     match = record.get("match") or {}
     if not isinstance(match, dict):
-        raise bad("match must be an object")
+        raise ValidationError("match must be an object")
     if not match.keys() <= MATCH_KEYS:
-        raise bad(f"unknown match keys {sorted(match.keys() - MATCH_KEYS)}")
+        raise ValidationError(f"unknown match keys {sorted(match.keys() - MATCH_KEYS)}")
     exact_hash = match.get("exact_hash")
     if exact_hash is not None and not isinstance(exact_hash, str):
-        raise bad("exact_hash must be a string")
+        raise ValidationError("exact_hash must be a string")
     substring = match.get("substring")
     if substring is None:
         substrings: tuple[str, ...] = ()
@@ -375,7 +362,7 @@ def script_entry_from_record(record: Any, line_no: int = 0) -> ScriptEntry:
     elif isinstance(substring, list) and all(isinstance(s, str) for s in substring):
         substrings = tuple(substring)
     else:
-        raise bad("substring must be a string or a list of strings")
+        raise ValidationError("substring must be a string or a list of strings")
     return ScriptEntry(
         purpose=purpose,
         completions=tuple(completions),

@@ -83,7 +83,7 @@ class TreeNode:
 
 class SearchTree:
     """One question's search tree, searched in its scope, plus a private
-    random stream seeded from the scope's config."""
+    random stream seeded from the scope's config and the candidates so far."""
 
     def __init__(self, scope: Scope):
         scope.cfg.validate()
@@ -91,6 +91,7 @@ class SearchTree:
         self.scope = scope
         self.rng = random.Random(scope.cfg.rng_seed)
         self.nodes: list[TreeNode] = []
+        self.candidates: dict[str, Trajectory] = {}
         self.root = self.add_node(parent=None, ctx=Trajectory(scope.question))
 
     def add_node(self, parent: TreeNode | None, ctx: Trajectory) -> TreeNode:
@@ -100,6 +101,43 @@ class SearchTree:
         if parent is not None:
             parent.children.append(node)
         return node
+
+    def reward_new(self, trajs: list[Trajectory]) -> None:
+        """Make candidates of the answered trajectories not seen before,
+        all of one context, rewarded by one ``terminal_reward`` call."""
+        new: dict[str, Trajectory] = {}
+        for traj in trajs:
+            if traj.final_answer is not None:
+                key = traj.content_hash()
+                if key not in self.candidates:
+                    new.setdefault(key, traj)
+        if new:
+            rewards = terminal_reward(list(new.values()), self.scope)
+            for (key, traj), reward in zip(new.items(), rewards):
+                self.candidates[key] = replace(traj, terminal_reward=reward)
+
+    def reward_of(self, traj: Trajectory) -> float:
+        """Consistency reward of a trajectory; 0 without an answer."""
+        if traj.final_answer is None:
+            return 0.0
+        self.reward_new([traj])
+        return self.candidates[traj.content_hash()].terminal_reward
+
+    def rollout(self) -> None:
+        """One MCTS iteration. Its steps are looked up as module globals on
+        every call, so a tracer that replaces one sees each call."""
+        node = select(self)
+        if node.is_terminal():
+            backpropagate(self, node, self.reward_of(node.ctx))
+            return
+        children = expand(self, node)
+        if not children:
+            backpropagate(self, node, 0.0)
+            return
+        self.reward_new([child.ctx for child in children])
+        start = self.rng.choice(children)
+        traj = simulate(self, start)
+        backpropagate(self, start, self.reward_of(traj))
 
 
 def _best_child(node: TreeNode, c: float) -> TreeNode:
@@ -214,47 +252,9 @@ def run_search(tree: SearchTree) -> list[Trajectory]:
     ``terminal_reward`` call right after the expansion rewards them all; a
     simulation that ends with a new answer is rewarded on its own before it
     is backpropagated. No candidate is left to reward when the search ends."""
-    scope = tree.scope
-
-    candidates: dict[str, Trajectory] = {}  # content hash -> rewarded trajectory
-
-    def reward_new(trajs: list[Trajectory]) -> None:
-        """Make candidates of the answered trajectories not seen before,
-        all of one context, rewarded by one ``terminal_reward`` call."""
-        new: dict[str, Trajectory] = {}
-        for traj in trajs:
-            if traj.final_answer is not None:
-                key = traj.content_hash()
-                if key not in candidates:
-                    new.setdefault(key, traj)
-        if new:
-            rewards = terminal_reward(list(new.values()), scope)
-            for (key, traj), reward in zip(new.items(), rewards):
-                candidates[key] = replace(traj, terminal_reward=reward)
-
-    def reward_of(traj: Trajectory) -> float:
-        """Consistency reward of a trajectory; 0 without an answer."""
-        if traj.final_answer is None:
-            return 0.0
-        reward_new([traj])
-        return candidates[traj.content_hash()].terminal_reward
-
-    for _ in range(scope.cfg.rollouts):
-        node = select(tree)
-        if node.is_terminal():
-            backpropagate(tree, node, reward_of(node.ctx))
-            continue
-
-        children = expand(tree, node)
-        if not children:
-            backpropagate(tree, node, 0.0)
-            continue
-        reward_new([child.ctx for child in children])
-
-        start = tree.rng.choice(children)
-        traj = simulate(tree, start)
-        backpropagate(tree, start, reward_of(traj))
-
-    if not candidates:
-        raise NoCandidatesError(f"no terminal trajectory for question {scope.question.id!r}")
-    return list(candidates.values())
+    for _ in range(tree.scope.cfg.rollouts):
+        tree.rollout()
+    if not tree.candidates:
+        raise NoCandidatesError(
+            f"no terminal trajectory for question {tree.scope.question.id!r}")
+    return list(tree.candidates.values())

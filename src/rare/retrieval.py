@@ -23,7 +23,6 @@ a question is scored once.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import pickle
 import re
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CorpusError, ValidationError
-from .types import DocumentRef, text_of
+from .types import DocumentRef, read_records, text_of
 
 SOURCES = ("wikipedia", "pubmed", "textbook", "statpearls", "other")
 
@@ -181,40 +180,25 @@ def _rank(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
     return hits
 
 
-def document_from_record(record: dict, line_no: int = 0) -> Document:
+def document_from_record(record: dict) -> Document:
     if not isinstance(record, dict):
-        raise ValidationError(f"corpus line {line_no}: not a JSON object")
-    try:
-        doc_id, body = text_of(record["id"], "'id'"), text_of(record["text"], "'text'")
-    except KeyError:
-        raise ValidationError(f"corpus line {line_no}: missing 'id' or 'text'") from None
-    except ValidationError as exc:
-        raise ValidationError(f"corpus line {line_no}: {exc}") from None
+        raise ValidationError("not a JSON object")
+    if "id" not in record or "text" not in record:
+        raise ValidationError("missing 'id' or 'text'")
     source = str(record.get("source", "other") or "other")
     if source not in SOURCES:
         source = "other"
     return Document(
-        doc_id=doc_id,
-        title=str(record.get("title", "") or ""),
-        body=body,
+        doc_id=text_of(record["id"], "'id'"),
+        title=text_of(record.get("title"), "'title'", optional=True),
+        body=text_of(record["text"], "'text'"),
         source=source,
     )
 
 
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus: {"id", "title", "text", "source"} per line."""
-    docs: list[Document] = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CorpusError(f"corpus line {line_no}: {exc}") from None
-            docs.append(document_from_record(record, line_no))
-    return docs
+    return list(read_records(path, "corpus ", document_from_record, CorpusError))
 
 
 def save_index(index: RetrievalIndex, path: str) -> None:

@@ -13,11 +13,15 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import json
+import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import ValidationError
+
+logger = logging.getLogger(__name__)
 
 LABELS = "ABCDE"
 SUPPORTED = "supported"
@@ -82,9 +86,10 @@ class Question:
         # accept a mapping or any iterable of pairs, store canonical tuples
         opts = self.options
         if isinstance(opts, Mapping):
-            pairs = tuple([(str(k), str(v)) for k, v in opts.items()])
-        else:
-            pairs = tuple([(str(k), str(v)) for k, v in opts])
+            opts = opts.items()
+        # a string value, the usual case, skips the call
+        pairs = tuple([(str(k), v if type(v) is str else text_of(v, "option text"))
+                       for k, v in opts])
         object.__setattr__(self, "options", pairs)
 
     @property
@@ -282,11 +287,59 @@ def derive_seed(base_seed: int, key: str) -> int:
 
 # --- record codecs -----------------------------------------------------------
 
-def text_of(value: Any, what: str) -> str:
-    """A record's text field: a string, or a number written as one."""
+def text_of(value: Any, what: str, optional: bool = False) -> str:
+    """A record's text field: a string, or a number written as one. An
+    ``optional`` field that is absent or null is empty text."""
     if isinstance(value, (str, int, float)):
         return str(value)
+    if value is None and optional:
+        return ""
     raise ValidationError(f"{what} must be a string or a number, not {type(value).__name__}")
+
+
+T = TypeVar("T")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object that names no key twice; ``dict`` builds it in C."""
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        keys = [k for k, _ in pairs]
+        dupes = sorted({k for k in keys if keys.count(k) > 1})
+        raise ValidationError(f"duplicate key: {dupes}")
+    return record
+
+
+def read_records(path: str, prefix: str, decode: Callable[[Any], T],
+                 error: type[ValidationError], strict: bool = True) -> Iterator[T]:
+    """Decode each nonblank line of a UTF-8 JSON-lines file. An object
+    with a repeated key, at any depth, is refused. A line that is not
+    UTF-8, not JSON or not accepted by ``decode`` raises ``error`` naming
+    it (``<prefix>line N: ...``), or with ``strict`` off is logged and
+    skipped. A file that cannot be opened always raises ``error``."""
+    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                if line.startswith("\ufeff"):  # json.loads's check, which decode skips
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+                record = decode(decoder.decode(line))
+            # the C scanner raises RecursionError on a deeply nested line
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+                    ValidationError) as exc:
+                if strict:
+                    raise error(f"{prefix}line {line_no}: {exc}") from None
+                logger.warning("%s: skipping %sline %d: %s", path, prefix, line_no, exc)
+                continue
+            yield record
 
 
 def question_from_record(record: Mapping[str, Any]) -> Question:
@@ -303,9 +356,7 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw_options):
         raise ValidationError(f"record {record.get('id')!r}: options must be an object "
                               "or a list of [label, text] pairs")
-    # a string value, the usual case, skips the call
-    pairs = [(str(k), v if type(v) is str else text_of(v, "option text"))
-             for k, v in raw_options]
+    pairs = [(str(k), v) for k, v in raw_options]
     answer = record.get("answer")
     answer = None if answer is None else str(answer)
 
@@ -335,7 +386,7 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
         stem=text_of(record["question"], "'question'"),
         options=pairs,
         gold_label=answer,
-        domain_tag=str(record.get("domain", "") or ""),
+        domain_tag=text_of(record.get("domain"), "'domain'", optional=True),
     )
     validate_question(q)
     return q

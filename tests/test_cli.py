@@ -456,7 +456,8 @@ class TestEvalCommand:
 
     # "\udcff" is written as the byte 0xff, which is not UTF-8
     @pytest.mark.parametrize("line", ["7", '["id", "question"]',
-                                      pytest.param('{"id": "\udcff"}', id="not_utf8")])
+                                      pytest.param('{"id": "\udcff"}', id="not_utf8"),
+                                      pytest.param("[" * 200_000, id="too_deep")])
     def test_non_object_dataset_line_fails_or_is_skipped(self, workspace, capsys, line):
         bad = workspace["dir"] / "bad.jsonl"
         good_line = workspace["dataset"].read_text().splitlines()[0]
@@ -496,7 +497,10 @@ class TestEvalCommand:
         '{"id": "x", "question": null, "options": {"A": "x", "B": "y"}}',
         '{"id": "x", "question": "q?", "options": {"A": null, "B": "y"}}',
         '{"id": "x", "question": {"text": "q?"}, "options": {"A": "x", "B": "y"}}',
-    ], ids=["null_id", "null_question", "null_option", "object_question"])
+        '{"id": "x", "question": "q?", "options": {"A": "x", "B": "y"}, "domain": {"x": 1}}',
+        '{"id": "x", "question": "q?", "options": {"A": "x", "B": "y"}, "domain": ["x"]}',
+    ], ids=["null_id", "null_question", "null_option", "object_question", "object_domain",
+            "array_domain"])
     def test_null_or_structured_text_fails_or_is_skipped(self, workspace, capsys, record):
         bad = workspace["dir"] / "bad.jsonl"
         good_line = workspace["dataset"].read_text().splitlines()[0]

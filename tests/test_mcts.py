@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -401,6 +402,23 @@ class TestRunSearch:
             assert node.visits >= child_visits
             child_q = sum(ch.q_value for ch in node.children)
             assert node.q_value >= child_q - 1e-12
+
+    @pytest.mark.parametrize("rollouts", [1, 4, 8])
+    def test_first_rollouts_of_a_longer_search_are_a_shorter_search(self, question, index,
+                                                                   rollouts):
+        def state(tree):
+            return ([(t.content_hash(), t.terminal_reward) for t in tree.candidates.values()],
+                    len(tree.nodes), tree.scope.snapshot_costs())
+
+        cfg = SearchConfig(rollouts=16, rng_seed=5)
+        longer = tree_for(question, cfg, ScriptedBackend(tree_entries_for(question, "B")), index)
+        for _ in range(rollouts):
+            longer.rollout()
+        shorter = tree_for(question, dataclasses.replace(cfg, rollouts=rollouts),
+                           ScriptedBackend(tree_entries_for(question, "B")), index)
+        assert run_search(shorter) == list(shorter.candidates.values())
+        assert state(longer) == state(shorter)
+        assert longer.root.visits == rollouts
 
     def test_no_candidates_raises(self, question, index):
         backend = ScriptedBackend([

@@ -312,9 +312,19 @@ class TestCorpusFile:
 
     def test_numeric_id_and_text_are_written_as_text(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_text('{"id": 7, "text": 2.5}\n', encoding="utf-8")
-        [doc] = load_corpus(str(path))
-        assert (doc.doc_id, doc.body) == ("7", "2.5")
+        path.write_text('{"id": 7, "text": 2.5, "title": 3}\n'
+                        '{"id": 8, "text": "t", "title": null}\n', encoding="utf-8")
+        docs = load_corpus(str(path))
+        assert [(d.doc_id, d.body, d.title) for d in docs] == [("7", "2.5", "3"), ("8", "t", "")]
+
+    @pytest.mark.parametrize("title", ['{"x": 1}', '["x"]'])
+    def test_structured_title_rejected(self, tmp_path, title):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "body"}\n'
+                        f'{{"id": "b", "text": "body", "title": {title}}}\n', encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match="corpus line 2: 'title' must be a string or a number"):
+            load_corpus(str(path))
 
     def test_empty_body_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import option_text, question_to_record
-from rare.errors import ValidationError
+from rare.errors import CorpusError, DatasetError, ValidationError
+from rare.harness import load_dataset
+from rare.lm import load_script
+from rare.retrieval import load_corpus
 from rare.types import (
     ActionKind,
     ActionStep,
@@ -163,19 +166,96 @@ class TestDatasetNormalization:
             record[field] = value
         with pytest.raises(ValidationError, match="must be a string or a number"):
             question_from_record(record)
-        if field == "option":  # the list form too
+        if field == "option":  # the list form too, and a question built directly
             record["options"] = [["A", value], ["B", "b"]]
             with pytest.raises(ValidationError, match="must be a string or a number"):
                 question_from_record(record)
+            with pytest.raises(ValidationError, match="option text must be a string"):
+                Question("q", "stem", {"A": value, "B": "x"})
+
+    @pytest.mark.parametrize("value", [{"x": 1}, ["x"]])
+    def test_structured_domain_rejected(self, value):
+        with pytest.raises(ValidationError, match="'domain' must be a string or a number"):
+            question_from_record({"id": "x", "question": "pick",
+                                  "options": {"A": "a", "B": "b"}, "domain": value})
+
+    @pytest.mark.parametrize("record, tag", [({}, ""), ({"domain": None}, ""),
+                                             ({"domain": "medical"}, "medical")])
+    def test_absent_or_null_domain_is_empty(self, record, tag):
+        record.update({"id": "x", "question": "pick", "options": {"A": "a", "B": "b"}})
+        assert question_from_record(record).domain_tag == tag
 
     def test_numbers_are_written_as_text(self):
-        q = question_from_record({"id": 7, "question": 12, "options": {"A": 1, "B": 2.5}})
-        assert (q.id, q.stem, q.options) == ("7", "12", (("A", "1"), ("B", "2.5")))
+        q = question_from_record({"id": 7, "question": 12, "options": {"A": 1, "B": 2.5},
+                                  "domain": 0})
+        assert (q.id, q.stem, q.options, q.domain_tag) == (
+            "7", "12", (("A", "1"), ("B", "2.5")), "0")
 
     @pytest.mark.parametrize("record", [7, ["id", "question"], "question", None])
     def test_non_object_record_rejected(self, record):
         with pytest.raises(ValidationError, match="not a JSON object"):
             question_from_record(record)
+
+
+# (records loaded from a path, error class, line prefix, a good line, a line
+# repeating a top-level key, a line repeating a nested key)
+LOADERS = {
+    "dataset": (load_dataset, DatasetError, "line",
+                '{"id": "q", "question": "pick", "options": {"A": "x", "B": "y"}}',
+                '{"id": "q", "question": "pick", "question": "p", '
+                '"options": {"A": "x", "B": "y"}}',
+                '{"id": "q", "question": "pick", "options": {"A": "x", "A": "y"}}'),
+    "corpus": (load_corpus, CorpusError, "corpus line",
+               '{"id": "a", "text": "body"}',
+               '{"id": "b", "text": "one", "text": "two"}',
+               '{"id": "b", "text": "one", "meta": {"k": 1, "k": 2}}'),
+    "script": (lambda path: load_script(path).entries, ValidationError, "script line",
+               '{"purpose": "rating", "completions": ["Supported"]}',
+               '{"purpose": "rating", "completions": ["a"], "completions": ["b"]}',
+               '{"purpose": "rating", "match": {"substring": "a", "substring": "b"}, '
+               '"completions": ["x"]}'),
+}
+
+
+class TestReadRecords:
+    """The dataset, corpus and script loaders share one line reader."""
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_blank_lines_are_skipped(self, tmp_path, kind):
+        load, _, _, good, _, _ = LOADERS[kind]
+        path = tmp_path / "input.jsonl"
+        path.write_text(f"\n{good}\n  \t\n\n", encoding="utf-8")
+        assert len(load(str(path))) == 1
+
+    @pytest.mark.parametrize("case", ["not_utf8", "bad_json", "extra_data", "too_deep",
+                                      "bom", "not_an_object", "duplicate_key",
+                                      "nested_duplicate_key"])
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_a_bad_line_raises_the_loaders_error_naming_it(self, tmp_path, kind, case):
+        load, error, prefix, good, duplicate, nested = LOADERS[kind]
+        bad, message = {
+            "not_utf8": (b'{"id": "\xff"}', "can't decode byte 0xff"),
+            "bad_json": (b'{"id": ', "Expecting value"),
+            "extra_data": (good.encode() + b" " + good.encode(), "Extra data"),
+            "too_deep": (b"[" * 200_000, "maximum recursion depth exceeded"),
+            "bom": (b"\xef\xbb\xbf" + good.encode(), "Unexpected UTF-8 BOM"),
+            "not_an_object": (b"[1, 2]", "JSON object"),
+            "duplicate_key": (duplicate.encode(), "duplicate key"),
+            "nested_duplicate_key": (nested.encode(), "duplicate key"),
+        }[case]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(good.encode() + b"\n\n" + bad + b"\n" + good.encode() + b"\n")
+        with pytest.raises(error, match=f"^{prefix} 3: ") as raised:
+            load(str(path))
+        assert raised.type is error
+        assert message in str(raised.value)
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_an_unreadable_file_raises_the_loaders_error(self, tmp_path, kind):
+        load, error, _, _, _, _ = LOADERS[kind]
+        with pytest.raises(error, match="cannot read") as raised:
+            load(str(tmp_path / "absent.jsonl"))
+        assert raised.type is error
 
 
 class TestPerInstanceMemos:
