@@ -20,7 +20,7 @@ import re
 from dataclasses import replace
 
 from .actions import Scope, merge_hits, parse_queries
-from .errors import CorpusError, LmBackendError, ValidationError
+from .errors import ValidationError
 from .lm import LmBackend, request_for
 from .retrieval import search
 from .selection import tie_break
@@ -158,16 +158,16 @@ def score_candidates(candidates: list[Trajectory], scope: Scope) -> list[Traject
     """Attach factuality reports to the candidates that ``select_rare`` needs
     to find its winner. A candidate's bound is (sentences rated Supported +
     sentences unchecked) / its sentence count, per occurrence; checked in
-    full, it equals the report's score bit for bit. No sentences bound 0.0, a
-    failure -1.0. Each round takes the candidate with the smallest
-    ``select_rare`` key under its bound (first position wins a tie): a failed
-    or fully checked one is the winner; else its distinct unchecked sentences
-    are checked in order, each once per call, their Statement shared by every
-    report that holds it. A backend or retrieval failure fails every holder
-    and ends the round. Only fully checked, non-failed candidates get a
-    report; the rest keep ``factuality=None`` (score -1), which is at most
-    their bound, so ``select_rare`` picks what scoring everything would pick.
-    A one-element list is always checked in full."""
+    full, it equals the report's score bit for bit. No sentences bound 0.0.
+    Each round takes the candidate with the smallest ``select_rare`` key
+    under its bound (first position wins a tie): a fully checked one is the
+    winner; else its distinct unchecked sentences are checked in order, each
+    once per call, their Statement shared by every report that holds it.
+    Only fully checked candidates get a report; the rest keep
+    ``factuality=None`` (score -1), which is at most their bound, so
+    ``select_rare`` picks what scoring everything would pick. A backend or
+    retrieval error in a check propagates and fails the question. A
+    one-element list is always checked in full."""
     cfg = scope.cfg
     sentence_lists = [split_statements(traj) for traj in candidates]
     # one entry per occurrence, as make_factuality_report counts them
@@ -177,12 +177,9 @@ def score_candidates(candidates: list[Trajectory], scope: Scope) -> list[Traject
             holders.setdefault(sentence, []).append(k)
     supported = [0] * len(candidates)
     unchecked = [len(sentences) for sentences in sentence_lists]
-    failed: set[int] = set()
     checked: dict[str, Statement] = {}
 
     def bound(k: int) -> float:
-        if k in failed:
-            return -1.0
         n = len(sentence_lists[k])
         return (supported[k] + unchecked[k]) / n if n else 0.0
 
@@ -190,20 +187,16 @@ def score_candidates(candidates: list[Trajectory], scope: Scope) -> list[Traject
     static_keys = [(*tie_break(traj), k) for k, traj in enumerate(candidates)]
     while static_keys:
         k = min(static_keys, key=lambda key: (-bound(key[-1]), *key))[-1]
-        if k in failed or not unchecked[k]:
+        if not unchecked[k]:
             break
         for sentence in dict.fromkeys(sentence_lists[k]):
             if sentence in checked:
                 continue
-            try:
-                queries = generate_queries(sentence, scope, cfg.queries_per_call)
-                hit_lists = [search(scope.index, query, cfg.retrieval_top_k, scope.hits)
-                             for query in queries]
-                evidence = merge_hits(hit_lists, cfg.retrieval_top_k)
-                label = rate_statement(sentence, evidence, scope)
-            except (LmBackendError, CorpusError):
-                failed.update(holders[sentence])
-                break
+            queries = generate_queries(sentence, scope, cfg.queries_per_call)
+            hit_lists = [search(scope.index, query, cfg.retrieval_top_k, scope.hits)
+                         for query in queries]
+            evidence = merge_hits(hit_lists, cfg.retrieval_top_k)
+            label = rate_statement(sentence, evidence, scope)
             checked[sentence] = Statement(sentence, tuple(queries), evidence, label)
             for j in holders[sentence]:
                 unchecked[j] -= 1
@@ -211,7 +204,7 @@ def score_candidates(candidates: list[Trajectory], scope: Scope) -> list[Traject
     return [
         replace(traj, factuality=make_factuality_report(
             checked[sentence] for sentence in sentences))
-        if k not in failed and not unchecked[k] else traj
+        if not unchecked[k] else traj
         for k, (traj, sentences) in enumerate(zip(candidates, sentence_lists))
     ]
 

@@ -167,7 +167,8 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
     Only each question's ``EvalRecord`` is kept. Its candidate trajectories
     go to ``on_candidates`` in question order, as soon as that question's
     turn comes, and are dropped afterwards; with no callback they are
-    dropped as soon as the question ends.
+    dropped as soon as the question ends. If ``on_candidates`` raises or the
+    run is interrupted, no queued question is started.
 
     A run that needs an index (``rag``, or a tree method with RAFS, A6 or A7)
     and has none is refused before the first question."""
@@ -193,11 +194,15 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
     # question order, so nothing holds a question's candidates after its turn
     with ThreadPoolExecutor(max_workers=workers) as pool:
         outcomes = map(work, questions) if workers == 1 else pool.map(work, questions)
-        for question, record, candidates in outcomes:
-            records.append(record)
-            if on_candidates is not None:
-                on_candidates(question, candidates)
-            del candidates
+        try:
+            for question, record, candidates in outcomes:
+                records.append(record)
+                if on_candidates is not None:
+                    on_candidates(question, candidates)
+                del candidates
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     histogram = Counter(
         sequence_key(record.action_sequence)
@@ -267,7 +272,7 @@ def dump_trajectories(fh: TextIO, candidates: list[Trajectory]) -> None:
     JSON object per line, and flush. A candidate that carries a factuality
     report is followed by its statement-level record; ``score_candidates``
     reports only the candidates it checked in full, which include the
-    chosen one unless its check failed."""
+    chosen one."""
     for traj in candidates:
         fh.write(json.dumps(trajectory_to_record(traj), sort_keys=True))
         fh.write("\n")

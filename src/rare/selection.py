@@ -25,8 +25,8 @@ def tie_break(traj: Trajectory) -> tuple[float, int, str]:
 
 def select_rare(candidates: list[Trajectory]) -> Trajectory:
     """The candidate with the highest factuality score, ties broken by
-    ``tie_break`` and then by list position. Candidates with no report
-    (failed, or not needed to find the winner) score -1 and rank last."""
+    ``tie_break`` and then by list position. Candidates with no report (not
+    needed to find the winner) score -1 and rank last."""
     if not candidates:
         raise ValidationError("empty candidate list")
     return min(candidates, key=lambda t: (-t.factuality_score(), *tie_break(t)))

@@ -210,7 +210,7 @@ class Trajectory:
         return h.hexdigest()[:16]
 
     def factuality_score(self) -> float:
-        """Score for ranking; -1.0 marks a failed or missing report."""
+        """Score for ranking; -1.0 marks a missing report."""
         return self.factuality.score if self.factuality is not None else -1.0
 
 

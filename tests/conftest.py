@@ -9,11 +9,14 @@ specific entries come first.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 
+from rare.errors import LmBackendError, MalformedReplyError, TransportError
 from rare.lm import LmBackend, LmRequest, LmResponse, ScriptEntry, ScriptedBackend
 from rare.retrieval import Document, build_index
 from rare.types import Question
@@ -266,6 +269,55 @@ class RecordingBackend(LmBackend):
     def call_log(self) -> tuple[CallRecord, ...]:
         with self._lock:
             return tuple(self._records)
+
+
+FaultRule = Callable[[LmRequest], type[LmBackendError] | None]
+
+
+class FaultBackend(LmBackend):
+    """Forwards to ``inner``, except that a request for which ``fault``
+    returns an error type raises that error instead of being sent."""
+
+    def __init__(self, inner: LmBackend, fault: FaultRule):
+        super().__init__()
+        self.inner = inner
+        self.fault = fault
+
+    def _complete(self, req: LmRequest) -> LmResponse:
+        error = self.fault(req)
+        if error is not None:
+            raise error(f"injected fault on a {req.purpose_tag} request")
+        return self.inner.complete(req)
+
+
+def first_call_fault(purpose: str, error: type[LmBackendError] = TransportError,
+                     ) -> FaultRule:
+    """Fails the first request of ``purpose`` and no other request."""
+    fired = False
+
+    def fault(req: LmRequest) -> type[LmBackendError] | None:
+        nonlocal fired
+        if fired or req.purpose_tag != purpose:
+            return None
+        fired = True
+        return error
+
+    return fault
+
+
+def hashed_fault(rate: float) -> FaultRule:
+    """Fails a share ``rate`` of requests, chosen by a hash of (purpose,
+    prompt, n), so a request fails the same way every time it is sent. Half
+    of the failures are ``TransportError``, half ``MalformedReplyError``."""
+
+    def fault(req: LmRequest) -> type[LmBackendError] | None:
+        key = json.dumps([req.purpose_tag, req.prompt, req.n_samples]).encode("utf-8")
+        draw = int.from_bytes(hashlib.sha256(key).digest()[:8], "big") / 2 ** 64
+        if draw < rate / 2:
+            return TransportError
+        return MalformedReplyError if draw < rate else None
+
+    return fault
 
 
 def script_entry_to_record(entry: ScriptEntry) -> dict:

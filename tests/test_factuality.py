@@ -14,7 +14,7 @@ from conftest import (
     rafs_rating_entries,
 )
 from rare.actions import Scope, merge_hits
-from rare.errors import CorpusError, LmBackendError, ValidationError
+from rare.errors import ScriptMissError, ValidationError
 from rare.factuality import (
     factuality_record,
     generate_queries,
@@ -233,13 +233,12 @@ class TestScoreCandidates:
         assert reported
         assert all(t.factuality.score == 1.0 for t in reported)
 
-    def test_backend_failure_leaves_score_minus_one(self, question, index):
-        # rating entries missing entirely: the report aborts per trajectory
+    def test_backend_failure_propagates(self, question, index):
+        # rating entries missing entirely: the first rating request raises
         backend = ScriptedBackend([ScriptEntry("query_gen", ("q",))])
         traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
-        scored = score_candidates([traj], Scope(question, CFG, backend, index))
-        assert scored[0].factuality is None
-        assert scored[0].factuality_score() == -1.0
+        with pytest.raises(ScriptMissError):
+            score_candidates([traj], Scope(question, CFG, backend, index))
 
 
 SHARED_TAIL = ("Ketotifen eye drops relieve allergic itching within minutes."
@@ -286,22 +285,6 @@ class TestSharedStatements:
         first, second = (t.factuality.statements for t in scored)
         assert all(a is b for a, b in zip(first[:3], second[:3], strict=True))
 
-    def test_failing_shared_sentence_fails_every_holder(self, question, index):
-        first, second = sharing_candidates(question)
-        third = make_reasoning_trajectory(question, REASONING_SCORE_10, "B")
-        shared = split_statements(first)[1]
-        # an entry without completions makes its match raise ScriptMissError
-        entries = [ScriptEntry("query_gen", (), substrings=(shared,))]
-        backend = ScriptedBackend(entries + rafs_rating_entries())
-        scope = Scope(question, CFG, backend, index)
-        scored = score_candidates([first, second, third], scope)
-        assert scored[0].factuality is None
-        assert scored[1].factuality is None
-        alone = score_one(third, ScriptedBackend(rafs_rating_entries()), index)
-        assert scored[2].factuality == alone
-        assert score_one(second, ScriptedBackend(entries + rafs_rating_entries()),
-                         index) is None
-
 
 # Sentences for generated candidate sets; each splits as one statement.
 CLAIMS = [f"Claim number {i} holds for this patient." for i in range(8)]
@@ -336,22 +319,17 @@ def claims_candidate(claim_ids, n_steps=1, reward=0.0) -> Trajectory:
 
 def score_in_full(candidates, backend, index, cfg=CFG):
     """Reference scorer: checks every distinct sentence of every candidate and
-    reports every candidate that holds no failed sentence."""
+    reports every candidate."""
     sentence_lists = [split_statements(traj) for traj in candidates]
-    checked, failed = {}, set()
+    checked = {}
     for sentence in dict.fromkeys(s for sentences in sentence_lists for s in sentences):
-        try:
-            queries = generate_queries(sentence, backend, cfg.queries_per_call)
-            evidence = merge_hits([search(index, query, cfg.retrieval_top_k)
-                                   for query in queries], cfg.retrieval_top_k)
-            label = rate_statement(sentence, evidence, backend)
-        except (LmBackendError, CorpusError):
-            failed.add(sentence)
-            continue
+        queries = generate_queries(sentence, backend, cfg.queries_per_call)
+        evidence = merge_hits([search(index, query, cfg.retrieval_top_k)
+                               for query in queries], cfg.retrieval_top_k)
+        label = rate_statement(sentence, evidence, backend)
         checked[sentence] = Statement(sentence, tuple(queries), evidence, label)
     return [
-        traj if failed.intersection(sentences) else replace(
-            traj, factuality=make_factuality_report(checked[s] for s in sentences))
+        replace(traj, factuality=make_factuality_report(checked[s] for s in sentences))
         for traj, sentences in zip(candidates, sentence_lists)
     ]
 
@@ -379,36 +357,37 @@ class TestBestFirst:
     def test_picks_what_full_scoring_picks(self, specs, verdicts):
         candidates = [claims_candidate(ids, n_steps, reward)
                       for ids, n_steps, reward in specs]
-        got = score_candidates(candidates, Scope(candidates[0].question, CFG,
-                                                 claims_backend(verdicts), FIXTURE_INDEX))
-        want = score_in_full(candidates, claims_backend(verdicts), FIXTURE_INDEX)
+        try:
+            got = score_candidates(candidates, Scope(
+                candidates[0].question, CFG, claims_backend(verdicts), FIXTURE_INDEX))
+        except ScriptMissError:
+            return  # it asked for a failing claim, and the error reached the caller
         k = chosen_position(got)
-        assert k == chosen_position(want)
-        assert got[k].factuality == want[k].factuality
-        for together, full in zip(got, want):
-            if together.factuality is not None:
-                assert together.factuality == full.factuality
+        # it asked for no failing claim, so whatever those claims would be rated
+        for rating in ("Supported", "Not Supported"):
+            settled = [rating if v.startswith("fail_") else v for v in verdicts]
+            want = score_in_full(candidates, claims_backend(settled), FIXTURE_INDEX)
+            assert k == chosen_position(want)
+            assert got[k].factuality == want[k].factuality
+            for together, full in zip(got, want):
+                if together.factuality is not None:
+                    assert together.factuality == full.factuality
 
-    def test_failing_check_mid_round_ranks_every_holder_last(self):
+    def test_failing_check_raises_and_ends_scoring(self):
         verdicts = ["Supported", "fail_query", "Supported", "Supported",
                     "Supported", "Not Supported", "Supported", "Supported"]
         candidates = [
             claims_candidate([0, 1, 2], reward=1.0),  # taken first; fails at claim 1
             claims_candidate([1, 3], reward=0.5),     # also holds claim 1
-            claims_candidate([4, 5]),                 # scores 0.5 and wins
-            claims_candidate([2, 5], n_steps=2),      # bounded by 0.5, loses the tie
+            claims_candidate([4, 5]),
         ]
         backend = RecordingBackend(claims_backend(verdicts))
-        scored = score_candidates(
-            candidates, Scope(candidates[0].question, CFG, backend, FIXTURE_INDEX))
-        assert [t.factuality_score() for t in scored] == [-1.0, -1.0, 0.5, -1.0]
-        assert scored[3].factuality is None
-        assert select_rare(scored) is scored[2]
-        # the failed query_gen never completes, and the round ends there:
-        # claim 2, next in the first round, is never asked
-        assert asked_claims(backend) == [
-            ("query_gen", 0), ("rating", 0),
-            ("query_gen", 4), ("rating", 4), ("query_gen", 5), ("rating", 5)]
+        with pytest.raises(ScriptMissError):
+            score_candidates(
+                candidates, Scope(candidates[0].question, CFG, backend, FIXTURE_INDEX))
+        # the failed query_gen never completes, and no request follows it:
+        # neither claim 2, next in the round, nor another candidate's claims
+        assert asked_claims(backend) == [("query_gen", 0), ("rating", 0)]
 
     def test_one_element_list_checks_every_sentence(self, question, index):
         traj = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")

@@ -1,5 +1,6 @@
 import gc
 import json
+import threading
 import time
 import weakref
 from dataclasses import replace
@@ -15,8 +16,8 @@ from conftest import (
     tree_entries_for,
     write_dataset_file,
 )
-from rare import harness
-from rare.errors import DatasetError, ValidationError
+from rare import factuality, harness
+from rare.errors import CorpusError, DatasetError, ValidationError
 from rare.harness import (
     ABLATION_PRESETS,
     EvalRecord,
@@ -205,6 +206,18 @@ class TestRunEval:
         cfg = apply_preset(SearchConfig(rollouts=2, rng_seed=0), "rstar")
         report = run_eval(questions, "rstar", backend, None, cfg, workers=1)
         assert [r.error for r in report.records] == [None, None]
+
+    def test_retrieval_failure_in_a_check_fails_the_question(self, index, monkeypatch):
+        def fails(*args, **kwargs):
+            raise CorpusError("index unreadable")
+
+        monkeypatch.setattr(factuality, "search", fails)
+        questions, backend = build_eval_fixture(3, 3)
+        cfg = apply_preset(SearchConfig(rollouts=3, rng_seed=0), "rare")
+        report = run_eval(questions, "rare", backend, index, cfg, workers=1)
+        for record in report.records:
+            assert record.error == "CorpusError: index unreadable"
+            assert record.predicted is None and not record.internal_error
 
     def test_no_memo_crosses_questions(self, index):
         # same stem and options, so the same greedy prompts and searches
@@ -435,3 +448,33 @@ class TestReportSerialization:
             report_to_record(report), sort_keys=True)
         first = record["records"][0]
         assert set(first) == set(eval_record_to_record(report.records[0]))
+
+
+class TestRunFailure:
+    def test_no_question_starts_after_the_callback_fails(self, monkeypatch):
+        questions, backend = build_eval_fixture(8, 8)
+        events = []
+        original = harness.evaluate_question
+        # the second and third questions hold both workers from before the
+        # first question's callback raises until well after
+        both_busy = threading.Barrier(3, timeout=10)
+
+        def hold_two(question, *args, **kwargs):
+            events.append(("start", question.id))
+            if question in questions[1:3]:
+                both_busy.wait()
+                time.sleep(0.2)
+            return original(question, *args, **kwargs)
+
+        def on_candidates(question, candidates):
+            both_busy.wait()
+            events.append(("raised", question.id))
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(harness, "evaluate_question", hold_two)
+        with pytest.raises(OSError, match="No space left"):
+            run_eval(questions, "cot", backend, None, SearchConfig(), workers=2,
+                     on_candidates=on_candidates)
+        raised = events.index(("raised", questions[0].id))
+        assert [event for event in events[raised:] if event[0] == "start"] == []
+        assert sorted(events[:raised]) == [("start", q.id) for q in questions[:3]]

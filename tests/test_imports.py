@@ -1,5 +1,5 @@
-"""Every module under ``src/rare`` and ``tests`` uses each name it imports,
-and every definition in ``src/rare`` has a caller outside the tests.
+"""Every module under ``src/rare``, ``tests`` and ``tools`` uses each name it
+imports, and every definition in ``src/rare`` has a caller outside the tests.
 
 No linter ships with the project, so the sources are parsed with ``ast``. A
 name counts as used when it appears anywhere in its module, including inside
@@ -15,7 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = [path for path in sorted((ROOT / "src" / "rare").glob("*.py"))
            if path.name != "__init__.py"]
-MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "tools").glob("*.py"))
 # the package, the benchmark and the tools; the tests do not count as callers
 CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("**/*.py")) + sorted(
     (ROOT / "tools").glob("**/*.py"))
