@@ -285,6 +285,22 @@ class TestSharedStatements:
         first, second = (t.factuality.statements for t in scored)
         assert all(a is b for a, b in zip(first[:3], second[:3], strict=True))
 
+    def test_failing_shared_sentence_fails_every_holder(self, question, index):
+        first, second = sharing_candidates(question)
+        third = make_reasoning_trajectory(question, REASONING_SCORE_10, "B")
+        shared = split_statements(first)[1]
+        # an entry without completions makes its match raise ScriptMissError
+        entries = [ScriptEntry("query_gen", (), substrings=(shared,))]
+        scope = Scope(question, CFG, ScriptedBackend(entries + rafs_rating_entries()), index)
+        with pytest.raises(ScriptMissError):
+            score_candidates([first, second], scope)
+        # each holder fails on its own too; a candidate without it scores
+        for holder in (first, second):
+            with pytest.raises(ScriptMissError):
+                score_one(holder, ScriptedBackend(entries + rafs_rating_entries()), index)
+        assert score_one(third, ScriptedBackend(entries + rafs_rating_entries()),
+                         index).score == 1.0
+
 
 # Sentences for generated candidate sets; each splits as one statement.
 CLAIMS = [f"Claim number {i} holds for this patient." for i in range(8)]
@@ -373,13 +389,16 @@ class TestBestFirst:
                 if together.factuality is not None:
                     assert together.factuality == full.factuality
 
-    def test_failing_check_raises_and_ends_scoring(self):
+    def test_failing_check_mid_round_ranks_every_holder_last(self):
+        # No holder is ranked at all now: the failed check fails the whole
+        # scoring, so no candidate, holder or not, is picked from this set.
         verdicts = ["Supported", "fail_query", "Supported", "Supported",
                     "Supported", "Not Supported", "Supported", "Supported"]
         candidates = [
             claims_candidate([0, 1, 2], reward=1.0),  # taken first; fails at claim 1
             claims_candidate([1, 3], reward=0.5),     # also holds claim 1
             claims_candidate([4, 5]),
+            claims_candidate([2, 5], n_steps=2),
         ]
         backend = RecordingBackend(claims_backend(verdicts))
         with pytest.raises(ScriptMissError):
