@@ -55,7 +55,6 @@ from .types import (
     SearchConfig,
     Statement,
     Trajectory,
-    validate_question,
 )
 
 __version__ = "0.1.0"

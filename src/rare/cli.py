@@ -151,7 +151,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.method not in BASELINE_METHODS:
         preset = preset or args.method
         cfg = apply_preset(cfg, preset)
-    cfg.validate()
     index = load_index(args.index) if args.index else None
 
     with contextlib.ExitStack() as stack:

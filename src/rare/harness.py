@@ -174,7 +174,6 @@ def run_eval(questions: list[Question], method: str, backend: LmBackend,
     and has none is refused before the first question."""
     if method not in EVAL_METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {EVAL_METHODS}")
-    cfg.validate()
     if index is None and (method == "rag" or method not in BASELINE_METHODS and (
             cfg.rafs_enabled or cfg.enabled_actions & RETRIEVAL_ACTIONS)):
         raise ValidationError(f"method {method!r} with this configuration needs an index")

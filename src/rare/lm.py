@@ -73,7 +73,7 @@ class LmRequest:
     stop_sequences: tuple[str, ...] = ()
     purpose_tag: str = "action_gen"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValidationError("invalid request: n_samples must be >= 1")
         if self.temperature < 0:
@@ -104,35 +104,31 @@ class LmBackend:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._calls = 0
-        self._prompt_tokens = 0
-        self._completion_tokens = 0
+        # purpose -> [calls, prompt tokens, completion tokens]
         self._per_purpose: dict[str, list[int]] = {}
 
     def complete(self, req: LmRequest) -> LmResponse:
-        req.validate()
         resp = self._complete(req)
         if len(resp.completions) != req.n_samples:
             raise MalformedReplyError(
                 f"backend returned {len(resp.completions)} completions for n={req.n_samples}"
             )
         with self._lock:
-            self._calls += 1
-            self._prompt_tokens += resp.prompt_tokens
-            self._completion_tokens += resp.completion_tokens
-            bucket = self._per_purpose.setdefault(req.purpose_tag, [0, 0])
+            bucket = self._per_purpose.setdefault(req.purpose_tag, [0, 0, 0])
             bucket[0] += 1
-            bucket[1] += resp.completion_tokens
+            bucket[1] += resp.prompt_tokens
+            bucket[2] += resp.completion_tokens
         return resp
 
     def snapshot_costs(self) -> CostLedger:
         with self._lock:
-            return CostLedger(
-                total_calls=self._calls,
-                total_prompt_tokens=self._prompt_tokens,
-                total_completion_tokens=self._completion_tokens,
-                per_purpose={k: (v[0], v[1]) for k, v in self._per_purpose.items()},
-            )
+            buckets = {k: tuple(v) for k, v in self._per_purpose.items()}
+        return CostLedger(
+            total_calls=sum(v[0] for v in buckets.values()),
+            total_prompt_tokens=sum(v[1] for v in buckets.values()),
+            total_completion_tokens=sum(v[2] for v in buckets.values()),
+            per_purpose={k: (v[0], v[2]) for k, v in buckets.items()},
+        )
 
     def _complete(self, req: LmRequest) -> LmResponse:
         raise NotImplementedError

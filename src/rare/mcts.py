@@ -29,7 +29,7 @@ from .actions import (
     valid_actions,
 )
 from .errors import NoCandidatesError, NoViableChildError, ValidationError
-from .types import ActionKind, Trajectory, validate_question
+from .types import ActionKind, Trajectory
 
 
 def uct_score(child_q: float, child_visits: int, parent_visits: int, c: float) -> float:
@@ -86,8 +86,6 @@ class SearchTree:
     random stream seeded from the scope's config and the candidates so far."""
 
     def __init__(self, scope: Scope):
-        scope.cfg.validate()
-        validate_question(scope.question)
         self.scope = scope
         self.rng = random.Random(scope.cfg.rng_seed)
         self.nodes: list[TreeNode] = []
@@ -141,9 +139,6 @@ class SearchTree:
 
 
 def _best_child(node: TreeNode, c: float) -> TreeNode:
-    unvisited = [child for child in node.children if child.visits == 0]
-    if unvisited:
-        return min(unvisited, key=lambda child: child.node_id)
     return max(
         node.children,
         key=lambda child: (uct_score(child.q_value, child.visits, node.visits, c),

@@ -185,7 +185,7 @@ def document_from_record(record: dict) -> Document:
         raise ValidationError("not a JSON object")
     if "id" not in record or "text" not in record:
         raise ValidationError("missing 'id' or 'text'")
-    source = str(record.get("source", "other") or "other")
+    source = text_of(record.get("source"), "'source'", optional=True)
     if source not in SOURCES:
         source = "other"
     return Document(

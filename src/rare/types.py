@@ -1,11 +1,14 @@
 """Core domain types: questions, actions, reasoning steps, trajectories, config.
 
 Everything here is an immutable value object, safe to share across worker
-threads. A value that is read again and again (a question's labels, a
-trajectory's hash and question text) is computed once per instance, on
-first use. The ``*_to_record`` encoders write the JSON records of reports
-and trajectory files; only questions, which arrive from dataset files, have
-a ``question_from_record`` decoder.
+threads, that checks its invariants when it is built: an invalid question,
+config, step or report raises ``ValidationError`` from its constructor, and
+from ``dataclasses.replace``, so no caller checks one again. A value that is
+read again and again (a question's labels, a trajectory's hash and question
+text) is computed once per instance, on first use. The ``*_to_record``
+encoders write the JSON records of reports and trajectory files; only
+questions, which arrive from dataset files, have a ``question_from_record``
+decoder.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ class Question:
     """One multiple-choice question.
 
     ``options`` is an ordered sequence of (label, text) pairs; labels must be
-    unique and contiguous from "A". ``gold_label`` is optional so the engine
-    can run inference-only.
+    unique and contiguous from "A", 2-5 of them. ``gold_label`` is optional
+    so the engine can run inference-only.
     """
 
     id: str
@@ -91,6 +94,26 @@ class Question:
         pairs = tuple([(str(k), v if type(v) is str else text_of(v, "option text"))
                        for k, v in opts])
         object.__setattr__(self, "options", pairs)
+        if not self.stem.strip():
+            raise ValidationError(f"question {self.id!r}: empty stem")
+        if not pairs:
+            raise ValidationError(f"question {self.id!r}: empty options")
+        labels = self.labels
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"question {self.id!r}: duplicate label")
+        if not 2 <= len(labels) <= len(LABELS):
+            raise ValidationError(
+                f"question {self.id!r}: expected 2-{len(LABELS)} options, got {len(labels)}"
+            )
+        expected = tuple(LABELS[: len(labels)])
+        if labels != expected:
+            raise ValidationError(
+                f"question {self.id!r}: labels {labels} not contiguous from 'A'"
+            )
+        if self.gold_label is not None and self.gold_label not in labels:
+            raise ValidationError(
+                f"question {self.id!r}: gold label {self.gold_label!r} not among options"
+            )
 
     @property
     @_per_instance
@@ -107,30 +130,6 @@ class Question:
             return rephrased_stem
         opts = ", ".join(f"{label}: {text}" for label, text in self.options)
         return f"{self.stem} {opts}"
-
-
-def validate_question(q: Question) -> None:
-    """Raise ValidationError unless all Question invariants hold."""
-    if not q.stem.strip():
-        raise ValidationError(f"question {q.id!r}: empty stem")
-    if not q.options:
-        raise ValidationError(f"question {q.id!r}: empty options")
-    labels = q.labels
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"question {q.id!r}: duplicate label")
-    if not 2 <= len(labels) <= len(LABELS):
-        raise ValidationError(
-            f"question {q.id!r}: expected 2-{len(LABELS)} options, got {len(labels)}"
-        )
-    expected = tuple(LABELS[: len(labels)])
-    if labels != expected:
-        raise ValidationError(
-            f"question {q.id!r}: labels {labels} not contiguous from 'A'"
-        )
-    if q.gold_label is not None and q.gold_label not in labels:
-        raise ValidationError(
-            f"question {q.id!r}: gold label {q.gold_label!r} not among options"
-        )
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def make_factuality_report(statements: Iterable[Statement]) -> FactualityReport:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for one search run. ``validate()`` checks the invariants."""
+    """Knobs for one search run; an invalid value is refused when built."""
 
     exploration_c: float = 1.0
     rollouts: int = 4
@@ -263,7 +262,7 @@ class SearchConfig:
     rng_seed: int = 0
     max_subquestion_chain: int = 6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.exploration_c < float("inf"):  # NaN fails every comparison
             raise ValidationError("exploration_c must be finite and > 0")
         for name in ("rollouts", "max_depth", "children_per_action",
@@ -344,7 +343,8 @@ def read_records(path: str, prefix: str, decode: Callable[[Any], T],
 
 def question_from_record(record: Mapping[str, Any]) -> Question:
     """Decode one dataset record. Normalizes numeric option keys and yes/no
-    answers into the contiguous letter-label form, then validates."""
+    answers into the contiguous letter-label form; ``Question`` refuses the
+    result if it breaks an invariant."""
     if not isinstance(record, Mapping):
         raise ValidationError("record is not a JSON object")
     if "id" not in record or "question" not in record:
@@ -381,15 +381,13 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
             if answer is not None:
                 answer = answer.strip().upper()
 
-    q = Question(
+    return Question(
         id=text_of(record["id"], "'id'"),
         stem=text_of(record["question"], "'question'"),
         options=pairs,
         gold_label=answer,
         domain_tag=text_of(record.get("domain"), "'domain'", optional=True),
     )
-    validate_question(q)
-    return q
 
 
 def document_ref_to_record(ref: DocumentRef) -> dict[str, Any]:

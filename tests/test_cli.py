@@ -393,6 +393,19 @@ class TestEvalCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["cot", "rare"])
+    @pytest.mark.parametrize("flag", [["--exploration-c", "-1"], ["--rollouts", "0"]])
+    def test_a_bad_search_flag_exits_2_before_the_index_loads(self, workspace, capsys,
+                                                              monkeypatch, method, flag):
+        monkeypatch.setattr("rare.cli.load_index", lambda path: pytest.fail("index loaded"))
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", method,
+            "--index", str(workspace["index"]), *flag,
+            "--backend", "script", "--script", str(workspace["script"]),
+        ])
+        assert rc == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_rare_without_index_exits_2(self, workspace):
         rc = main([
             "eval", "--dataset", str(workspace["dataset"]),

@@ -127,6 +127,29 @@ def test_an_action_prompt_spelling_is_found():
     assert sorted(action_prompt_spellings(tree)) == [1, 2, 4]
 
 
+def validators(tree: ast.Module):
+    """Functions and methods named ``validate`` or ``validate_*``: a value
+    checks its invariants when it is built, so no caller has to remember to."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name == "validate" or node.name.startswith("validate_")):
+            yield node.name, node.lineno
+
+
+def test_no_separate_validator():
+    found = [f"{path.name}:{line} {name}" for path in PACKAGE
+             for name, line in validators(ast.parse(path.read_text("utf-8")))]
+    assert found == []
+
+
+def test_a_separate_validator_is_found():
+    tree = ast.parse("def validate_question(q):\n    pass\n"
+                     "class C:\n    def validate(self):\n        pass\n"
+                     "    def validated(self):\n        pass\n"
+                     "def revalidate():\n    pass\n")
+    assert list(validators(tree)) == [("validate_question", 1), ("validate", 4)]
+
+
 def test_every_definition_has_a_caller():
     referenced = set()
     for path in CALLERS:

@@ -56,6 +56,15 @@ class TestScriptedBackend:
         with pytest.raises(ValidationError, match="n_samples"):
             backend.complete(LmRequest("p", n_samples=0))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_samples": 0}, "n_samples"),
+        ({"temperature": -0.1}, "temperature"),
+        ({"purpose_tag": "chat"}, "unknown purpose"),
+    ])
+    def test_invalid_request_is_refused_when_built(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            LmRequest("p", **kwargs)
+
     def test_script_miss_raises(self):
         backend = scripted(ScriptEntry("rating", ("Supported",)))
         with pytest.raises(ScriptMissError,

@@ -326,6 +326,21 @@ class TestCorpusFile:
                            match="corpus line 2: 'title' must be a string or a number"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("source", ['{"x": 1}', '["pubmed"]'])
+    def test_structured_source_rejected(self, tmp_path, source):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "body"}\n'
+                        f'{{"id": "b", "text": "body", "source": {source}}}\n', encoding="utf-8")
+        with pytest.raises(CorpusError,
+                           match="corpus line 2: 'source' must be a string or a number"):
+            load_corpus(str(path))
+
+    def test_absent_null_or_empty_source_is_other(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "t"}\n{"id": "b", "text": "t", "source": null}\n'
+                        '{"id": "c", "text": "t", "source": ""}\n', encoding="utf-8")
+        assert [d.source for d in load_corpus(str(path))] == ["other"] * 3
+
     def test_empty_body_rejected(self):
         with pytest.raises(ValidationError):
             Document("a", "t", "")

@@ -21,7 +21,6 @@ from rare.types import (
     document_ref_to_record,
     question_from_record,
     trajectory_to_record,
-    validate_question,
 )
 
 FIVE_OPTIONS = {
@@ -35,39 +34,32 @@ FIVE_OPTIONS = {
 
 class TestValidateQuestion:
     def test_five_options_gold_e_ok(self):
-        q = Question("medqa-uti", "Which of the following is the best treatment?",
-                     FIVE_OPTIONS, gold_label="E")
-        validate_question(q)
+        Question("medqa-uti", "Which of the following is the best treatment?",
+                 FIVE_OPTIONS, gold_label="E")
 
     def test_zero_options_rejected(self):
-        q = Question("q", "stem?", {})
         with pytest.raises(ValidationError, match="empty options"):
-            validate_question(q)
+            Question("q", "stem?", {})
 
     def test_duplicate_label_rejected(self):
-        q = Question("q", "stem?", [("A", "one"), ("A", "two")])
         with pytest.raises(ValidationError, match="duplicate label"):
-            validate_question(q)
+            Question("q", "stem?", [("A", "one"), ("A", "two")])
 
     def test_gold_not_among_options_rejected(self):
-        q = Question("q", "stem?", {"A": "x", "B": "y"}, gold_label="C")
         with pytest.raises(ValidationError, match="gold label"):
-            validate_question(q)
+            Question("q", "stem?", {"A": "x", "B": "y"}, gold_label="C")
 
     def test_empty_stem_rejected(self):
-        q = Question("q", "   ", {"A": "x", "B": "y"})
         with pytest.raises(ValidationError, match="empty stem"):
-            validate_question(q)
+            Question("q", "   ", {"A": "x", "B": "y"})
 
     def test_noncontiguous_labels_rejected(self):
-        q = Question("q", "stem?", {"A": "x", "C": "y"})
         with pytest.raises(ValidationError, match="contiguous"):
-            validate_question(q)
+            Question("q", "stem?", {"A": "x", "C": "y"})
 
     def test_single_option_rejected(self):
-        q = Question("q", "stem?", {"A": "x"})
         with pytest.raises(ValidationError):
-            validate_question(q)
+            Question("q", "stem?", {"A": "x"})
 
 
 class TestActionStepInvariants:
@@ -312,26 +304,28 @@ class TestPerInstanceMemos:
 
 class TestSearchConfig:
     def test_defaults_valid(self):
-        SearchConfig().validate()
+        SearchConfig()
 
     def test_a4_requires_a3(self):
-        cfg = SearchConfig(enabled_actions=frozenset({ActionKind.A1, ActionKind.A4}))
         with pytest.raises(ValidationError, match="A4"):
-            cfg.validate()
+            SearchConfig(enabled_actions=frozenset({ActionKind.A1, ActionKind.A4}))
 
     def test_a7_requires_a3(self):
-        cfg = SearchConfig(enabled_actions=frozenset({ActionKind.A2, ActionKind.A7}))
         with pytest.raises(ValidationError, match="A7"):
-            cfg.validate()
+            SearchConfig(enabled_actions=frozenset({ActionKind.A2, ActionKind.A7}))
 
     def test_nonpositive_exploration_rejected(self):
         with pytest.raises(ValidationError):
-            SearchConfig(exploration_c=0.0).validate()
+            SearchConfig(exploration_c=0.0)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite_exploration_rejected(self, c):
         with pytest.raises(ValidationError, match="exploration_c"):
-            SearchConfig(exploration_c=c).validate()
+            SearchConfig(exploration_c=c)
+
+    def test_replace_rechecks_the_config(self):
+        with pytest.raises(ValidationError, match="rollouts"):
+            dataclasses.replace(SearchConfig(), rollouts=0)
 
     def test_derive_seed_depends_on_key_not_order(self):
         assert derive_seed(7, "q01") == derive_seed(7, "q01")
