@@ -81,12 +81,14 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     index = build_index(corpus, k1=args.k1, b=args.b)
     save_index(index, args.out)
-    print(f"indexed {index.doc_count} documents "
+    print(f"indexed {len(index.documents)} documents "
           f"({index.vocabulary_size()} terms) -> {args.out}")
     return 0
 
 
 def _cmd_index_query(args: argparse.Namespace) -> int:
+    if args.k < 1:  # before the load, which can take seconds
+        raise RareError("--k must be >= 1")
     index = load_index(args.index)
     for hit in search(index, args.q, args.k):
         print(json.dumps(document_ref_to_record(hit), sort_keys=True))
@@ -134,6 +136,11 @@ def _replacing(path: str):
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.ablation and args.method in BASELINE_METHODS:
         raise RareError(f"--ablation applies to rstar and rare only, not {args.method!r}")
+    if (args.out and args.trajectories
+            and os.path.realpath(args.out) == os.path.realpath(args.trajectories)):
+        raise RareError("--out and --trajectories name the same file")
+    if args.workers is not None and args.workers < 1:  # before the index loads
+        raise RareError("--workers must be >= 1")
     questions = load_dataset(args.dataset, strict=not args.lenient)
     backend = _make_backend(args)
     prompts = PromptLibrary.from_dir(args.templates)

@@ -16,7 +16,6 @@ authors can verify ledger totals by hand.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import threading
@@ -40,7 +39,7 @@ if TYPE_CHECKING:
     import requests
 
 PURPOSES = ("action_gen", "query_gen", "rating", "consistency")
-MATCH_KEYS = frozenset({"exact_hash", "substring"})
+MATCH_KEYS = frozenset({"substring"})
 MAX_TOKENS = 1024  # completion cap that HttpBackend sends with every request
 # Lines each ScriptedBackend memo keeps. A 40-question rare pass of the
 # benchmark's tree-cpu workload reads 581 distinct lines; a full memo is
@@ -58,11 +57,6 @@ DEFAULT_TEMPERATURES = {
 
 def count_tokens(text: str) -> int:
     return len(text.split())
-
-
-def prompt_key(prompt: str) -> str:
-    """Stable hash used by script entries keyed on an exact prompt."""
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -91,12 +85,21 @@ class LmResponse:
 
 @dataclass(frozen=True)
 class CostLedger:
-    """Point-in-time cost snapshot; ``per_purpose`` partitions the totals."""
+    """Point-in-time costs: purpose -> (calls, prompt tokens, completion tokens)."""
 
-    total_calls: int = 0
-    total_prompt_tokens: int = 0
-    total_completion_tokens: int = 0
-    per_purpose: dict[str, tuple[int, int]] = field(default_factory=dict)
+    per_purpose: dict[str, tuple[int, int, int]] = field(default_factory=dict)
+
+    @property
+    def total_calls(self) -> int:
+        return sum(v[0] for v in self.per_purpose.values())
+
+    @property
+    def total_prompt_tokens(self) -> int:
+        return sum(v[1] for v in self.per_purpose.values())
+
+    @property
+    def total_completion_tokens(self) -> int:
+        return sum(v[2] for v in self.per_purpose.values())
 
 
 class LmBackend:
@@ -122,13 +125,7 @@ class LmBackend:
 
     def snapshot_costs(self) -> CostLedger:
         with self._lock:
-            buckets = {k: tuple(v) for k, v in self._per_purpose.items()}
-        return CostLedger(
-            total_calls=sum(v[0] for v in buckets.values()),
-            total_prompt_tokens=sum(v[1] for v in buckets.values()),
-            total_completion_tokens=sum(v[2] for v in buckets.values()),
-            per_purpose={k: (v[0], v[2]) for k, v in buckets.items()},
-        )
+            return CostLedger({k: tuple(v) for k, v in self._per_purpose.items()})
 
     def _complete(self, req: LmRequest) -> LmResponse:
         raise NotImplementedError
@@ -145,15 +142,22 @@ class LmBackend:
 
 @dataclass(frozen=True)
 class ScriptEntry:
-    """One scripted reply. It matches a request of its purpose when the
-    prompt's ``prompt_key`` equals ``exact_hash`` (if set) and every one of
-    ``substrings`` occurs in the prompt; an entry without constraints is a
-    catch-all for its purpose. The first matching entry in script order wins."""
+    """One scripted reply. It matches a request of its purpose when every
+    one of ``substrings`` occurs in the prompt; an entry without substrings
+    is a catch-all for its purpose. The first matching entry in script
+    order wins."""
 
     purpose: str
     completions: tuple[str, ...]
-    exact_hash: str | None = None
     substrings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.purpose not in PURPOSES:
+            raise ValidationError(f"unknown purpose {self.purpose!r}")
+        if not self.completions or not all(isinstance(c, str) for c in self.completions):
+            raise ValidationError("completions must be one or more strings")
+        if not all(isinstance(s, str) for s in self.substrings):
+            raise ValidationError("substrings must be strings")
 
 
 class _LineMemo(dict):
@@ -195,11 +199,11 @@ class _PurposeIndex:
     """One purpose's entries, indexed for presence-first dispatch.
 
     Every distinct non-empty substring without a line break is filed under
-    its first three characters and its length. Each entry is filed under one
-    key: its ``exact_hash`` if it has one, else its substring that is rarest
-    in the bucket, else it is a candidate for every prompt. A request first
-    finds which substrings occur in the prompt, then checks only the entries
-    keyed by those substrings or by the prompt's hash, in script order.
+    its first three characters and its length. Each entry is filed under its
+    substring that is rarest in the bucket, or, with none, is a candidate
+    for every prompt. A request first finds which substrings occur in the
+    prompt, then checks only the entries keyed by those substrings, in
+    script order.
 
     A substring without a line break lies inside one line of the prompt, so
     the prompt holds it exactly when one of its lines does. Each line is
@@ -223,13 +227,9 @@ class _PurposeIndex:
         self.seen = _LineMemo(partial(_scan_line, groups, holders))
         # Script positions, in script order.
         self.always: list[int] = []
-        self.by_hash: dict[str, list[int]] = {}
         self.by_substring: dict[str, list[int]] = {}
-        for pos, entry in enumerate(entries):
-            need = needs[pos]
-            if entry.exact_hash is not None:
-                self.by_hash.setdefault(entry.exact_hash, []).append(pos)
-            elif not need:
+        for pos, need in enumerate(needs):
+            if not need:
                 self.always.append(pos)
             else:
                 if len(need) > 2:
@@ -248,8 +248,6 @@ class _PurposeIndex:
         present.update(s for s in self.spanning if s in prompt)
         candidates = [self.always]
         candidates.extend(self.by_substring.get(s, ()) for s in present)
-        if self.by_hash:
-            candidates.append(self.by_hash.get(prompt_key(prompt), ()))
         needs = self.needs
         best = len(needs)
         for positions in candidates:
@@ -266,11 +264,8 @@ class ScriptedBackend(LmBackend):
     """Deterministic backend: a pure function of (script, prompt, n, temperature).
 
     Dispatch picks the first matching entry in script order, as described on
-    ``ScriptEntry``. The entries are indexed by purpose once, at
-    construction (``_PurposeIndex``). A request first finds which of its
-    purpose's substrings occur in the prompt, and then checks only the
-    entries keyed by those substrings (or by the prompt's hash), still first
-    match in script order.
+    ``ScriptEntry``, through an index of each purpose's entries that is built
+    once, at construction (``_PurposeIndex``).
 
     Prompts are rendered from a few templates, so most of their lines repeat
     earlier prompts. Each prompt is split once on ``"\\n"``; the substrings
@@ -307,8 +302,6 @@ class ScriptedBackend(LmBackend):
             raise ScriptMissError(
                 f"no script entry for purpose={req.purpose_tag!r} prompt={head!r}..."
             )
-        if not entry.completions:
-            raise ScriptMissError("matched script entry has no completions")
         if req.temperature == 0:
             samples = (entry.completions[0],) * req.n_samples
         else:
@@ -326,8 +319,8 @@ class ScriptedBackend(LmBackend):
 
 def load_script(path: str) -> ScriptedBackend:
     """Read a script file: one JSON object per line with keys
-    ``purpose``, optional ``match`` ({"exact_hash": h} or {"substring": s-or-list}),
-    and ``completions``."""
+    ``purpose``, optional ``match`` ({"substring": s-or-list}) and
+    ``completions``. ``ScriptEntry`` refuses an entry that breaks its rules."""
     return ScriptedBackend(read_records(path, "script ", script_entry_from_record,
                                         ValidationError))
 
@@ -335,34 +328,26 @@ def load_script(path: str) -> ScriptedBackend:
 def script_entry_from_record(record: Any) -> ScriptEntry:
     if not isinstance(record, dict):
         raise ValidationError("expected a JSON object")
-    purpose = record.get("purpose")
-    if purpose not in PURPOSES:
-        raise ValidationError(f"bad purpose {purpose!r}")
     completions = record.get("completions")
-    if not isinstance(completions, list) or not completions or not all(
-            isinstance(c, str) for c in completions):
-        raise ValidationError("completions must be a nonempty list of strings")
+    if not isinstance(completions, list):
+        raise ValidationError("completions must be a list")
     match = record.get("match") or {}
     if not isinstance(match, dict):
         raise ValidationError("match must be an object")
     if not match.keys() <= MATCH_KEYS:
         raise ValidationError(f"unknown match keys {sorted(match.keys() - MATCH_KEYS)}")
-    exact_hash = match.get("exact_hash")
-    if exact_hash is not None and not isinstance(exact_hash, str):
-        raise ValidationError("exact_hash must be a string")
     substring = match.get("substring")
     if substring is None:
         substrings: tuple[str, ...] = ()
     elif isinstance(substring, str):
         substrings = (substring,)
-    elif isinstance(substring, list) and all(isinstance(s, str) for s in substring):
+    elif isinstance(substring, list):
         substrings = tuple(substring)
     else:
         raise ValidationError("substring must be a string or a list of strings")
     return ScriptEntry(
-        purpose=purpose,
+        purpose=record.get("purpose"),
         completions=tuple(completions),
-        exact_hash=exact_hash,
         substrings=substrings,
     )
 

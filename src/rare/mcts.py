@@ -150,12 +150,9 @@ def select(tree: SearchTree) -> TreeNode:
     """First node on the greedy-UCT path that is unexpanded and non-terminal,
     or the terminal leaf the path ends at."""
     node = tree.root
-    while True:
-        if node.is_terminal() or not node.expanded:
-            return node
-        if not node.children:
-            return node
+    while node.expanded and not node.is_terminal():
         node = _best_child(node, tree.scope.cfg.exploration_c)
+    return node
 
 
 def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:

@@ -22,7 +22,6 @@ a question is scored once.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import pickle
 import re
@@ -78,23 +77,12 @@ class RetrievalIndex:
     documents: tuple[Document, ...]
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc position, tf)]
     doc_lengths: list[int]
-    doc_count: int
     avg_doc_length: float
     k1: float
     b: float
-    corpus_hash: str
 
     def vocabulary_size(self) -> int:
         return len(self.postings)
-
-
-def corpus_hash(corpus: Iterable[Document]) -> str:
-    h = hashlib.sha256()
-    for doc in corpus:
-        for part in (doc.doc_id, doc.title, doc.body, doc.source):
-            h.update(part.encode("utf-8"))
-            h.update(b"\x00")
-    return h.hexdigest()
 
 
 def build_index(corpus: Iterable[Document], k1: float = 1.2, b: float = 0.75) -> RetrievalIndex:
@@ -128,11 +116,9 @@ def build_index(corpus: Iterable[Document], k1: float = 1.2, b: float = 0.75) ->
         documents=documents,
         postings=postings,
         doc_lengths=doc_lengths,
-        doc_count=len(documents),
         avg_doc_length=sum(doc_lengths) / len(documents),
         k1=k1,
         b=b,
-        corpus_hash=corpus_hash(documents),
     )
 
 
@@ -158,7 +144,7 @@ def _rank(index: RetrievalIndex, query: str, top_k: int) -> list[DocumentRef]:
     if not tokens:
         return []
     scores: dict[int, float] = {}
-    n = index.doc_count
+    n = len(index.documents)
     for token in tokens:
         plist = index.postings.get(token)
         if plist is None:
@@ -202,7 +188,7 @@ def load_corpus(path: str) -> list[Document]:
 
 
 def save_index(index: RetrievalIndex, path: str) -> None:
-    payload = {"format": _PICKLE_FORMAT, "corpus_hash": index.corpus_hash, "index": index}
+    payload = {"format": _PICKLE_FORMAT, "index": index}
     with open(path, "wb") as fh:
         pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import pytest
 
-from rare.errors import LmBackendError, MalformedReplyError, TransportError
+from rare.errors import LmBackendError, MalformedReplyError, ScriptMissError, TransportError
 from rare.lm import LmBackend, LmRequest, LmResponse, ScriptEntry, ScriptedBackend
 from rare.retrieval import Document, build_index
 from rare.types import Question
@@ -305,6 +305,20 @@ def first_call_fault(purpose: str, error: type[LmBackendError] = TransportError,
     return fault
 
 
+def marker_fault(markers: Iterable[tuple[str, str]],
+                 error: type[LmBackendError] = ScriptMissError) -> FaultRule:
+    """Fails every request whose purpose and prompt hold one of the
+    ``(purpose, marker)`` pairs."""
+    markers = tuple(markers)
+
+    def fault(req: LmRequest) -> type[LmBackendError] | None:
+        hit = any(req.purpose_tag == purpose and marker in req.prompt
+                  for purpose, marker in markers)
+        return error if hit else None
+
+    return fault
+
+
 def hashed_fault(rate: float) -> FaultRule:
     """Fails a share ``rate`` of requests, chosen by a hash of (purpose,
     prompt, n), so a request fails the same way every time it is sent. Half
@@ -322,14 +336,9 @@ def hashed_fault(rate: float) -> FaultRule:
 
 def script_entry_to_record(entry: ScriptEntry) -> dict:
     record: dict = {"purpose": entry.purpose, "completions": list(entry.completions)}
-    match: dict = {}
-    if entry.exact_hash is not None:
-        match["exact_hash"] = entry.exact_hash
     if entry.substrings:
         subs = list(entry.substrings)
-        match["substring"] = subs[0] if len(subs) == 1 else subs
-    if match:
-        record["match"] = match
+        record["match"] = {"substring": subs[0] if len(subs) == 1 else subs}
     return record
 
 

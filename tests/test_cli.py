@@ -55,6 +55,14 @@ class TestIndexCommands:
         assert lines[0]["doc_id"] == "doc-beta"
         assert all(set(entry) == {"doc_id", "score", "snippet"} for entry in lines)
 
+    def test_query_with_k_0_exits_2_before_the_index_loads(self, workspace, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr("rare.cli.load_index", lambda path: pytest.fail("index loaded"))
+        rc = main(["index", "query", "--index", str(workspace["index"]),
+                   "--q", "beta", "--k", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --k must be >= 1\n"
+
     @pytest.mark.parametrize("k1", ["nan", "inf"])
     def test_build_with_a_non_finite_k1_exits_2(self, workspace, capsys, k1):
         out = workspace["dir"] / "out.bin"
@@ -357,6 +365,28 @@ class TestEvalCommand:
         assert rc == 2
         assert calls == []
 
+    @pytest.mark.parametrize("spelling", ["same.json", "./sub/../same.json", "link.json"])
+    def test_out_and_trajectories_naming_one_file_exit_2_before_the_first_question(
+            self, workspace, monkeypatch, capsys, spelling):
+        from rare import cli
+
+        same = workspace["dir"] / "same.json"
+        same.write_text("OLD REPORT\n", encoding="utf-8")
+        (workspace["dir"] / "sub").mkdir()
+        (workspace["dir"] / "link.json").symlink_to(same)
+        calls = []
+        monkeypatch.setattr(cli, "run_eval", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(workspace["dir"])
+        rc = main([
+            "eval", "--dataset", str(workspace["dataset"]), "--method", "cot",
+            "--backend", "script", "--script", str(workspace["script"]),
+            "--out", "same.json", "--trajectories", spelling,
+        ])
+        assert rc == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert calls == []
+        assert same.read_text(encoding="utf-8") == "OLD REPORT\n"
+
     @pytest.mark.parametrize("flag", ["--out", "--trajectories"])
     def test_refused_run_leaves_an_earlier_output_file_as_it_was(self, workspace, flag):
         earlier = workspace["dir"] / "earlier.json"
@@ -394,7 +424,8 @@ class TestEvalCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["cot", "rare"])
-    @pytest.mark.parametrize("flag", [["--exploration-c", "-1"], ["--rollouts", "0"]])
+    @pytest.mark.parametrize("flag", [["--exploration-c", "-1"], ["--rollouts", "0"],
+                                      ["--workers", "0"]])
     def test_a_bad_search_flag_exits_2_before_the_index_loads(self, workspace, capsys,
                                                               monkeypatch, method, flag):
         monkeypatch.setattr("rare.cli.load_index", lambda path: pytest.fail("index loaded"))

@@ -7,10 +7,12 @@ from conftest import (
     REASONING_SCORE_06,
     REASONING_SCORE_0625,
     REASONING_SCORE_10,
+    FaultBackend,
     RecordingBackend,
     fixture_corpus,
     make_eval_question,
     make_reasoning_trajectory,
+    marker_fault,
     rafs_rating_entries,
 )
 from rare.actions import Scope, merge_hits
@@ -289,17 +291,18 @@ class TestSharedStatements:
         first, second = sharing_candidates(question)
         third = make_reasoning_trajectory(question, REASONING_SCORE_10, "B")
         shared = split_statements(first)[1]
-        # an entry without completions makes its match raise ScriptMissError
-        entries = [ScriptEntry("query_gen", (), substrings=(shared,))]
-        scope = Scope(question, CFG, ScriptedBackend(entries + rafs_rating_entries()), index)
+
+        def failing():  # the shared sentence's query_gen raises ScriptMissError
+            return FaultBackend(ScriptedBackend(rafs_rating_entries()),
+                                marker_fault([("query_gen", shared)]))
+
         with pytest.raises(ScriptMissError):
-            score_candidates([first, second], scope)
+            score_candidates([first, second], Scope(question, CFG, failing(), index))
         # each holder fails on its own too; a candidate without it scores
         for holder in (first, second):
             with pytest.raises(ScriptMissError):
-                score_one(holder, ScriptedBackend(entries + rafs_rating_entries()), index)
-        assert score_one(third, ScriptedBackend(entries + rafs_rating_entries()),
-                         index).score == 1.0
+                score_one(holder, failing(), index)
+        assert score_one(third, failing(), index).score == 1.0
 
 
 # Sentences for generated candidate sets; each splits as one statement.
@@ -308,20 +311,21 @@ VERDICTS = ("Supported", "Not Supported", "fail_query", "fail_rating")
 FIXTURE_INDEX = build_index(fixture_corpus())
 
 
-def claims_backend(verdicts) -> ScriptedBackend:
+FAILING_PURPOSE = {"fail_query": "query_gen", "fail_rating": "rating"}
+
+
+def claims_backend(verdicts) -> FaultBackend:
     """Rates ``CLAIMS[i]`` by ``verdicts[i]``; a ``fail_*`` verdict makes that
     sentence's query or rating request raise ``ScriptMissError``."""
-    entries = []
+    entries, faults = [], []
     for claim, verdict in zip(CLAIMS, verdicts):
-        marker = (f"Statement: {claim}\n",)
-        if verdict == "fail_query":
-            entries.append(ScriptEntry("query_gen", (), substrings=marker))
-        elif verdict == "fail_rating":
-            entries.append(ScriptEntry("rating", (), substrings=marker))
+        marker = f"Statement: {claim}\n"
+        if verdict in FAILING_PURPOSE:
+            faults.append((FAILING_PURPOSE[verdict], marker))
         else:
-            entries.append(ScriptEntry("rating", (verdict,), substrings=marker))
+            entries.append(ScriptEntry("rating", (verdict,), substrings=(marker,)))
     entries.append(ScriptEntry("query_gen", ("allergic conjunctivitis treatment",)))
-    return ScriptedBackend(entries)
+    return FaultBackend(ScriptedBackend(entries), marker_fault(faults))
 
 
 def claims_candidate(claim_ids, n_steps=1, reward=0.0) -> Trajectory:

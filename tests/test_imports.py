@@ -1,5 +1,7 @@
 """Every module under ``src/rare``, ``tests`` and ``tools`` uses each name it
 imports, and every definition in ``src/rare`` has a caller outside the tests.
+Every module, the benchmark's included, parses as Python 3.10, the oldest
+version ``pyproject.toml`` allows.
 
 No linter ships with the project, so the sources are parsed with ``ast``. A
 name counts as used when it appears anywhere in its module, including inside
@@ -20,6 +22,22 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
 # the package, the benchmark and the tools; the tests do not count as callers
 CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("**/*.py")) + sorted(
     (ROOT / "tools").glob("**/*.py"))
+
+
+OLDEST_PYTHON = (3, 10)  # pyproject.toml: requires-python = ">=3.10"
+
+
+@pytest.mark.parametrize("path", MODULES + sorted((ROOT / "perfbench").glob("**/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_on_the_oldest_supported_python(path):
+    ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_syntax_newer_than_the_oldest_supported_python_is_refused():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=OLDEST_PYTHON)
 
 
 def imported_names(tree: ast.Module):

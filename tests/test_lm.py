@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -27,7 +28,6 @@ from rare.lm import (
     ScriptedBackend,
     count_tokens,
     load_script,
-    prompt_key,
     request_for,
     _retry_after_s,
 )
@@ -81,13 +81,15 @@ class TestScriptedBackend:
         assert both.completions == ("specific",)
         assert only.completions == ("generic",)
 
-    def test_exact_hash_match(self):
-        backend = scripted(
-            ScriptEntry("action_gen", ("hit",), exact_hash=prompt_key("exact prompt")),
-            ScriptEntry("action_gen", ("fallback",)),
-        )
-        assert backend.complete(LmRequest("exact prompt")).completions == ("hit",)
-        assert backend.complete(LmRequest("other prompt")).completions == ("fallback",)
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("rating", ()), {}, "completions"),
+        (("rating", ("ok", 5)), {}, "completions"),
+        (("nope", ("x",)), {}, "unknown purpose 'nope'"),
+        (("rating", ("x",)), {"substrings": ("a", 5)}, "substrings"),
+    ])
+    def test_invalid_entry_is_refused_when_built(self, args, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            ScriptEntry(*args, **kwargs)
 
     def test_temperature_zero_gives_identical_samples(self):
         backend = scripted(ScriptEntry("action_gen", ("one", "two", "three")))
@@ -152,16 +154,13 @@ def dispatch_cases(draw):
     rows = draw(st.lists(
         st.tuples(
             st.sampled_from(SCRIPT_PURPOSES),
-            st.booleans(),  # has completions
-            st.one_of(st.none(), prompt.map(prompt_key)),
             st.lists(st.sampled_from(fragments), max_size=3),
         ),
         max_size=12,
     ))
     entries = [
-        ScriptEntry(purpose, (f"e{i}", f"e{i} again") if has_completions else (),
-                    exact_hash=exact_hash, substrings=tuple(substrings))
-        for i, (purpose, has_completions, exact_hash, substrings) in enumerate(rows)
+        ScriptEntry(purpose, (f"e{i}", f"e{i} again"), substrings=tuple(substrings))
+        for i, (purpose, substrings) in enumerate(rows)
     ]
     call = st.tuples(prompt, st.sampled_from(SCRIPT_PURPOSES + ("query_gen",)))
     if entries:
@@ -176,8 +175,7 @@ def dispatch_cases(draw):
 def first_match(entries, req):
     """The dispatch contract: first entry in script order that matches."""
     for e in entries:
-        if (e.purpose == req.purpose_tag and e.exact_hash in (None, prompt_key(req.prompt))
-                and all(s in req.prompt for s in e.substrings)):
+        if e.purpose == req.purpose_tag and all(s in req.prompt for s in e.substrings):
             return e
     return None
 
@@ -193,10 +191,6 @@ def check_dispatch(entries, calls):
         if expected is None:
             with pytest.raises(ScriptMissError,
                                match=f"no script entry for purpose={purpose!r}"):
-                backend.complete(req)
-        elif not expected.completions:
-            with pytest.raises(ScriptMissError,
-                               match="matched script entry has no completions"):
                 backend.complete(req)
         else:
             first, second = expected.completions
@@ -301,10 +295,22 @@ class TestLedger:
             ledger = backend.snapshot_costs()
             assert ledger.total_calls >= previous.total_calls
             assert ledger.total_completion_tokens >= previous.total_completion_tokens
-            assert sum(c for c, _ in ledger.per_purpose.values()) == ledger.total_calls
-            assert (sum(t for _, t in ledger.per_purpose.values())
+            assert sum(c for c, _, _ in ledger.per_purpose.values()) == ledger.total_calls
+            assert (sum(t for _, _, t in ledger.per_purpose.values())
                     == ledger.total_completion_tokens)
             previous = ledger
+
+    def test_per_purpose_holds_calls_and_both_token_counts(self):
+        backend = scripted(ScriptEntry("action_gen", ("x y",)), ScriptEntry("rating", ("z",)))
+        backend.complete(LmRequest("a b c", n_samples=2, temperature=0.8))
+        backend.complete(LmRequest("d e", purpose_tag="rating"))
+        backend.complete(LmRequest("f", purpose_tag="rating"))
+        ledger = backend.snapshot_costs()
+        assert [f.name for f in dataclasses.fields(ledger)] == ["per_purpose"]
+        assert ledger.per_purpose == {"action_gen": (1, 3, 4), "rating": (2, 3, 2)}
+        assert ledger.total_prompt_tokens == sum(
+            p for _, p, _ in ledger.per_purpose.values()) == 6
+        assert (ledger.total_calls, ledger.total_completion_tokens) == (3, 6)
 
 
 class TestScriptFile:
@@ -336,6 +342,7 @@ class TestScriptFile:
         '"just a string"',
         '{"purpose": "rating", "match": "x", "completions": ["y"]}',
         '{"purpose": "rating", "match": {"exact_hash": 5}, "completions": ["y"]}',
+        '{"purpose": "rating", "match": {"exact_hash": "ab12"}, "completions": ["y"]}',
         '{"purpose": "rating", "match": {"substring": 5}, "completions": ["y"]}',
         '{"purpose": "rating", "match": {"substring": ["a", 5]}, "completions": ["y"]}',
         '{"purpose": "rating", "match": {"substr": "a"}, "completions": ["y"]}',
@@ -354,9 +361,8 @@ class TestScriptFile:
         with pytest.raises(ValidationError, match="^script line 1: completions must be"):
             load_script(str(path))
 
-    def test_write_and_load_keep_hash_and_substrings(self, tmp_path):
-        entry = ScriptEntry("rating", ("x",), exact_hash=prompt_key("p q"),
-                            substrings=("zzz",))
+    def test_write_and_load_keep_substrings(self, tmp_path):
+        entry = ScriptEntry("rating", ("x",), substrings=("zzz", "p q"))
         path = tmp_path / "script.jsonl"
         write_script_file(path, [entry])
         assert load_script(str(path)).entries == (entry,)

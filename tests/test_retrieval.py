@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -86,7 +87,7 @@ class TestBuildIndex:
         ]
         index = build_index(docs)
         assert index.avg_doc_length == 6.0
-        assert index.doc_count == 3
+        assert len(index.documents) == 3
         assert index.doc_lengths == [4, 6, 8]
 
     def test_duplicate_doc_id_rejected(self):
@@ -246,10 +247,20 @@ class TestPersistence:
         path = tmp_path / "idx.bin"
         save_index(index, str(path))
         loaded = load_index(str(path))
-        assert loaded.corpus_hash == index.corpus_hash
+        assert loaded.documents == index.documents
+        assert loaded.postings == index.postings
         before = [(h.doc_id, h.score) for h in search(index, "alpha therapy", 5)]
         after = [(h.doc_id, h.score) for h in search(loaded, "alpha therapy", 5)]
         assert before == after
+
+    def test_a_file_with_the_former_hash_and_count_fields_loads(self, tmp_path):
+        index = build_index(synthetic_corpus(n_docs=20, seed=3))
+        former = copy.copy(index)
+        former.__dict__.update(doc_count=len(index.documents), corpus_hash="x")
+        path = tmp_path / "idx.bin"
+        path.write_bytes(pickle.dumps({"format": 1, "corpus_hash": "x", "index": former}))
+        loaded = load_index(str(path))
+        assert search(loaded, "alpha therapy", 5) == search(index, "alpha therapy", 5)
 
     @pytest.mark.parametrize("content", [
         b"",
