@@ -411,8 +411,7 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
             answer = None
         elif spec.ends != "answer" and answer is None:
             continue
-        step = ActionStep(kind, req.prompt, output, sub_question=sub_question,
-                          retrieved=retrieved, queries=queries)
+        step = ActionStep(kind, output, sub_question, retrieved, queries)
         children.append(ctx.extend(step, answer))
     if not children:
         raise NoViableChildError(f"no viable child for {kind.value}")

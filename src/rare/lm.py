@@ -70,8 +70,8 @@ class LmRequest:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValidationError("invalid request: n_samples must be >= 1")
-        if self.temperature < 0:
-            raise ValidationError("invalid request: temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):  # NaN fails every comparison
+            raise ValidationError("invalid request: temperature must be finite and >= 0")
         if self.purpose_tag not in PURPOSES:
             raise ValidationError(f"invalid request: unknown purpose {self.purpose_tag!r}")
 

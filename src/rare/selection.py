@@ -59,7 +59,8 @@ def run_baseline(method: str, scope: Scope) -> list[Trajectory]:
     cot: one A2 action at the root. sc: the same action with
     ``n_consistency_samples`` outcomes, requested as ``consistency``. rag:
     one retrieval round on the question stem, then one completion of A6's
-    request with those documents.
+    request with those documents, kept as an A6 step: as in A6, the whole
+    question is answered from the documents.
     A run with no parseable answer raises AbstainError and is recorded as
     incorrect by the harness.
     """
@@ -81,12 +82,11 @@ def run_baseline(method: str, scope: Scope) -> list[Trajectory]:
     if scope.index is None:
         raise ValidationError("rag requires a retrieval index")
     hits = tuple(search(scope.index, q.stem, cfg.retrieval_top_k, scope.hits))
-    req = action_request(ActionKind.A6, root, scope.prompts, "action_gen", 1,
-                         render_documents(hits))
-    resp = scope.complete(req)
+    resp = scope.complete(action_request(ActionKind.A6, root, scope.prompts, "action_gen", 1,
+                                         render_documents(hits)))
     text = resp.completions[0].strip()
     answer = extract_answer(text, q)
     if answer is None:
         raise AbstainError(f"rag produced no parseable answer for {q.id!r}")
-    step = ActionStep(ActionKind.A7, req.prompt, text, retrieved=hits, queries=(q.stem,))
+    step = ActionStep(ActionKind.A6, text, retrieved=hits, queries=(q.stem,))
     return [root.extend(step, answer)]

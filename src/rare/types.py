@@ -135,7 +135,7 @@ class Question:
 @dataclass(frozen=True)
 class DocumentRef:
     """A retrieved passage as embedded in a reasoning step. ``title`` is its
-    document's title, which prompts show; records leave it out."""
+    document's title, which prompts show, so records keep it."""
 
     doc_id: str
     score: float
@@ -145,14 +145,14 @@ class DocumentRef:
 
 @dataclass(frozen=True)
 class ActionStep:
-    """One executed reasoning step.
+    """One executed reasoning step: what it produced, not its prompt, which
+    ``action_request`` derives from the question and the earlier steps.
 
     ``retrieved`` is nonempty only for A6/A7 steps; ``sub_question`` is
     present only for A3/A4/A7 steps.
     """
 
     kind: ActionKind
-    prompt_rendered: str
     output: str
     sub_question: str | None = None
     retrieved: tuple[DocumentRef, ...] = ()
@@ -391,13 +391,13 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
 
 
 def document_ref_to_record(ref: DocumentRef) -> dict[str, Any]:
-    return {"doc_id": ref.doc_id, "score": ref.score, "snippet": ref.snippet}
+    return {"doc_id": ref.doc_id, "score": ref.score, "snippet": ref.snippet,
+            "title": ref.title}
 
 
 def action_step_to_record(step: ActionStep) -> dict[str, Any]:
     return {
         "kind": step.kind.value,
-        "prompt_rendered": step.prompt_rendered,
         "output": step.output,
         "sub_question": step.sub_question,
         "retrieved": [document_ref_to_record(r) for r in step.retrieved],

@@ -218,7 +218,7 @@ def rafs_rating_entries() -> list[ScriptEntry]:
 def make_reasoning_trajectory(question: Question, text: str, answer: str):
     from rare.types import ActionKind, ActionStep, Trajectory
 
-    step = ActionStep(ActionKind.A2, "(fixture prompt)", text)
+    step = ActionStep(ActionKind.A2, text)
     return Trajectory(question, (step,), final_answer=answer)
 
 

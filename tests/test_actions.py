@@ -65,7 +65,7 @@ def ctx_after(question, *steps):
 
 
 def nonterminal(kind, output="text", sub_question=None):
-    return ActionStep(kind, "p", output, sub_question=sub_question), None
+    return ActionStep(kind, output, sub_question=sub_question), None
 
 
 class TestExtractAnswer:
@@ -125,7 +125,7 @@ class TestValidActions:
         assert valid_actions(ctx, CFG) == frozenset({A.A3})
 
     def test_terminal_context_has_no_actions(self, question):
-        step = ActionStep(A.A2, "p", "The answer is B: beta therapy.")
+        step = ActionStep(A.A2, "The answer is B: beta therapy.")
         ctx = ctx_after(question, (step, "B"))
         assert valid_actions(ctx, CFG) == frozenset()
 
@@ -210,7 +210,7 @@ class TestDerivedState:
                 pending if kind in SUBQUESTION_ACTIONS else None)
             answer = data.draw(st.sampled_from(question.labels)
                                if kind in (A.A2, A.A6) else st.none() | st.just("A"))
-            step = ActionStep(kind, "p", data.draw(texts), sub_question=sub_question)
+            step = ActionStep(kind, data.draw(texts), sub_question=sub_question)
             # read the parent's memos first: no child may inherit them
             parent, parent_memos = traj, (traj.content_hash(), traj.question_text())
             traj = traj.extend(step, answer)
@@ -333,10 +333,12 @@ class TestRenderDocuments:
         assert render_documents(hits) == "Alpha: alpha text\nbeta text"
         assert render_documents(()) == ""
 
-    def test_a6_prompt_shows_each_hit_under_its_title(self, question, scope):
+    def test_a6_prompt_shows_each_hit_under_its_title(self, question, backend, index):
+        backend = RecordingBackend(backend)
+        scope = Scope(question, CFG, backend, index)
         step = execute_action(A.A6, Trajectory(question), scope)[0].steps[-1]
         assert step.retrieved and all(hit.title for hit in step.retrieved)
-        assert render_documents(step.retrieved) in step.prompt_rendered
+        assert render_documents(step.retrieved) in backend.call_log()[-1].prompt
 
 
 class TestRetrievalIsolation:
@@ -391,10 +393,10 @@ class TestPromptFidelity:
         backend = RecordingBackend(backend)
         scope = Scope(question, CFG, backend, index)
         prompts = default_prompts()
-        child_a1 = execute_action(A.A1, Trajectory(question), scope)[0]
-        assert scaffold(prompts, A.A1) in child_a1.steps[-1].prompt_rendered
-        child_a3 = execute_action(A.A3, Trajectory(question), scope)[0]
-        assert scaffold(prompts, A.A3) in child_a3.steps[-1].prompt_rendered
+        execute_action(A.A1, Trajectory(question), scope)
+        assert scaffold(prompts, A.A1) in backend.call_log()[-1].prompt
+        execute_action(A.A3, Trajectory(question), scope)
+        assert scaffold(prompts, A.A3) in backend.call_log()[-1].prompt
         # A6 sends two prompts: query generation (a6 scaffold) then answering
         # via the retrieval-answer template (a7 scaffold)
         execute_action(A.A6, Trajectory(question), scope)

@@ -53,7 +53,7 @@ class TestIndexCommands:
                  capsys.readouterr().out.strip().splitlines()]
         assert lines
         assert lines[0]["doc_id"] == "doc-beta"
-        assert all(set(entry) == {"doc_id", "score", "snippet"} for entry in lines)
+        assert all(set(entry) == {"doc_id", "score", "snippet", "title"} for entry in lines)
 
     def test_query_with_k_0_exits_2_before_the_index_loads(self, workspace, capsys,
                                                           monkeypatch):

@@ -92,9 +92,9 @@ class TestSplitStatements:
 
     def test_multi_step_outputs_concatenated(self, question):
         steps = (
-            ActionStep(ActionKind.A3, "p", "The cause is pollen.",
+            ActionStep(ActionKind.A3, "The cause is pollen.",
                        sub_question="What causes it?"),
-            ActionStep(ActionKind.A2, "p", "The answer is B: Ketotifen eye drops."),
+            ActionStep(ActionKind.A2, "The answer is B: Ketotifen eye drops."),
         )
         traj = Trajectory(question, steps, final_answer="B")
         assert split_statements(traj) == [
@@ -253,8 +253,8 @@ def sharing_candidates(question):
     first = make_reasoning_trajectory(question, REASONING_SCORE_06, "C")
     prefix = " ".join(split_statements(first)[:3])
     steps = (
-        ActionStep(ActionKind.A3, "p", prefix, sub_question="What fits best?"),
-        ActionStep(ActionKind.A2, "p", SHARED_TAIL),
+        ActionStep(ActionKind.A3, prefix, sub_question="What fits best?"),
+        ActionStep(ActionKind.A2, SHARED_TAIL),
     )
     return [first, Trajectory(question, steps, final_answer="B")]
 
@@ -332,7 +332,7 @@ def claims_candidate(claim_ids, n_steps=1, reward=0.0) -> Trajectory:
     """A candidate whose last of ``n_steps`` steps states the given claims;
     the earlier steps are empty, so they add steps but no sentences."""
     outputs = [""] * (n_steps - 1) + [" ".join(CLAIMS[i] for i in claim_ids)]
-    steps = tuple(ActionStep(ActionKind.A1, "p", out) for out in outputs)
+    steps = tuple(ActionStep(ActionKind.A1, out) for out in outputs)
     return Trajectory(make_eval_question("q", "A"), steps, final_answer="A",
                       terminal_reward=reward)
 

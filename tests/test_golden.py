@@ -1,14 +1,20 @@
-"""Pinned digest of every LM request and output over the scripted fixture.
+"""Pinned digests of every LM request, report and candidate record over the
+scripted fixture, and a check that every step's prompt follows from its record.
 
 Runs ``run_eval`` on the 6-question fixture, one worker, at rollouts 4, 8 and
 16, for the three baselines and for every ablation preset under both tree
-methods. It hashes, in call order, every LM request (purpose, prompt, sample
-count, temperature, stop sequences), each report, and each candidate's
-trajectory and factuality records. Script entries match prompts on
-substrings only, so this digest is what catches a prompt that drifts by one
-byte, a request that moves, or an output that changes. Update
-``GOLDEN_DIGEST`` only for an intended behaviour change, and say why in
-CHANGES.md.
+methods: 45 runs. Three digests each take a header per run (method and
+config) and then, in order:
+
+- ``requests``: every LM request (purpose, prompt, sample count,
+  temperature, stop sequences), in call order;
+- ``reports``: the run's report;
+- ``records``: each candidate's trajectory and factuality records.
+
+Script entries match prompts on substrings only, so the request digest is
+what catches a prompt that drifts by one byte or a request that moves; the
+other two catch an output that changes. Update ``GOLDEN_DIGESTS`` only for
+an intended behaviour change, and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -17,26 +23,31 @@ import hashlib
 import json
 
 from conftest import build_eval_fixture, fixture_corpus
+from rare.actions import action_request, default_prompts, render_documents
 from rare.factuality import factuality_record
 from rare.harness import ABLATION_PRESETS, apply_preset, report_to_record, run_eval
 from rare.lm import LmBackend
 from rare.retrieval import build_index
-from rare.types import SearchConfig, trajectory_to_record
+from rare.types import (ActionKind, ActionStep, DocumentRef, SearchConfig, Trajectory,
+                        config_to_record, trajectory_to_record)
 
-GOLDEN_DIGEST = "687b07c17467d24c4cad57dab419875465ac0f32919d40b118c57c5d6303bcd6"
+GOLDEN_DIGESTS = {
+    "requests": "5970460cae5560b82b8363b2bf95be5c537e402e87e0caeeabc98b77dd4ebee2",
+    "reports": "77f6da62b0f4a32bb337df9d00598cbca12e6ea7889fa9bc7c7c7db0adab39ca",
+    "records": "6065b52a8afda0086edd6cb2bd9bd17a418e9cef8b8d377f260130e407a3260d",
+}
 
 
 class _RecordingBackend(LmBackend):
-    """Feeds each request into a hash before forwarding it."""
+    """Keeps each request, in call order, before forwarding it."""
 
-    def __init__(self, inner: LmBackend, digest):
+    def __init__(self, inner: LmBackend):
         super().__init__()
         self.inner = inner
-        self.digest = digest
+        self.requests = []
 
     def _complete(self, req):
-        _feed(self.digest, ["request", req.purpose_tag, req.prompt, req.n_samples,
-                            req.temperature, list(req.stop_sequences)])
+        self.requests.append(req)
         return self.inner.complete(req)
 
 
@@ -55,22 +66,67 @@ def _runs():
                 yield method, apply_preset(cfg, preset)
 
 
-def golden_digest() -> str:
-    digest = hashlib.sha256()
+def _recorded_runs():
+    """Per run: its header, questions, requests, report and candidates."""
     index = build_index(fixture_corpus())
     for method, cfg in _runs():
         questions, scripted = build_eval_fixture(6, 4)
+        backend = _RecordingBackend(scripted)
         candidates = []
-        report = run_eval(questions, method, _RecordingBackend(scripted, digest), index,
-                          cfg, workers=1,
+        report = run_eval(questions, method, backend, index, cfg, workers=1,
                           on_candidates=lambda q, cands: candidates.extend(cands))
-        _feed(digest, report_to_record(report))
+        header = ["run", method, config_to_record(cfg)]
+        yield header, questions, backend.requests, report, candidates
+
+
+def golden_digests() -> dict[str, str]:
+    digests = {name: hashlib.sha256() for name in GOLDEN_DIGESTS}
+    for header, _, requests, report, candidates in _recorded_runs():
+        for digest in digests.values():
+            _feed(digest, header)
+        for req in requests:
+            _feed(digests["requests"], ["request", req.purpose_tag, req.prompt,
+                                        req.n_samples, req.temperature,
+                                        list(req.stop_sequences)])
+        _feed(digests["reports"], report_to_record(report))
         for traj in candidates:
-            _feed(digest, trajectory_to_record(traj))
+            _feed(digests["records"], trajectory_to_record(traj))
             if traj.factuality is not None:
-                _feed(digest, factuality_record(traj))
-    return digest.hexdigest()
+                _feed(digests["records"], factuality_record(traj))
+    return {name: digest.hexdigest() for name, digest in digests.items()}
 
 
 def test_requests_and_records_match_pinned_digest():
-    assert golden_digest() == GOLDEN_DIGEST
+    assert golden_digests() == GOLDEN_DIGESTS
+
+
+def _step_from_record(record: dict) -> ActionStep:
+    return ActionStep(ActionKind(record["kind"]), record["output"],
+                      sub_question=record["sub_question"],
+                      retrieved=tuple(DocumentRef(**hit) for hit in record["retrieved"]),
+                      queries=tuple(record["queries"]))
+
+
+def test_every_step_prompt_rerenders_from_its_record():
+    """A step's prompt is derived, not lost: rebuilt from the step's JSON
+    record, the earlier steps, the question and the packaged templates, it
+    equals byte for byte a prompt the backend received in that run."""
+    prompts = default_prompts()
+    checked = 0
+    missed = []
+    for header, questions, requests, _, candidates in _recorded_runs():
+        by_id = {q.id: q for q in questions}
+        received = {req.prompt for req in requests}
+        for traj in candidates:
+            record = json.loads(json.dumps(trajectory_to_record(traj)))
+            steps = tuple(_step_from_record(step) for step in record["steps"])
+            question = by_id[record["question_id"]]
+            for i, step in enumerate(steps):
+                prompt = action_request(step.kind, Trajectory(question, steps[:i]), prompts,
+                                        "action_gen", 1,
+                                        render_documents(step.retrieved)).prompt
+                checked += 1
+                if prompt not in received:
+                    missed.append((header[1], record["question_id"], i, step.kind.value))
+    assert checked > 5000
+    assert missed == []

@@ -60,6 +60,8 @@ class TestScriptedBackend:
         ({"n_samples": 0}, "n_samples"),
         ({"temperature": -0.1}, "temperature"),
         ({"purpose_tag": "chat"}, "unknown purpose"),
+        ({"temperature": float("nan")}, "temperature"),
+        ({"temperature": float("inf")}, "temperature"),
     ])
     def test_invalid_request_is_refused_when_built(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):

@@ -232,7 +232,7 @@ class TestSimulate:
 
 class TestTerminalReward:
     def make_traj(self, question, answer="B", text="beta therapy", context=()):
-        step = ActionStep(A.A2, "p", f"The answer is {answer}: {text}.")
+        step = ActionStep(A.A2, f"The answer is {answer}: {text}.")
         return Trajectory(question, context + (step,), final_answer=answer)
 
     def consistency_backend(self, question, completions):
@@ -276,7 +276,7 @@ class TestTerminalReward:
             ("consistency", 9)]
 
     def test_requires_final_answer(self, question):
-        traj = Trajectory(question, (ActionStep(A.A1, "p", "thought"),))
+        traj = Trajectory(question, (ActionStep(A.A1, "thought"),))
         backend = self.consistency_backend(question, ["x"])
         with pytest.raises(ValidationError):
             terminal_reward([traj], Scope(question, SearchConfig(), backend))
@@ -291,7 +291,7 @@ class TestTerminalReward:
 
     def test_requires_one_shared_context(self, question):
         backend = self.consistency_backend(question, ["x"])
-        other = (ActionStep(A.A1, "p", "Step 1: a thought."),)
+        other = (ActionStep(A.A1, "Step 1: a thought."),)
         trajs = [self.make_traj(question), self.make_traj(question, context=other)]
         with pytest.raises(ValidationError, match="share one context"):
             terminal_reward(trajs, Scope(question, SearchConfig(), backend))

@@ -19,8 +19,8 @@ from rare.types import (
 
 def traj_with_scores(answer, factuality=None, reward=0.0, n_steps=1, tag="x"):
     steps = tuple(
-        ActionStep(ActionKind.A1, "p", f"thought {tag} {i}") for i in range(n_steps - 1)
-    ) + (ActionStep(ActionKind.A2, "p", f"{tag}: the answer is {answer}."),)
+        ActionStep(ActionKind.A1, f"thought {tag} {i}") for i in range(n_steps - 1)
+    ) + (ActionStep(ActionKind.A2, f"{tag}: the answer is {answer}."),)
     report = None
     if factuality is not None:
         report = FactualityReport((), 0, 0, factuality)

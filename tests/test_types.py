@@ -66,19 +66,19 @@ class TestActionStepInvariants:
     def test_retrieval_payload_only_on_retrieval_actions(self):
         ref = DocumentRef("d1", 1.0, "snippet")
         with pytest.raises(ValidationError):
-            ActionStep(ActionKind.A1, "p", "out", retrieved=(ref,))
-        step = ActionStep(ActionKind.A6, "p", "out", retrieved=(ref,))
+            ActionStep(ActionKind.A1, "out", retrieved=(ref,))
+        step = ActionStep(ActionKind.A6, "out", retrieved=(ref,))
         assert step.retrieved == (ref,)
 
-    def test_record_leaves_the_title_out(self):
+    def test_record_keeps_the_title(self):
         ref = DocumentRef("d1", 1.0, "snippet", title="Title")
         assert document_ref_to_record(ref) == {"doc_id": "d1", "score": 1.0,
-                                               "snippet": "snippet"}
+                                               "snippet": "snippet", "title": "Title"}
 
     def test_sub_question_only_on_subquestion_actions(self):
         with pytest.raises(ValidationError):
-            ActionStep(ActionKind.A2, "p", "out", sub_question="What?")
-        step = ActionStep(ActionKind.A3, "p", "out", sub_question="What?")
+            ActionStep(ActionKind.A2, "out", sub_question="What?")
+        step = ActionStep(ActionKind.A3, "out", sub_question="What?")
         assert step.sub_question == "What?"
 
 
@@ -262,8 +262,8 @@ class TestPerInstanceMemos:
     @staticmethod
     def path(question):
         return Trajectory(question, (
-            ActionStep(ActionKind.A5, "p", "Which one, x or y?"),
-            ActionStep(ActionKind.A2, "p", "So the answer is B."),
+            ActionStep(ActionKind.A5, "Which one, x or y?"),
+            ActionStep(ActionKind.A2, "So the answer is B."),
         ), "B", terminal_reward=0.5)
 
     def test_a_read_trajectory_equals_a_fresh_copy(self):
