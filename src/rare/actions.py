@@ -378,20 +378,15 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
     children, each ``ctx`` extended by one step and, when the step ends the
     trajectory, its answer; unparseable samples are discarded and an empty
     harvest raises NoViableChildError. Backend failures propagate. The
-    completions are requested under ``purpose``.
+    completions are requested under ``purpose``. A6 and A7 need
+    ``scope.index``; A4 and A7 need ``ctx.pending_sub_question``.
     """
     spec = ACTION_SPECS[kind]
     cfg = scope.cfg
     n = n_outcomes if n_outcomes is not None else cfg.children_per_action
-    retrieves = kind in RETRIEVAL_ACTIONS
-    if retrieves and scope.index is None:
-        raise ValidationError(f"{kind.value} requires a retrieval index")
-    if spec.pending and not ctx.pending_sub_question:
-        raise ValidationError(f"{kind.value} requires a pending sub-question")
-
     queries: tuple[str, ...] = ()
     retrieved: tuple[DocumentRef, ...] = ()
-    if retrieves:
+    if kind in RETRIEVAL_ACTIONS:
         queries = tuple(_queries(kind, ctx, scope))
         retrieved = merge_hits([search(scope.index, query, cfg.retrieval_top_k, scope.hits)
                                 for query in queries], cfg.retrieval_top_k)

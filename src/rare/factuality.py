@@ -20,7 +20,6 @@ import re
 from dataclasses import replace
 
 from .actions import Scope, merge_hits, parse_queries
-from .errors import ValidationError
 from .lm import LmBackend, request_for
 from .retrieval import search
 from .selection import tie_break
@@ -122,8 +121,6 @@ def split_sentences(text: str) -> list[str]:
 def split_statements(traj: Trajectory) -> list[str]:
     """Sentence statements from the trajectory's step outputs. Retrieved
     document text lives in prompts, never in outputs, so it is excluded."""
-    if not traj.steps:
-        raise ValidationError("trajectory has no steps to split")
     text = " ".join(step.output for step in traj.steps if step.output.strip())
     return split_sentences(text)
 
@@ -136,7 +133,7 @@ def generate_queries(statement: str, backend: LmBackend, n: int) -> list[str]:
     queries = parse_queries(resp.completions[0], n)
     if not queries:
         queries = [statement]
-    return queries[:n]
+    return queries
 
 
 def rate_statement(statement: str, evidence: tuple, backend: LmBackend) -> str:
@@ -211,8 +208,6 @@ def score_candidates(candidates: list[Trajectory], scope: Scope) -> list[Traject
 
 def factuality_record(traj: Trajectory) -> dict:
     """Report-stream record for one scored trajectory."""
-    if traj.factuality is None:
-        raise ValidationError("trajectory carries no factuality report")
     return {
         "question_id": traj.question.id,
         "trajectory_hash": traj.content_hash(),

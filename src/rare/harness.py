@@ -232,8 +232,6 @@ def trajectory_stats(report: RunReport, top_n: int = 10,
                      ) -> list[tuple[tuple[ActionKind, ...], int]]:
     """Most common action sequences among correctly answered questions,
     ranked by count descending then lexicographically."""
-    if not report.records:
-        raise ValidationError("empty report")
     counter = Counter(
         record.action_sequence
         for record in report.records

@@ -28,7 +28,7 @@ from .actions import (
     extract_answer,
     valid_actions,
 )
-from .errors import NoCandidatesError, NoViableChildError, ValidationError
+from .errors import NoCandidatesError, NoViableChildError
 from .types import ActionKind, Trajectory
 
 
@@ -36,14 +36,11 @@ def uct_score(child_q: float, child_visits: int, parent_visits: int, c: float) -
     """Mean reward plus the exploration bonus ``c * sqrt(2 ln N / N_j)``.
 
     An unvisited child scores positive infinity so it is always explored
-    before any visited sibling.
+    before any visited sibling. A visited child's parent has ``N >= 1``, and
+    ``SearchConfig`` refuses ``c <= 0``.
     """
     if child_visits == 0:
         return math.inf
-    if parent_visits < 1:
-        raise ValidationError("parent_visits must be >= 1")
-    if c <= 0:
-        raise ValidationError("exploration constant must be > 0")
     mean = child_q / child_visits
     return mean + c * math.sqrt(2.0 * math.log(parent_visits) / child_visits)
 
@@ -156,12 +153,9 @@ def select(tree: SearchTree) -> TreeNode:
 
 
 def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
-    """Add one sampled child per legal action. A node at the depth cap, or
-    one where every action fails, is marked terminal-failed (reward 0)."""
-    if node.is_terminal():
-        raise ValidationError("cannot expand a terminal node")
-    if node.expanded:
-        raise ValidationError("node already expanded")
+    """Add one sampled child per legal action to an unexpanded non-terminal
+    node, the only kind ``rollout`` expands. A node at the depth cap, or one
+    where every action fails, is marked terminal-failed (reward 0)."""
     node.expanded = True
     cfg = tree.scope.cfg
     if len(node.ctx.steps) >= cfg.max_depth:
@@ -183,11 +177,8 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
 def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
     """Uniform-random rollout from ``node`` to a terminal state or the depth
     cap. A dead end (no legal action, or no viable outcome) ends the rollout
-    with no final answer, which scores reward 0; so does a terminal-failed
-    ``node``, whose own steps are returned without any LM call."""
+    with no final answer, which scores reward 0."""
     ctx, cfg = node.ctx, tree.scope.cfg
-    if node.terminal_failed:
-        return ctx
     while ctx.final_answer is None and len(ctx.steps) < cfg.max_depth:
         kinds = sorted(valid_actions(ctx, cfg), key=lambda k: k.value)
         if not kinds:
@@ -201,22 +192,16 @@ def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
 
 
 def terminal_reward(trajs: Sequence[Trajectory], scope: Scope) -> list[float]:
-    """Self-consistency rewards of answered trajectories that share one
-    context: the same question and ``steps[:-1]``, hence the same A2
-    consistency prompt.
+    """Self-consistency rewards of one or more answered trajectories that
+    share one context: the same question and ``steps[:-1]``, hence the same
+    A2 consistency prompt. ``SearchTree.reward_new`` passes only such lists.
 
     One ``consistency`` request samples ``n = n_consistency_samples``
     answers per trajectory. Trajectory ``k`` gets the fraction of its n+1
     votes (completions ``[k*n, (k+1)*n)`` plus its own) that agree with its
     answer. Samples drawn above temperature 0 are independent, so each
     reward is distributed as with a request of its own."""
-    if not trajs:
-        raise ValidationError("terminal reward requires at least one trajectory")
-    if any(traj.final_answer is None for traj in trajs):
-        raise ValidationError("terminal reward requires a final answer")
     context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
-    if any(Trajectory(traj.question, traj.steps[:-1]) != context for traj in trajs):
-        raise ValidationError("terminal reward requires trajectories that share one context")
     n = scope.cfg.n_consistency_samples
     resp = scope.complete(action_request(ActionKind.A2, context, scope.prompts,
                                          "consistency", n * len(trajs)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .actions import (Scope, action_request, execute_action, extract_answer,
                       render_documents)
-from .errors import AbstainError, NoViableChildError, ValidationError
+from .errors import AbstainError, NoViableChildError
 from .retrieval import search
 from .types import ActionKind, ActionStep, Trajectory
 
@@ -24,11 +24,9 @@ def tie_break(traj: Trajectory) -> tuple[float, int, str]:
 
 
 def select_rare(candidates: list[Trajectory]) -> Trajectory:
-    """The candidate with the highest factuality score, ties broken by
-    ``tie_break`` and then by list position. Candidates with no report (not
-    needed to find the winner) score -1 and rank last."""
-    if not candidates:
-        raise ValidationError("empty candidate list")
+    """The non-empty list's candidate with the highest factuality score, ties
+    broken by ``tie_break`` and then by list position. Candidates with no
+    report (not needed to find the winner) score -1 and rank last."""
     return min(candidates, key=lambda t: (-t.factuality_score(), *tie_break(t)))
 
 
@@ -36,8 +34,6 @@ def select_majority(candidates: list[Trajectory]) -> Trajectory:
     """Plurality vote over final answers. Ties between answers break by
     higher summed reward, then label order; within the winning answer the
     highest-reward trajectory is returned."""
-    if not candidates:
-        raise ValidationError("empty candidate list")
     groups: dict[str, list[Trajectory]] = {}
     for traj in candidates:
         if traj.final_answer is None:
@@ -64,8 +60,6 @@ def run_baseline(method: str, scope: Scope) -> list[Trajectory]:
     A run with no parseable answer raises AbstainError and is recorded as
     incorrect by the harness.
     """
-    if method not in BASELINE_METHODS:
-        raise ValidationError(f"not a baseline method: {method!r}")
     q, cfg = scope.question, scope.cfg
     root = Trajectory(q)
 
@@ -79,8 +73,6 @@ def run_baseline(method: str, scope: Scope) -> list[Trajectory]:
             raise AbstainError(f"{method} produced no parseable answer for {q.id!r}") from None
 
     # rag
-    if scope.index is None:
-        raise ValidationError("rag requires a retrieval index")
     hits = tuple(search(scope.index, q.stem, cfg.retrieval_top_k, scope.hits))
     resp = scope.complete(action_request(ActionKind.A6, root, scope.prompts, "action_gen", 1,
                                          render_documents(hits)))

@@ -274,10 +274,6 @@ class TestExecuteActions:
         assert step.queries == (sub_question,)
         assert step.sub_question == sub_question
 
-    def test_a7_without_pending_subquestion_rejected(self, question, scope):
-        with pytest.raises(ValidationError):
-            execute_action(A.A7, Trajectory(question), scope)
-
     def test_unparseable_a2_discarded_raises_no_viable_child(self, question, index):
         backend = ScriptedBackend([
             ScriptEntry("action_gen", ("rambling without a verdict",)),

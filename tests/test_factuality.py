@@ -16,7 +16,7 @@ from conftest import (
     rafs_rating_entries,
 )
 from rare.actions import Scope, merge_hits
-from rare.errors import ScriptMissError, ValidationError
+from rare.errors import ScriptMissError
 from rare.factuality import (
     factuality_record,
     generate_queries,
@@ -85,10 +85,6 @@ class TestSplitStatements:
     def test_short_fragments_merge_into_previous(self):
         assert split_sentences("The culture was taken from blood. mg dose.") == [
             "The culture was taken from blood. mg dose."]
-
-    def test_empty_trajectory_rejected(self, question):
-        with pytest.raises(ValidationError):
-            split_statements(Trajectory(question, ()))
 
     def test_multi_step_outputs_concatenated(self, question):
         steps = (

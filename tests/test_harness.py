@@ -156,6 +156,12 @@ class TestRunEval:
         with pytest.raises(ValidationError):
             run_eval(questions, "zen", backend, index, SearchConfig())
 
+    def test_empty_question_list_rejected(self, index):
+        # so no report is empty: trajectory_stats relies on it
+        _, backend = build_eval_fixture(2, 2)
+        with pytest.raises(ValidationError, match="no questions"):
+            run_eval([], "rare", backend, index, SearchConfig())
+
     def test_unexpected_exception_costs_only_its_question(self, monkeypatch, caplog):
         questions, backend = build_eval_fixture(3, 3)
         select_majority = harness.select_majority
@@ -425,12 +431,6 @@ class TestTrajectoryStats:
     def test_top_n_limits_output(self):
         records = [make_record(str(i), (A.A1,) * (i + 1)) for i in range(5)]
         assert len(trajectory_stats(make_report(records), top_n=2)) == 2
-
-    def test_empty_report_rejected(self):
-        empty = RunReport(config={}, records=(), accuracy=0.0, avg_calls=0.0,
-                          avg_tokens=0.0, trajectory_histogram={})
-        with pytest.raises(ValidationError):
-            trajectory_stats(empty)
 
 
 class TestReportSerialization:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from rare import errors
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = [path for path in sorted((ROOT / "src" / "rare").glob("*.py"))
            if path.name != "__init__.py"]
@@ -166,6 +168,55 @@ def test_a_separate_validator_is_found():
                      "    def validated(self):\n        pass\n"
                      "def revalidate():\n    pass\n")
     assert list(validators(tree)) == [("validate_question", 1), ("validate", 4)]
+
+
+VALIDATION_ERRORS = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type) and issubclass(obj, errors.ValidationError)}
+# where input enters: a constructor, a record decoder (also ``*_from_record``)
+# or loader, or an entry point that checks its arguments
+CHECKS_INPUT = {"__init__", "__post_init__", "text_of", "_unique_keys", "from_dir",
+                "from_env", "load_index", "run_eval", "apply_preset", "build_index", "search"}
+
+
+def checks_input(function: str | None) -> bool:
+    return function in CHECKS_INPUT or (function or "").endswith("_from_record")
+
+
+def validation_raises(node: ast.AST, function: str | None = None):
+    """``(innermost enclosing function, line)`` for each raise of
+    ``ValidationError`` or a subclass: a value is checked where it enters the
+    program, and a function that only the program calls trusts its caller."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from validation_raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if name in VALIDATION_ERRORS:
+                yield function, child.lineno
+        yield from validation_raises(child, function)
+
+
+def test_validation_errors_are_raised_only_where_input_enters():
+    found = [f"{path.name}:{line} {function}" for path in PACKAGE
+             for function, line in validation_raises(ast.parse(path.read_text("utf-8")))
+             if not checks_input(function)]
+    assert found == []
+
+
+def test_a_validation_raise_past_the_entry_is_found():
+    tree = ast.parse("def uct(c):\n    if c <= 0:\n        raise ValidationError('c')\n"
+                     "class Q:\n    def __post_init__(self):\n        raise CorpusError('x')\n"
+                     "def question_from_record(r):\n    def bad():\n"
+                     "        raise errors.DatasetError\n    raise ValidationError('r')\n"
+                     "raise ValidationError\n"
+                     "def f():\n    raise NoViableChildError('not a validation error')\n")
+    raises = list(validation_raises(tree))
+    assert raises == [("uct", 3), ("__post_init__", 6), ("bad", 9),
+                      ("question_from_record", 10), (None, 11)]
+    assert [(f, line) for f, line in raises if not checks_input(f)] == [
+        ("uct", 3), ("bad", 9), (None, 11)]
 
 
 def test_every_definition_has_a_caller():
