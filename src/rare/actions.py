@@ -114,12 +114,18 @@ def default_prompts() -> PromptLibrary:
 class Scope(LmBackend):
     """One question's state: the question, its config seeded from its id,
     the shared backend and index, the prompts (the packaged ones by default),
-    its own ledger, and memos of its greedy requests and its searches
-    (``hits``, which it hands to ``search``). Nothing crosses questions.
+    its own ledger, memos of its greedy requests and its searches (``hits``,
+    which it hands to ``search``), and its spare votes. Nothing crosses
+    questions.
 
     A temperature-0 request equal to one already completed gets that
     response back, reaches no backend and counts in no ledger. A request
-    that raised is not remembered; sampled requests always go through."""
+    that raised is not remembered; sampled requests always go through.
+
+    ``votes`` maps an A2 prompt to samples of it drawn for
+    self-consistency votes and not used yet, in the order they were drawn.
+    ``execute_action`` adds to it and ``rare.mcts.terminal_reward`` takes
+    from its front."""
 
     def __init__(self, question: Question, cfg: SearchConfig, backend: LmBackend,
                  index: RetrievalIndex | None = None, prompts: PromptLibrary | None = None):
@@ -130,6 +136,7 @@ class Scope(LmBackend):
         self.index = index
         self.prompts = prompts if prompts is not None else default_prompts()
         self.hits: dict[tuple[str, int], list[DocumentRef]] = {}
+        self.votes: dict[str, list[str]] = {}
         self._greedy: dict[LmRequest, LmResponse] = {}
 
     def complete(self, req: LmRequest) -> LmResponse:
@@ -370,7 +377,7 @@ def _queries(kind: ActionKind, ctx: Trajectory, scope: Scope) -> list[str]:
 
 def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
                    n_outcomes: int | None = None,
-                   purpose: str = "action_gen") -> list[Trajectory]:
+                   purpose: str = "action_gen", votes: int = 0) -> list[Trajectory]:
     """Sample one action at the end of ``ctx`` and return the child
     trajectories.
 
@@ -380,6 +387,10 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
     harvest raises NoViableChildError. Backend failures propagate. The
     completions are requested under ``purpose``. A6 and A7 need
     ``scope.index``; A4 and A7 need ``ctx.pending_sub_question``.
+
+    The same request draws ``votes`` more samples, which are added to
+    ``scope.votes`` under its prompt before any child is parsed; such a
+    request is its context's ``consistency`` request, whatever ``purpose``.
     """
     spec = ACTION_SPECS[kind]
     cfg = scope.cfg
@@ -390,11 +401,14 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
         queries = tuple(_queries(kind, ctx, scope))
         retrieved = merge_hits([search(scope.index, query, cfg.retrieval_top_k, scope.hits)
                                 for query in queries], cfg.retrieval_top_k)
-    req = action_request(kind, ctx, scope.prompts, purpose, n, render_documents(retrieved))
+    req = action_request(kind, ctx, scope.prompts, "consistency" if votes else purpose,
+                         n + votes, render_documents(retrieved))
     resp = scope.complete(req)
+    if votes:
+        scope.votes.setdefault(req.prompt, []).extend(resp.completions[n:])
 
     children = []
-    for completion in resp.completions:
+    for completion in resp.completions[:n]:
         parsed = spec.parse(completion)
         if parsed is None or not parsed[1]:
             continue

@@ -277,9 +277,11 @@ class ScriptedBackend(LmBackend):
 
     With temperature 0 every sample equals the entry's first completion;
     otherwise samples cycle through the entry's completion list across the
-    whole request. A batched ``consistency`` request for ``n * k`` samples
-    therefore gives each of its ``k`` trajectories the votes an unbatched
-    request of ``n`` would, when the entry's completion count divides ``n``.
+    whole request. The search's A2 request is a ``consistency`` request whose
+    first ``c`` samples are A2 children and whose votes start at sample
+    ``c``; each trajectory votes on ``n`` consecutive samples of one request,
+    so it gets the votes an unbatched request of ``n`` would, whatever the
+    offset, when the entry's completion count divides ``n``.
     """
 
     def __init__(self, entries: Iterable[ScriptEntry]):

@@ -8,9 +8,13 @@ self-consistency voting, and additive backpropagation along the path.
 Each node's ``ctx`` is the ``Trajectory`` from the root to it. Candidates are
 every distinct terminal trajectory discovered, keyed by a hash of their step
 outputs; each carries its consistency reward when returned. A candidate is
-rewarded when it is first seen, and candidates that share a context share one
-``consistency`` request: the answered children of an expansion are rewarded
-together, each voting on its own slice of the samples.
+rewarded when it is first seen, by votes drawn from A2's prompt at its
+context. Every A2 request the search sends is that context's
+``consistency`` request: it draws the A2 children and, after them, the votes
+of the answered paths it expects at the context, which wait in the
+question's ``Scope`` until ``terminal_reward`` takes them. An expansion sends
+A2 after its other actions, so its one request covers the answered children
+of the whole expansion.
 """
 
 from __future__ import annotations
@@ -97,15 +101,21 @@ class SearchTree:
             parent.children.append(node)
         return node
 
-    def reward_new(self, trajs: list[Trajectory]) -> None:
-        """Make candidates of the answered trajectories not seen before,
-        all of one context, rewarded by one ``terminal_reward`` call."""
+    def unrewarded(self, trajs: Sequence[Trajectory]) -> dict[str, Trajectory]:
+        """The answered trajectories that are not candidates yet, by content
+        hash, the first of equal ones kept."""
         new: dict[str, Trajectory] = {}
         for traj in trajs:
             if traj.final_answer is not None:
                 key = traj.content_hash()
                 if key not in self.candidates:
                     new.setdefault(key, traj)
+        return new
+
+    def reward_new(self, trajs: list[Trajectory]) -> None:
+        """Make candidates of the answered trajectories not seen before,
+        all of one context, rewarded by one ``terminal_reward`` call."""
+        new = self.unrewarded(trajs)
         if new:
             rewards = terminal_reward(list(new.values()), self.scope)
             for (key, traj), reward in zip(new.items(), rewards):
@@ -155,19 +165,31 @@ def select(tree: SearchTree) -> TreeNode:
 def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     """Add one sampled child per legal action to an unexpanded non-terminal
     node, the only kind ``rollout`` expands. A node at the depth cap, or one
-    where every action fails, is marked terminal-failed (reward 0)."""
+    where every action fails, is marked terminal-failed (reward 0).
+
+    A2 is sent last. Besides its ``c = children_per_action`` children it
+    draws ``n_consistency_samples`` votes for each new answered child of
+    the other actions and for each of its own children, so ``rollout``'s
+    reward of the expansion needs no request of its own. Children enter
+    the tree in action order all the same."""
     node.expanded = True
     cfg = tree.scope.cfg
     if len(node.ctx.steps) >= cfg.max_depth:
         node.terminal_failed = True
         return []
     kinds = sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value)
-    for kind in kinds:
+    contexts: dict[ActionKind, list[Trajectory]] = {}
+    for kind in sorted(kinds, key=lambda k: k == ActionKind.A2):
+        votes = 0
+        if kind == ActionKind.A2:
+            answered = len(tree.unrewarded([ctx for ctxs in contexts.values() for ctx in ctxs]))
+            votes = cfg.n_consistency_samples * (answered + cfg.children_per_action)
         try:
-            contexts = execute_action(kind, node.ctx, tree.scope)
+            contexts[kind] = execute_action(kind, node.ctx, tree.scope, votes=votes)
         except NoViableChildError:
             continue
-        for ctx in contexts:
+    for kind in kinds:
+        for ctx in contexts.get(kind, ()):
             tree.add_node(parent=node, ctx=ctx)
     if not node.children:
         node.terminal_failed = True
@@ -177,15 +199,17 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
 def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
     """Uniform-random rollout from ``node`` to a terminal state or the depth
     cap. A dead end (no legal action, or no viable outcome) ends the rollout
-    with no final answer, which scores reward 0."""
+    with no final answer, which scores reward 0. An A2 step draws
+    ``n_consistency_samples`` votes with its one child."""
     ctx, cfg = node.ctx, tree.scope.cfg
     while ctx.final_answer is None and len(ctx.steps) < cfg.max_depth:
         kinds = sorted(valid_actions(ctx, cfg), key=lambda k: k.value)
         if not kinds:
             break
         kind = tree.rng.choice(kinds)
+        votes = cfg.n_consistency_samples if kind == ActionKind.A2 else 0
         try:
-            ctx = execute_action(kind, ctx, tree.scope, n_outcomes=1)[0]
+            ctx = execute_action(kind, ctx, tree.scope, 1, votes=votes)[0]
         except NoViableChildError:
             break
     return ctx
@@ -196,16 +220,21 @@ def terminal_reward(trajs: Sequence[Trajectory], scope: Scope) -> list[float]:
     share one context: the same question and ``steps[:-1]``, hence the same
     A2 consistency prompt. ``SearchTree.reward_new`` passes only such lists.
 
-    One ``consistency`` request samples ``n = n_consistency_samples``
-    answers per trajectory. Trajectory ``k`` gets the fraction of its n+1
-    votes (completions ``[k*n, (k+1)*n)`` plus its own) that agree with its
+    Each trajectory takes ``n = n_consistency_samples`` votes, samples of
+    that prompt: first the spare ones in ``scope.votes``, in the order they
+    were drawn, then those of one ``consistency`` request for the
+    shortfall, if there is one. Trajectory ``k`` gets the fraction of its
+    n+1 votes (votes ``[k*n, (k+1)*n)`` plus its own) that agree with its
     answer. Samples drawn above temperature 0 are independent, so each
     reward is distributed as with a request of its own."""
     context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
     n = scope.cfg.n_consistency_samples
-    resp = scope.complete(action_request(ActionKind.A2, context, scope.prompts,
-                                         "consistency", n * len(trajs)))
-    answers = [extract_answer(text, context.question) for text in resp.completions]
+    req = action_request(ActionKind.A2, context, scope.prompts, "consistency", n * len(trajs))
+    spare = scope.votes.setdefault(req.prompt, [])
+    if len(spare) < req.n_samples:
+        spare += scope.complete(replace(req, n_samples=req.n_samples - len(spare))).completions
+    answers = [extract_answer(text, context.question) for text in spare[:req.n_samples]]
+    del spare[:req.n_samples]
     return [(1 + answers[k * n:(k + 1) * n].count(traj.final_answer)) / (n + 1)
             for k, traj in enumerate(trajs)]
 

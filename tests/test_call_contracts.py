@@ -3,11 +3,11 @@
 A value is checked where it enters: its constructor, the loaders,
 ``run_eval`` and the CLI. The phase functions of the search, the selectors
 and the scorer do not check their arguments again, because their callers
-only ever pass what they accept. This test runs the 45 golden runs with each
+only ever pass what they accept. This test runs the 47 golden runs with each
 such function wrapped through the module global its caller looks up, and
-checks the contract before every call. The golden runs never reach the depth
-cap, so the 12 tree runs at rollouts 16 run once more at ``max_depth=1``,
-where nodes are marked terminal-failed and selected again.
+checks the contract before every call. Only two golden runs reach the depth
+cap, so the 12 tree configurations at rollouts 16 run once more at
+``max_depth=1``, where nodes are marked terminal-failed and selected again.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def test_every_phase_call_meets_its_contract(monkeypatch):
                             _checked(getattr(module, name), key, contract, calls, broken))
     index = build_index(fixture_corpus())
     runs = list(_runs())
-    runs += [(method, replace(cfg, max_depth=1)) for method, cfg in runs
-             if method not in BASELINE_METHODS and cfg.rollouts == 16]
+    runs += dict.fromkeys((method, replace(cfg, max_depth=1)) for method, cfg in runs
+                          if method not in BASELINE_METHODS and cfg.rollouts == 16)
     for method, cfg in runs:
         questions, backend = build_eval_fixture(6, 4)
         report = run_eval(questions, method, backend, index, cfg, workers=1,

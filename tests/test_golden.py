@@ -3,7 +3,8 @@ scripted fixture, and a check that every step's prompt follows from its record.
 
 Runs ``run_eval`` on the 6-question fixture, one worker, at rollouts 4, 8 and
 16, for the three baselines and for every ablation preset under both tree
-methods: 45 runs. Three digests each take a header per run (method and
+methods, plus both tree methods at rollouts 16 with ``max_depth=2``, where
+nodes reach the depth cap and are marked terminal-failed: 47 runs. Three digests each take a header per run (method and
 config) and then, in order:
 
 - ``requests``: every LM request (purpose, prompt, sample count,
@@ -22,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import rare.mcts
+
 from conftest import build_eval_fixture, fixture_corpus
 from rare.actions import action_request, default_prompts, render_documents
 from rare.factuality import factuality_record
@@ -32,9 +35,9 @@ from rare.types import (ActionKind, ActionStep, DocumentRef, SearchConfig, Traje
                         config_to_record, trajectory_to_record)
 
 GOLDEN_DIGESTS = {
-    "requests": "5970460cae5560b82b8363b2bf95be5c537e402e87e0caeeabc98b77dd4ebee2",
-    "reports": "77f6da62b0f4a32bb337df9d00598cbca12e6ea7889fa9bc7c7c7db0adab39ca",
-    "records": "6065b52a8afda0086edd6cb2bd9bd17a418e9cef8b8d377f260130e407a3260d",
+    "requests": "8469c3b7cb38a28a64220f5167ae585364c13415cad5c29be855ff60d903ec9b",
+    "reports": "2eb3d9c9496bcc0fde942c921f91b5b821a42c0c2a08d969a5c187df16df2331",
+    "records": "b15f2f5928e9b76cbf5ad282eb6ca78cd4a3796d6362b0647f5d48ba41096740",
 }
 
 
@@ -64,6 +67,11 @@ def _runs():
         for method in ("rstar", "rare"):
             for preset in ABLATION_PRESETS:
                 yield method, apply_preset(cfg, preset)
+    for method in DEPTH_CAPPED:
+        yield method, apply_preset(SearchConfig(rollouts=16, max_depth=2), method)
+
+
+DEPTH_CAPPED = ("rstar", "rare")
 
 
 def _recorded_runs():
@@ -98,6 +106,28 @@ def golden_digests() -> dict[str, str]:
 
 def test_requests_and_records_match_pinned_digest():
     assert golden_digests() == GOLDEN_DIGESTS
+
+
+def test_depth_capped_runs_reach_terminal_failed_nodes(monkeypatch):
+    """The ``max_depth=2`` runs cover what the others never reach: an
+    expansion at the depth cap, which marks its node terminal-failed."""
+    failed = []
+    real = rare.mcts.expand
+
+    def expand(tree, node):
+        children = real(tree, node)
+        if node.terminal_failed:
+            failed.append((tree.scope.cfg.max_depth, len(node.ctx.steps)))
+        return children
+
+    monkeypatch.setattr(rare.mcts, "expand", expand)
+    index = build_index(fixture_corpus())
+    for method, cfg in _runs():
+        questions, scripted = build_eval_fixture(6, 4)
+        run_eval(questions, method, scripted, index, cfg, workers=1)
+    assert failed
+    assert {depth for depth, _ in failed} == {2}
+    assert all(steps == 2 for _, steps in failed)
 
 
 def _step_from_record(record: dict) -> ActionStep:

@@ -12,7 +12,7 @@ import requests
 from hypothesis import example, given, strategies as st
 
 from conftest import RecordingBackend, make_eval_question, write_script_file
-from rare.actions import Scope
+from rare.actions import Scope, action_request
 from rare.errors import (
     MalformedReplyError,
     ScriptMissError,
@@ -31,7 +31,8 @@ from rare.lm import (
     request_for,
     _retry_after_s,
 )
-from rare.types import SearchConfig
+from rare.mcts import SearchTree, run_search
+from rare.types import ActionKind, SearchConfig, Trajectory
 
 
 def scripted(*entries):
@@ -473,6 +474,24 @@ class TestHttpBackend:
     def test_from_env_requires_base_url_and_model(self):
         with pytest.raises(ValidationError):
             HttpBackend.from_env({})
+
+    def test_a2_request_with_votes_is_one_post_of_the_a2_body_with_a_larger_n(
+            self, chat_server):
+        url, handler = chat_server
+        handler.queue = [(200, chat_body(*["The answer is B: beta therapy."] * 4))]
+        q = make_eval_question("q01", "B")
+        cfg = SearchConfig(rollouts=1, enabled_actions=frozenset({ActionKind.A2}))
+        with HttpBackend(url, model="m", backoff_base=0.001) as backend:
+            tree = SearchTree(Scope(q, cfg, backend))
+            # the one A2 child and its three votes, then nothing more
+            assert [t.terminal_reward for t in run_search(tree)] == [1.0]
+            assert len(handler.seen) == 1
+            backend.complete(action_request(ActionKind.A2, Trajectory(q), tree.scope.prompts,
+                                            "action_gen", 1))
+        folded, alone = handler.seen
+        assert folded["n"] == 1 + cfg.n_consistency_samples
+        assert {**folded, "n": 1} == alone
+        assert set(alone) == {"model", "messages", "n", "temperature", "max_tokens", "stop"}
         backend = HttpBackend.from_env({
             "RARE_LM_BASE_URL": "http://x", "RARE_LM_MODEL": "m",
         })

@@ -7,16 +7,20 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rare.mcts
 from conftest import (
+    A2_MARK,
     RecordingBackend,
+    build_eval_fixture,
     fixture_corpus,
     make_eval_question,
     rafs_generic_entries,
     tree_entries_for,
 )
-from rare.actions import Scope
+from rare.actions import Scope, action_request
 from rare.errors import NoCandidatesError
-from rare.lm import ScriptEntry, ScriptedBackend
+from rare.harness import apply_preset
+from rare.lm import LmBackend, ScriptEntry, ScriptedBackend
 from rare.mcts import (
     SearchTree,
     backpropagate,
@@ -154,11 +158,34 @@ class TestExpand:
         kinds = {ch.ctx.steps[-1].kind for ch in grandchildren}
         assert kinds <= {A.A3, A.A4, A.A7}
 
+    def test_a2_is_sent_last_with_the_votes_of_the_whole_expansion(self, question,
+                                                                   backend, index):
+        # c=2: A6's two equal children are one new answer (k=1), and A2 adds
+        # its own two, so A2 asks for 2 + 3 * (1 + 2) samples
+        cfg = SearchConfig(children_per_action=2)
+        recording = RecordingBackend(backend)
+        tree = tree_for(question, cfg, recording, index)
+        children = expand(tree, tree.root)
+        log = recording.call_log()
+        assert log[-1].purpose == "consistency"
+        assert A2_MARK in log[-1].prompt
+        assert log[-1].n_samples == 2 + 3 * (1 + 2)
+        assert [r.purpose for r in log[:-1]] == ["action_gen"] * 3 + ["query_gen", "action_gen"]
+        kinds = [node.ctx.steps[-1].kind.value for node in tree.nodes[1:]]
+        assert kinds == sorted(kinds) == [k for k in ("A1", "A2", "A3", "A5", "A6")
+                                          for _ in range(2)]
+        assert [node.node_id for node in children] == list(range(1, 11))
+        tree.reward_new([child.ctx for child in children])
+        assert len(recording.call_log()) == len(log)
+        # A2's two children are equal too: 3 of the 9 votes are left
+        assert [len(v) for v in tree.scope.votes.values()] == [3]
+
     def test_no_viable_child_marks_terminal_failed(self, question, index):
-        # every completion unparseable for the enders, empty for the rest
+        # every completion unparseable for the enders, empty for the rest;
+        # A2 is sent as its context's consistency request
         backend = ScriptedBackend([
             ScriptEntry("action_gen", ("   ",), substrings=("46-year-old woman",)),
-            ScriptEntry("action_gen", ("no verdict",)),
+            ScriptEntry("consistency", ("no verdict",)),
             ScriptEntry("query_gen", ("   ",)),
         ])
         cfg = SearchConfig(enabled_actions=frozenset({A.A1, A.A2}))
@@ -177,6 +204,17 @@ class TestSimulate:
         traj = simulate(tree, a2_child)
         assert traj.final_answer == "B"
         assert traj.steps == a2_child.ctx.steps
+
+    def test_simulated_a2_step_draws_its_votes(self, question, backend, index):
+        cfg = SearchConfig(enabled_actions=frozenset({A.A2}))
+        recording = RecordingBackend(backend)
+        tree = tree_for(question, cfg, recording, index)
+        traj = simulate(tree, tree.root)
+        assert traj.steps[-1].kind == A.A2
+        assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
+            ("consistency", 1 + cfg.n_consistency_samples)]
+        assert tree.reward_of(traj) == 0.75
+        assert len(recording.call_log()) == 1
 
     def test_seeded_rollout_is_reproducible(self, question, index):
         def run(seed):
@@ -250,6 +288,32 @@ class TestTerminalReward:
         assert terminal_reward(trajs, scope) == [1.0, 0.75, 0.5]
         assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
             ("consistency", 9)]
+
+
+    def test_spare_votes_come_first_and_only_the_shortfall_is_requested(self, question):
+        recording = RecordingBackend(self.consistency_backend(
+            question, ["The answer is C: gamma therapy."]))
+        scope = Scope(question, SearchConfig(n_consistency_samples=3), recording)
+        traj = self.make_traj(question)
+        prompt = action_request(A.A2, Trajectory(question), scope.prompts,
+                                "consistency", 1).prompt
+        scope.votes[prompt] = ["The answer is B: beta therapy."] * 2
+        assert terminal_reward([traj], scope) == [0.75]
+        assert [(r.purpose, r.prompt, r.n_samples) for r in recording.call_log()] == [
+            ("consistency", prompt, 1)]
+        assert scope.votes[prompt] == []
+
+    def test_enough_spare_votes_send_nothing_and_the_rest_wait(self, question):
+        recording = RecordingBackend(self.consistency_backend(question, ["unused"]))
+        scope = Scope(question, SearchConfig(n_consistency_samples=3), recording)
+        prompt = action_request(A.A2, Trajectory(question), scope.prompts,
+                                "consistency", 1).prompt
+        spare = [f"The answer is {label}." for label in "BBBCCC"]
+        scope.votes[prompt] = list(spare) + ["The answer is A."] * 3
+        trajs = [self.make_traj(question), self.make_traj(question, "C", "gamma therapy")]
+        assert terminal_reward(trajs, scope) == [1.0, 1.0]
+        assert recording.call_log() == ()
+        assert scope.votes[prompt] == ["The answer is A."] * 3
 
 
 class TestBackpropagate:
@@ -379,7 +443,7 @@ class TestRunSearch:
         backend = ScriptedBackend([
             ScriptEntry("action_gen", ("Step 1: pondering.",),
                         substrings=("46-year-old woman",)),
-            ScriptEntry("action_gen", ("no verdict",)),
+            ScriptEntry("consistency", ("no verdict",)),
         ])
         cfg = SearchConfig(enabled_actions=frozenset({A.A1, A.A2}),
                            rollouts=2, max_depth=3)
@@ -388,7 +452,8 @@ class TestRunSearch:
 
     def test_answered_children_of_one_expansion_share_one_request(self, question,
                                                                    backend, index):
-        # A2 and A6 both answer at the root; later rollouts revisit them
+        # A2 and A6 both answer at the root; later rollouts revisit them. A2
+        # is sent last, with its child plus 3 votes each for both children
         cfg = SearchConfig(enabled_actions=frozenset({A.A2, A.A6}), rollouts=3)
         recording = RecordingBackend(backend)
         tree = tree_for(question, cfg, recording, index)
@@ -396,7 +461,7 @@ class TestRunSearch:
         answered = [child for child in tree.root.children if child.is_terminal()]
         assert len(answered) == len(candidates) == 2
         consistency = [r for r in recording.call_log() if r.purpose == "consistency"]
-        assert [r.n_samples for r in consistency] == [3 * len(answered)]
+        assert [r.n_samples for r in consistency] == [1 + 3 * len(answered)]
         assert all(t.terminal_reward == 0.75 for t in candidates)
 
     def test_finished_tree_is_freed_without_the_cycle_collector(self, question,
@@ -426,3 +491,86 @@ class TestRunSearch:
             node.q_value *= scale
         assert select(tree) is hi
         assert lo is not hi
+
+
+class _TaggingBackend(LmBackend):
+    """Forwards to ``inner`` and ends every sampled completion with
+    ``#<i>``, where ``origin[i]`` is the request that drew it."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.origin = []
+
+    def _complete(self, req):
+        resp = self.inner.complete(req)
+        if req.temperature == 0:
+            return resp
+        tagged = []
+        for text in resp.completions:
+            tagged.append(f"{text} #{len(self.origin)}")
+            self.origin.append(req)
+        return dataclasses.replace(resp, completions=tuple(tagged))
+
+
+class TestVoteFold:
+    """Votes drawn with an A2 step are the samples the consistency request
+    of the voting candidates would have drawn, one set per candidate."""
+
+    @pytest.mark.parametrize("children", [1, 2])
+    @pytest.mark.parametrize("preset", ["rstar", "rstar+a6", "rstar+a7", "rare"])
+    def test_each_candidate_gets_n_votes_of_its_own_consistency_request(
+            self, monkeypatch, index, preset, children):
+        real_reward, real_extract = rare.mcts.terminal_reward, rare.mcts.extract_answer
+        read = []  # vote texts the current terminal_reward call reads
+        votes = {}  # candidate hash -> its votes
+        foreign = []  # votes drawn by a request unlike the one they replace
+        folded = []  # votes drawn with A2 children: c + a multiple of n samples
+
+        def extract(text, q):
+            read.append(text)
+            return real_extract(text, q)
+
+        def reward(trajs, scope):
+            n = scope.cfg.n_consistency_samples
+            want = action_request(A.A2, Trajectory(trajs[0].question, trajs[0].steps[:-1]),
+                                  scope.prompts, "consistency", n * len(trajs))
+            waiting = len(scope.votes.get(want.prompt, ()))
+            calls = backend.snapshot_costs().total_calls
+            read.clear()
+            rewards = real_reward(trajs, scope)
+            # a request only for votes that were not waiting
+            assert backend.snapshot_costs().total_calls - calls == (waiting < want.n_samples)
+            for text in read:
+                req = backend.origin[int(text.rsplit("#", 1)[1])]
+                if (req.prompt, req.temperature, req.stop_sequences) != (
+                        want.prompt, want.temperature, want.stop_sequences):
+                    foreign.append(text)
+                if req.n_samples % n:
+                    folded.append(text)
+            assert len(read) == n * len(trajs)
+            for k, traj in enumerate(trajs):
+                mine = read[k * n:(k + 1) * n]
+                assert traj.content_hash() not in votes
+                votes[traj.content_hash()] = mine
+                agree = sum(real_extract(text, traj.question) == traj.final_answer
+                            for text in mine)
+                assert rewards[k] == (1 + agree) / (n + 1)
+            return rewards
+
+        monkeypatch.setattr(rare.mcts, "terminal_reward", reward)
+        monkeypatch.setattr(rare.mcts, "extract_answer", extract)
+        questions, scripted = build_eval_fixture(6, 4)
+        cfg = apply_preset(SearchConfig(rollouts=16, children_per_action=children), preset)
+        backend = _TaggingBackend(scripted)  # one tag count: no two samples are equal
+        candidates = 0
+        for q in questions:
+            tree = tree_for(q, cfg, backend, index)
+            run_search(tree)
+            candidates += len(tree.candidates)
+            assert set(votes) >= set(tree.candidates)
+        assert foreign == []
+        assert folded
+        assert len(votes) == candidates
+        drawn = [text for mine in votes.values() for text in mine]
+        assert len(set(drawn)) == len(drawn) == 3 * candidates
