@@ -389,8 +389,7 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
     ``scope.index``; A4 and A7 need ``ctx.pending_sub_question``.
 
     The same request draws ``votes`` more samples, which are added to
-    ``scope.votes`` under its prompt before any child is parsed; such a
-    request is its context's ``consistency`` request, whatever ``purpose``.
+    ``scope.votes`` under its prompt before any child is parsed.
     """
     spec = ACTION_SPECS[kind]
     cfg = scope.cfg
@@ -401,8 +400,8 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
         queries = tuple(_queries(kind, ctx, scope))
         retrieved = merge_hits([search(scope.index, query, cfg.retrieval_top_k, scope.hits)
                                 for query in queries], cfg.retrieval_top_k)
-    req = action_request(kind, ctx, scope.prompts, "consistency" if votes else purpose,
-                         n + votes, render_documents(retrieved))
+    req = action_request(kind, ctx, scope.prompts, purpose, n + votes,
+                         render_documents(retrieved))
     resp = scope.complete(req)
     if votes:
         scope.votes.setdefault(req.prompt, []).extend(resp.completions[n:])

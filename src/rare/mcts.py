@@ -180,12 +180,14 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     kinds = sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value)
     contexts: dict[ActionKind, list[Trajectory]] = {}
     for kind in sorted(kinds, key=lambda k: k == ActionKind.A2):
-        votes = 0
+        purpose, votes = "action_gen", 0
         if kind == ActionKind.A2:
             answered = len(tree.unrewarded([ctx for ctxs in contexts.values() for ctx in ctxs]))
-            votes = cfg.n_consistency_samples * (answered + cfg.children_per_action)
+            purpose, votes = ("consistency",
+                              cfg.n_consistency_samples * (answered + cfg.children_per_action))
         try:
-            contexts[kind] = execute_action(kind, node.ctx, tree.scope, votes=votes)
+            contexts[kind] = execute_action(kind, node.ctx, tree.scope,
+                                            purpose=purpose, votes=votes)
         except NoViableChildError:
             continue
     for kind in kinds:
@@ -207,9 +209,11 @@ def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
         if not kinds:
             break
         kind = tree.rng.choice(kinds)
-        votes = cfg.n_consistency_samples if kind == ActionKind.A2 else 0
+        purpose, votes = (("consistency", cfg.n_consistency_samples) if kind == ActionKind.A2
+                          else ("action_gen", 0))
         try:
-            ctx = execute_action(kind, ctx, tree.scope, 1, votes=votes)[0]
+            ctx = execute_action(kind, ctx, tree.scope, n_outcomes=1,
+                                 purpose=purpose, votes=votes)[0]
         except NoViableChildError:
             break
     return ctx

@@ -474,6 +474,10 @@ class TestHttpBackend:
     def test_from_env_requires_base_url_and_model(self):
         with pytest.raises(ValidationError):
             HttpBackend.from_env({})
+        backend = HttpBackend.from_env({
+            "RARE_LM_BASE_URL": "http://x", "RARE_LM_MODEL": "m",
+        })
+        assert backend.base_url == "http://x"
 
     def test_a2_request_with_votes_is_one_post_of_the_a2_body_with_a_larger_n(
             self, chat_server):
@@ -492,10 +496,6 @@ class TestHttpBackend:
         assert folded["n"] == 1 + cfg.n_consistency_samples
         assert {**folded, "n": 1} == alone
         assert set(alone) == {"model", "messages", "n", "temperature", "max_tokens", "stop"}
-        backend = HttpBackend.from_env({
-            "RARE_LM_BASE_URL": "http://x", "RARE_LM_MODEL": "m",
-        })
-        assert backend.base_url == "http://x"
 
 
 class _FakeResponse:

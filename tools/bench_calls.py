@@ -26,18 +26,12 @@ labels for any question of any row.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import subprocess
+import inspect
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, export_revision
+from bench_pairs import ROOT, bench_doc, measure_sides, workload_inputs, write_doc
 
-WORKLOADS = ("tree-cpu", "tree-wait")
 ROWS = (("cot", None), ("sc", None), ("rag", None),
         *((method, rollouts) for method in ("rstar", "rare") for rollouts in (4, 8, 16)))
 OUT = ROOT / "BENCH_vote_fold.json"
@@ -46,9 +40,7 @@ OUT = ROOT / "BENCH_vote_fold.json"
 def measure(tree: Path, workload: str, seed: int) -> dict:
     """Every row's costs per question on ``workload``'s inputs, using the
     package in ``tree``."""
-    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    import inputs
-    import rare
+    _, data, records = workload_inputs(tree, workload, seed)
     import rare.harness
     import rare.mcts
     from rare.harness import apply_preset, run_eval
@@ -56,14 +48,8 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
     from rare.retrieval import build_index, document_from_record
     from rare.selection import BASELINE_METHODS
     from rare.types import SearchConfig, question_from_record
-    from run import WORKLOADS as SHAPES
 
-    if tree / "src" not in Path(rare.__file__).resolve().parents:
-        raise SystemExit(f"rare was imported from {rare.__file__}, not from {tree / 'src'}")
-    w = SHAPES[workload]
-    data = inputs.generate(seed, w.docs, w.questions)
-    questions = [question_from_record(r) for r in
-                 data.questions[::len(data.questions) // w.evaluated][:w.evaluated]]
+    questions = [question_from_record(r) for r in records]
     entries = [script_entry_from_record(r) for r in data.script]
     index = build_index([document_from_record(r) for r in data.corpus])
 
@@ -76,9 +62,10 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
             scopes.append(self)
 
     execute_action = rare.mcts.execute_action
+    signature = inspect.signature(execute_action)
 
     def counted(*args, **kwargs):
-        folded[0] += args[5] if len(args) > 5 else kwargs.get("votes", 0)
+        folded[0] += signature.bind(*args, **kwargs).arguments.get("votes", 0)
         return execute_action(*args, **kwargs)
 
     rare.harness.Scope = KeptScope
@@ -119,55 +106,34 @@ def relative(parent: float, change: float) -> float | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)  # one side, in a child
-    parser.add_argument("--workload", choices=WORKLOADS, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure(args.measure, args.workload, args.seed)))
+    compared = measure_sides(__file__, __doc__.split("\n\n")[0], measure, argv)
+    if compared is None:
         return 0
-
-    def run_side(tree: Path, workload: str) -> dict:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--measure", str(tree), "--workload", workload,
-             "--seed", str(args.seed)],
-            cwd=tree, capture_output=True, text=True)
-        if proc.returncode:
-            raise SystemExit(f"measuring {workload} in {tree} failed:\n{proc.stderr[-2000:]}")
-        return json.loads(proc.stdout.strip().splitlines()[-1])
-
+    args, sha, sides = compared
     results = {}
     same = True
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
-        sha = export_revision(args.parent, parent_tree)
-        for workload in WORKLOADS:
-            parent, change = run_side(parent_tree, workload), run_side(ROOT, workload)
-            rows = {}
-            for name, p in parent["rows"].items():
-                c = change["rows"][name]
-                same_labels = p.pop("predicted") == c.pop("predicted")
-                same = same and same_labels
-                rows[name] = {
-                    "same_labels": same_labels,
-                    "relative_change": {
-                        key: relative(p[key], c[key]) for key in
-                        ("lm_calls_per_q", "prompt_tokens_per_q", "completion_tokens_per_q")},
-                    "unused_share_of_folded": (c["unused_votes_per_q"] / c["folded_votes_per_q"]
-                                               if c["folded_votes_per_q"] else 0.0),
-                    "parent": p,
-                    "change": c,
-                }
-                print(f"{workload} {name}: {p['lm_calls_per_q']:.3f} -> "
-                      f"{c['lm_calls_per_q']:.3f} calls per question", file=sys.stderr)
-            results[workload] = {"questions": change["questions"], "rows": rows}
+    for workload, side in sides.items():
+        parent, change = side["parent"], side["change"]
+        rows = {}
+        for name, p in parent["rows"].items():
+            c = change["rows"][name]
+            same_labels = p.pop("predicted") == c.pop("predicted")
+            same = same and same_labels
+            rows[name] = {
+                "same_labels": same_labels,
+                "relative_change": {
+                    key: relative(p[key], c[key]) for key in
+                    ("lm_calls_per_q", "prompt_tokens_per_q", "completion_tokens_per_q")},
+                "unused_share_of_folded": (c["unused_votes_per_q"] / c["folded_votes_per_q"]
+                                           if c["folded_votes_per_q"] else 0.0),
+                "parent": p,
+                "change": c,
+            }
+            print(f"{workload} {name}: {p['lm_calls_per_q']:.3f} -> "
+                  f"{c['lm_calls_per_q']:.3f} calls per question", file=sys.stderr)
+        results[workload] = {"questions": change["questions"], "rows": rows}
 
-    doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
-    doc.update({"topic": "vote_fold", "parent_commit": sha,
-                "host": f"{platform.system()} {platform.machine()}, "
-                        f"{len(os.sched_getaffinity(0))} CPUs usable"})
+    doc = bench_doc(OUT, "vote_fold", sha)
     doc["calls"] = {
         "command": f"python3 tools/bench_calls.py --parent {args.parent} --seed {args.seed}",
         "what": "per evaluated question, one worker, the workload's inputs without its LM "
@@ -176,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                 "the rollout count",
         "workloads": results,
     }
-    OUT.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_doc(OUT, doc)
     print(f"wrote {OUT.name}", file=sys.stderr)
     return 0 if same else 1
 

@@ -33,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("tree-cpu", "tree-wait")  # the gated workloads of BENCHMARK.json
 
 
 def export_revision(rev: str, dest: Path) -> str:
@@ -44,6 +45,74 @@ def export_revision(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def workload_inputs(tree: Path, workload: str, seed: int):
+    """The shape ``perfbench/run.py`` gives ``workload``, its inputs at
+    ``seed`` from ``perfbench/inputs.generate``, and the records of the
+    questions one pass evaluates, with ``tree``'s package and benchmark put
+    first on the import path."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import inputs
+    import rare
+    from run import WORKLOADS as SHAPES
+
+    if tree / "src" not in Path(rare.__file__).resolve().parents:
+        raise SystemExit(f"rare was imported from {rare.__file__}, not from {tree / 'src'}")
+    w = SHAPES[workload]
+    data = inputs.generate(seed, w.docs, w.questions)
+    return w, data, data.questions[::len(data.questions) // w.evaluated][:w.evaluated]
+
+
+def measure_sides(script: str, description: str, measure, argv: list[str] | None):
+    """The command line of a tool that measures each gated workload once
+    on a parent revision and once in the working tree, each side in its own
+    process: ``script --parent REV --seed S``.
+
+    In the child (``--measure TREE --workload W``, hidden options) it prints
+    ``measure(TREE, W, S)`` as JSON and returns None. Otherwise it returns
+    the parsed options, the parent's hash and, per workload, both sides'
+    results under ``parent`` and ``change``."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--workload", choices=WORKLOADS, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure, args.workload, args.seed)))
+        return None
+
+    def run_side(tree: Path, workload: str) -> dict:
+        proc = subprocess.run(
+            [sys.executable, script, "--measure", str(tree), "--workload", workload,
+             "--seed", str(args.seed)],
+            cwd=tree, capture_output=True, text=True)
+        if proc.returncode:
+            raise SystemExit(f"measuring {workload} in {tree} failed:\n{proc.stderr[-2000:]}")
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp)
+        sha = export_revision(args.parent, parent_tree)
+        sides = {workload: {side: run_side(tree, workload)
+                            for side, tree in (("parent", parent_tree), ("change", ROOT))}
+                 for workload in WORKLOADS}
+    return args, sha, sides
+
+
+def bench_doc(out: Path, topic: str, sha: str) -> dict:
+    """The BENCH file ``out`` as it stands (empty when there is none), its
+    topic, parent commit and host set."""
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc.update({"topic": topic, "parent_commit": sha,
+                "host": f"{platform.system()} {platform.machine()}, "
+                        f"{len(os.sched_getaffinity(0))} CPUs usable"})
+    return doc
+
+
+def write_doc(out: Path, doc: dict) -> None:
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def run_once(tree: Path, args: list[str]) -> dict:
@@ -167,10 +236,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"change {pair['change']['exit_code']}", file=sys.stderr)
 
     out = ROOT / f"BENCH_{args.topic}.json"
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    doc.update({"topic": args.topic, "parent_commit": sha,
-                "host": f"{platform.system()} {platform.machine()}, "
-                        f"{len(os.sched_getaffinity(0))} CPUs usable"})
+    doc = bench_doc(out, args.topic, sha)
     key = f"{args.workload} seed {args.seed} trace {args.trace}"
     summary = summarize(pairs, metric_directions(), metric_bounds())
     doc.setdefault("settings", {})[key] = {
@@ -179,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summary,
         "runs": pairs,
     }
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_doc(out, doc)
     print(f"wrote {out.name}: {key}", file=sys.stderr)
     if not summary["every_run_passed_its_checks"]:
         print("some runs failed their checks; see their exit codes", file=sys.stderr)
