@@ -115,8 +115,8 @@ class Scope(LmBackend):
     """One question's state: the question, its config seeded from its id,
     the shared backend and index, the prompts (the packaged ones by default),
     its own ledger, memos of its greedy requests and its searches (``hits``,
-    which it hands to ``search``), and its spare votes. Nothing crosses
-    questions.
+    which it hands to ``search``), its spare votes and its spare steps.
+    Nothing crosses questions.
 
     A temperature-0 request equal to one already completed gets that
     response back, reaches no backend and counts in no ledger. A request
@@ -125,7 +125,10 @@ class Scope(LmBackend):
     ``votes`` maps an A2 prompt to samples of it drawn for
     self-consistency votes and not used yet, in the order they were drawn.
     ``execute_action`` adds to it and ``rare.mcts.terminal_reward`` takes
-    from its front."""
+    from its front. ``steps`` maps an action prompt to the step samples of
+    it that simulations drew and no expansion has taken yet, oldest first;
+    ``execute_action`` adds to it and takes from its front. A sample of a
+    prompt is one whoever drew it, so both maps are keyed by prompt alone."""
 
     def __init__(self, question: Question, cfg: SearchConfig, backend: LmBackend,
                  index: RetrievalIndex | None = None, prompts: PromptLibrary | None = None):
@@ -137,6 +140,7 @@ class Scope(LmBackend):
         self.prompts = prompts if prompts is not None else default_prompts()
         self.hits: dict[tuple[str, int], list[DocumentRef]] = {}
         self.votes: dict[str, list[str]] = {}
+        self.steps: dict[str, list[str]] = {}
         self._greedy: dict[LmRequest, LmResponse] = {}
 
     def complete(self, req: LmRequest) -> LmResponse:
@@ -353,13 +357,20 @@ ACTION_SPECS: dict[ActionKind, ActionSpec] = {
 }
 
 
+def action_prompt(kind: ActionKind, ctx: Trajectory, prompts: PromptLibrary,
+                  documents: str = "") -> str:
+    """Action ``kind``'s prompt at ``ctx``: its spec's template and fields
+    rendered with ``documents``."""
+    spec = ACTION_SPECS[kind]
+    return prompts.render(spec.template, **spec.fields(ctx, documents))
+
+
 def action_request(kind: ActionKind, ctx: Trajectory, prompts: PromptLibrary,
                    purpose: str, n: int, documents: str = "") -> LmRequest:
-    """The request for action ``kind`` at ``ctx``: its spec's template and
-    fields rendered with ``documents``, and its spec's stop sequences."""
-    spec = ACTION_SPECS[kind]
-    prompt = prompts.render(spec.template, **spec.fields(ctx, documents))
-    return request_for(purpose, prompt, n, stop_sequences=spec.stop)
+    """The request for action ``kind`` at ``ctx``: its ``action_prompt``
+    and its spec's stop sequences."""
+    return request_for(purpose, action_prompt(kind, ctx, prompts, documents), n,
+                       stop_sequences=ACTION_SPECS[kind].stop)
 
 
 def _queries(kind: ActionKind, ctx: Trajectory, scope: Scope) -> list[str]:
@@ -375,39 +386,12 @@ def _queries(kind: ActionKind, ctx: Trajectory, scope: Scope) -> list[str]:
     return queries
 
 
-def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
-                   n_outcomes: int | None = None,
-                   purpose: str = "action_gen", votes: int = 0) -> list[Trajectory]:
-    """Sample one action at the end of ``ctx`` and return the child
-    trajectories.
-
-    Returns up to ``n_outcomes`` (default ``cfg.children_per_action``)
-    children, each ``ctx`` extended by one step and, when the step ends the
-    trajectory, its answer; unparseable samples are discarded and an empty
-    harvest raises NoViableChildError. Backend failures propagate. The
-    completions are requested under ``purpose``. A6 and A7 need
-    ``scope.index``; A4 and A7 need ``ctx.pending_sub_question``.
-
-    The same request draws ``votes`` more samples, which are added to
-    ``scope.votes`` under its prompt before any child is parsed.
-    """
+def _children(kind: ActionKind, ctx: Trajectory, completions: list[str],
+              retrieved: tuple[DocumentRef, ...], queries: tuple[str, ...]) -> list[Trajectory]:
+    """``ctx`` extended by the step each usable completion gives, in order."""
     spec = ACTION_SPECS[kind]
-    cfg = scope.cfg
-    n = n_outcomes if n_outcomes is not None else cfg.children_per_action
-    queries: tuple[str, ...] = ()
-    retrieved: tuple[DocumentRef, ...] = ()
-    if kind in RETRIEVAL_ACTIONS:
-        queries = tuple(_queries(kind, ctx, scope))
-        retrieved = merge_hits([search(scope.index, query, cfg.retrieval_top_k, scope.hits)
-                                for query in queries], cfg.retrieval_top_k)
-    req = action_request(kind, ctx, scope.prompts, purpose, n + votes,
-                         render_documents(retrieved))
-    resp = scope.complete(req)
-    if votes:
-        scope.votes.setdefault(req.prompt, []).extend(resp.completions[n:])
-
     children = []
-    for completion in resp.completions[:n]:
+    for completion in completions:
         parsed = spec.parse(completion)
         if parsed is None or not parsed[1]:
             continue
@@ -421,6 +405,54 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
             continue
         step = ActionStep(kind, output, sub_question, retrieved, queries)
         children.append(ctx.extend(step, answer))
+    return children
+
+
+def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
+                   n_outcomes: int | None = None, purpose: str = "action_gen",
+                   votes: int | Callable[[list[Trajectory], int], int] = 0,
+                   simulated: bool = False) -> list[Trajectory]:
+    """Sample one action at the end of ``ctx`` and return the child
+    trajectories.
+
+    Returns up to ``n_outcomes`` (default ``cfg.children_per_action``)
+    children, each ``ctx`` extended by one step and, when the step ends the
+    trajectory, its answer; unparseable samples are discarded and an empty
+    harvest raises NoViableChildError. Backend failures propagate. A6 and
+    A7 need ``scope.index``; A4 and A7 need ``ctx.pending_sub_question``.
+
+    The samples are taken from the front of ``scope.steps`` under the
+    step's prompt, and one request under ``purpose`` draws the shortfall. A
+    ``simulated`` step takes none and adds all it draws to ``scope.steps``.
+    The request draws ``votes`` more samples, added to ``scope.votes``;
+    ``votes`` may be a function of the children taken and the number of
+    samples still to draw. Nothing is sent when nothing is left to draw.
+    """
+    spec = ACTION_SPECS[kind]
+    cfg = scope.cfg
+    n = n_outcomes if n_outcomes is not None else cfg.children_per_action
+    queries: tuple[str, ...] = ()
+    retrieved: tuple[DocumentRef, ...] = ()
+    if kind in RETRIEVAL_ACTIONS:
+        queries = tuple(_queries(kind, ctx, scope))
+        retrieved = merge_hits([search(scope.index, query, cfg.retrieval_top_k, scope.hits)
+                                for query in queries], cfg.retrieval_top_k)
+    prompt = action_prompt(kind, ctx, scope.prompts, render_documents(retrieved))
+    kept = [] if simulated else scope.steps.get(prompt, [])
+    samples = kept[:n]
+    del kept[:n]
+    fresh = n - len(samples)
+    if callable(votes):
+        votes = votes(_children(kind, ctx, samples, retrieved, queries), fresh)
+    if fresh + votes:
+        drawn = scope.complete(request_for(purpose, prompt, fresh + votes,
+                                           stop_sequences=spec.stop)).completions
+        if votes:
+            scope.votes.setdefault(prompt, []).extend(drawn[fresh:])
+        if simulated:
+            scope.steps.setdefault(prompt, []).extend(drawn[:fresh])
+        samples += drawn[:fresh]
+    children = _children(kind, ctx, samples, retrieved, queries)
     if not children:
         raise NoViableChildError(f"no viable child for {kind.value}")
     return children

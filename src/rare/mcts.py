@@ -4,6 +4,9 @@ Each rollout runs selection (greedy UCT with an unvisited-first rule),
 expansion (one sampled child per legal action), simulation (uniform random
 actions to a terminal state or the depth cap), terminal-reward scoring by
 self-consistency voting, and additive backpropagation along the path.
+A simulation draws every step anew and adds its sample to the question's
+``Scope.steps``; an expansion takes each child from there first, by prompt,
+and requests only the children it could not take.
 
 Each node's ``ctx`` is the ``Trajectory`` from the root to it. Candidates are
 every distinct terminal trajectory discovered, keyed by a hash of their step
@@ -167,11 +170,12 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     node, the only kind ``rollout`` expands. A node at the depth cap, or one
     where every action fails, is marked terminal-failed (reward 0).
 
-    A2 is sent last. Besides its ``c = children_per_action`` children it
-    draws ``n_consistency_samples`` votes for each new answered child of
-    the other actions and for each of its own children, so ``rollout``'s
-    reward of the expansion needs no request of its own. Children enter
-    the tree in action order all the same."""
+    Children are taken from the simulated steps first (``execute_action``),
+    so a kind served from them sends nothing. A2 is sent last, with
+    ``n_consistency_samples`` votes for each A2 child it still draws and
+    each new answered child the expansion already has, so ``rollout``'s
+    reward of the expansion needs no request of its own. Children enter the
+    tree in action order all the same."""
     node.expanded = True
     cfg = tree.scope.cfg
     if len(node.ctx.steps) >= cfg.max_depth:
@@ -179,12 +183,15 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
         return []
     kinds = sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value)
     contexts: dict[ActionKind, list[Trajectory]] = {}
+    n = cfg.n_consistency_samples
+
+    def a2_votes(taken: list[Trajectory], fresh: int) -> int:
+        others = [ctx for ctxs in contexts.values() for ctx in ctxs]
+        return n * (len(tree.unrewarded(others + taken)) + fresh)
+
     for kind in sorted(kinds, key=lambda k: k == ActionKind.A2):
-        purpose, votes = "action_gen", 0
-        if kind == ActionKind.A2:
-            answered = len(tree.unrewarded([ctx for ctxs in contexts.values() for ctx in ctxs]))
-            purpose, votes = ("consistency",
-                              cfg.n_consistency_samples * (answered + cfg.children_per_action))
+        purpose, votes = (("consistency", a2_votes) if kind == ActionKind.A2
+                          else ("action_gen", 0))
         try:
             contexts[kind] = execute_action(kind, node.ctx, tree.scope,
                                             purpose=purpose, votes=votes)
@@ -201,8 +208,9 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
 def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
     """Uniform-random rollout from ``node`` to a terminal state or the depth
     cap. A dead end (no legal action, or no viable outcome) ends the rollout
-    with no final answer, which scores reward 0. An A2 step draws
-    ``n_consistency_samples`` votes with its one child."""
+    with no final answer, which scores reward 0. Every step is drawn anew,
+    so the rollout stays random, and kept for an expansion to take. An A2
+    step draws ``n_consistency_samples`` votes with its one child."""
     ctx, cfg = node.ctx, tree.scope.cfg
     while ctx.final_answer is None and len(ctx.steps) < cfg.max_depth:
         kinds = sorted(valid_actions(ctx, cfg), key=lambda k: k.value)
@@ -213,7 +221,7 @@ def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
                           else ("action_gen", 0))
         try:
             ctx = execute_action(kind, ctx, tree.scope, n_outcomes=1,
-                                 purpose=purpose, votes=votes)[0]
+                                 purpose=purpose, votes=votes, simulated=True)[0]
         except NoViableChildError:
             break
     return ctx

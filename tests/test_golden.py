@@ -35,8 +35,8 @@ from rare.types import (ActionKind, ActionStep, DocumentRef, SearchConfig, Traje
                         config_to_record, trajectory_to_record)
 
 GOLDEN_DIGESTS = {
-    "requests": "8469c3b7cb38a28a64220f5167ae585364c13415cad5c29be855ff60d903ec9b",
-    "reports": "2eb3d9c9496bcc0fde942c921f91b5b821a42c0c2a08d969a5c187df16df2331",
+    "requests": "7df544aa153f8b6324ccc0ba81edddacc7e31749d7816b873d1f14f627828dae",
+    "reports": "9f7b83f35d9ce16963834d8855c1bb3e1fa396fba8ff80cdba7ca4c4078e3756",
     "records": "b15f2f5928e9b76cbf5ad282eb6ca78cd4a3796d6362b0647f5d48ba41096740",
 }
 

@@ -19,7 +19,7 @@ from conftest import (
 )
 from rare.actions import Scope, action_request
 from rare.errors import NoCandidatesError
-from rare.harness import apply_preset
+from rare.harness import apply_preset, run_eval
 from rare.lm import LmBackend, ScriptEntry, ScriptedBackend
 from rare.mcts import (
     SearchTree,
@@ -39,6 +39,7 @@ from rare.types import (
     Trajectory,
     trajectory_to_record,
 )
+from test_golden import _runs
 
 A = ActionKind
 
@@ -242,6 +243,82 @@ class TestSimulate:
         assert traj.final_answer is None
         assert traj.terminal_reward == 0.0
         assert len(traj.steps) <= 4
+
+
+class _FirstKind(random.Random):
+    """Draws the first of the sorted legal kinds at every simulated step."""
+
+    def choice(self, seq):
+        return seq[0]
+
+
+class TestSimulatedSteps:
+    """A simulation keeps the step samples it draws; an expansion takes its
+    children from them before it requests any."""
+
+    def tree(self, question, index, enabled, children=1):
+        recording = RecordingBackend(_TaggingBackend(
+            ScriptedBackend(tree_entries_for(question, "B") + rafs_generic_entries())))
+        cfg = SearchConfig(enabled_actions=frozenset(enabled), max_depth=2,
+                           children_per_action=children)
+        tree = tree_for(question, cfg, recording, index)
+        tree.rng = _FirstKind()
+        return tree, recording
+
+    def root_requests(self, tree, recording, kind, purpose):
+        prompt = action_request(kind, tree.root.ctx, tree.scope.prompts, purpose, 1).prompt
+        return [r.n_samples for r in recording.call_log() if r.prompt == prompt]
+
+    def kind_children(self, children, kind):
+        return [child.ctx.steps[-1] for child in children if child.ctx.steps[-1].kind == kind]
+
+    def test_expansion_takes_the_simulated_step_instead_of_requesting_it(self, question,
+                                                                         index):
+        tree, recording = self.tree(question, index, {A.A1, A.A2})
+        traj = simulate(tree, tree.root)
+        assert [step.kind for step in traj.steps] == [A.A1, A.A1]
+        children = expand(tree, tree.root)
+        assert self.root_requests(tree, recording, A.A1, "action_gen") == [1]
+        assert self.kind_children(children, A.A1) == [traj.steps[0]]
+        assert [len(kept) for kept in tree.scope.steps.values()] == [0, 1]
+
+    def test_expansion_requests_only_the_children_it_could_not_take(self, question, index):
+        tree, recording = self.tree(question, index, {A.A1, A.A2}, children=2)
+        traj = simulate(tree, tree.root)
+        children = expand(tree, tree.root)
+        assert self.root_requests(tree, recording, A.A1, "action_gen") == [1, 1]
+        taken, drawn = self.kind_children(children, A.A1)
+        assert taken == traj.steps[0]
+        assert drawn != taken
+
+    def test_each_simulation_draws_its_own_step(self, question, index):
+        tree, recording = self.tree(question, index, {A.A1, A.A2}, children=2)
+        trajs = [simulate(tree, tree.root) for _ in range(2)]
+        assert self.root_requests(tree, recording, A.A1, "action_gen") == [1, 1]
+        assert trajs[0].steps[0] != trajs[1].steps[0]
+
+    def test_expansion_takes_kept_steps_in_the_order_drawn(self, question, index):
+        tree, recording = self.tree(question, index, {A.A1, A.A2}, children=2)
+        trajs = [simulate(tree, tree.root) for _ in range(2)]
+        children = expand(tree, tree.root)
+        assert self.root_requests(tree, recording, A.A1, "action_gen") == [1, 1]
+        assert self.kind_children(children, A.A1) == [traj.steps[0] for traj in trajs]
+
+    def test_a2_child_that_is_the_simulated_candidate_asks_for_no_votes(self, question,
+                                                                       index):
+        # before: 1 + 3 * (1 + 1) samples, for A2's child and A6's answered one
+        tree, recording = self.tree(question, index, {A.A2, A.A6})
+        traj = simulate(tree, tree.root)
+        assert traj.steps[-1].kind == A.A2
+        tree.reward_of(traj)
+        sent = len(recording.call_log())
+        children = expand(tree, tree.root)
+        assert [(r.purpose, r.n_samples) for r in recording.call_log()[sent:]] == [
+            ("query_gen", 1), ("action_gen", 1), ("consistency", 3)]
+        assert self.kind_children(children, A.A2) == [traj.steps[0]]
+        tree.reward_new([child.ctx for child in children])
+        assert len(recording.call_log()) == sent + 3
+        assert [len(v) for v in tree.scope.votes.values()] == [0]
 
 
 class TestTerminalReward:
@@ -574,3 +651,42 @@ class TestVoteFold:
         assert len(votes) == candidates
         drawn = [text for mine in votes.values() for text in mine]
         assert len(set(drawn)) == len(drawn) == 3 * candidates
+
+    def test_no_sample_is_two_tree_steps_or_a_step_and_a_vote(self, monkeypatch, index):
+        """Over the golden runs, each sampled completion is numbered: none
+        becomes a tree step twice, and no step is read as a vote."""
+        real_expand, real_simulate = rare.mcts.expand, rare.mcts.simulate
+        real_extract = rare.mcts.extract_answer
+        tree_steps, simulated, read = [], set(), set()
+        run = [0]
+
+        def tag(text):
+            return run[0], int(text.rsplit("#", 1)[1])
+
+        def expand(tree, node):
+            children = real_expand(tree, node)
+            tree_steps.extend(tag(child.ctx.steps[-1].output) for child in children)
+            return children
+
+        def simulate(tree, node):
+            traj = real_simulate(tree, node)
+            simulated.update(tag(step.output) for step in traj.steps[len(node.ctx.steps):])
+            return traj
+
+        def extract(text, q):  # rare.mcts reads only votes with it
+            read.add(tag(text))
+            return real_extract(text, q)
+
+        monkeypatch.setattr(rare.mcts, "expand", expand)
+        monkeypatch.setattr(rare.mcts, "simulate", simulate)
+        monkeypatch.setattr(rare.mcts, "extract_answer", extract)
+        for method, cfg in _runs():
+            if method in ("rstar", "rare"):
+                run[0] += 1
+                questions, scripted = build_eval_fixture(6, 4)
+                report = run_eval(questions, method, _TaggingBackend(scripted), index, cfg,
+                                  workers=1)
+                assert all(record.error is None for record in report.records)
+        assert len(set(tree_steps)) == len(tree_steps)
+        assert set(tree_steps) & simulated  # expansions took simulated steps
+        assert not (set(tree_steps) | simulated) & read

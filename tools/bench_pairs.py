@@ -64,10 +64,12 @@ def workload_inputs(tree: Path, workload: str, seed: int):
     return w, data, data.questions[::len(data.questions) // w.evaluated][:w.evaluated]
 
 
-def measure_sides(script: str, description: str, measure, argv: list[str] | None):
+def measure_sides(script: str, description: str, measure, argv: list[str] | None,
+                  topic: str | None = None):
     """The command line of a tool that measures each gated workload once
     on a parent revision and once in the working tree, each side in its own
-    process: ``script --parent REV --seed S``.
+    process: ``script --parent REV --seed S``, plus ``--topic`` (default
+    ``topic``) when a ``topic`` is given.
 
     In the child (``--measure TREE --workload W``, hidden options) it prints
     ``measure(TREE, W, S)`` as JSON and returns None. Otherwise it returns
@@ -76,6 +78,8 @@ def measure_sides(script: str, description: str, measure, argv: list[str] | None
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
     parser.add_argument("--seed", type=int, required=True)
+    if topic is not None:
+        parser.add_argument("--topic", default=topic, help="the file is BENCH_<topic>.json")
     parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--workload", choices=WORKLOADS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
