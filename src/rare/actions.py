@@ -115,20 +115,21 @@ class Scope(LmBackend):
     """One question's state: the question, its config seeded from its id,
     the shared backend and index, the prompts (the packaged ones by default),
     its own ledger, memos of its greedy requests and its searches (``hits``,
-    which it hands to ``search``), its spare votes and its spare steps.
+    which it hands to ``search``), its votes and its spare steps.
     Nothing crosses questions.
 
     A temperature-0 request equal to one already completed gets that
     response back, reaches no backend and counts in no ledger. A request
     that raised is not remembered; sampled requests always go through.
 
-    ``votes`` maps an A2 prompt to samples of it drawn for
-    self-consistency votes and not used yet, in the order they were drawn.
-    ``execute_action`` adds to it and ``rare.mcts.terminal_reward`` takes
-    from its front. ``steps`` maps an action prompt to the step samples of
-    it that simulations drew and no expansion has taken yet, oldest first;
-    ``execute_action`` adds to it and takes from its front. A sample of a
-    prompt is one whoever drew it, so both maps are keyed by prompt alone."""
+    ``votes`` maps an A2 prompt to the ``n_consistency_samples`` samples of
+    it drawn as its context's self-consistency vote: at most once per
+    question, by ``execute_action`` or ``rare.mcts.terminal_reward``, and
+    never taken out, so every reward at that context reads them. ``steps``
+    maps an action prompt to the step samples of it that simulations drew
+    and no expansion has taken yet, oldest first; ``execute_action`` adds to
+    it and takes from its front. A sample of a prompt is one whoever drew
+    it, so both maps are keyed by prompt alone."""
 
     def __init__(self, question: Question, cfg: SearchConfig, backend: LmBackend,
                  index: RetrievalIndex | None = None, prompts: PromptLibrary | None = None):
@@ -139,7 +140,7 @@ class Scope(LmBackend):
         self.index = index
         self.prompts = prompts if prompts is not None else default_prompts()
         self.hits: dict[tuple[str, int], list[DocumentRef]] = {}
-        self.votes: dict[str, list[str]] = {}
+        self.votes: dict[str, tuple[str, ...]] = {}
         self.steps: dict[str, list[str]] = {}
         self._greedy: dict[LmRequest, LmResponse] = {}
 
@@ -410,7 +411,7 @@ def _children(kind: ActionKind, ctx: Trajectory, completions: list[str],
 
 def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
                    n_outcomes: int | None = None, purpose: str = "action_gen",
-                   votes: int | Callable[[list[Trajectory], int], int] = 0,
+                   votes: bool = False,
                    simulated: bool = False) -> list[Trajectory]:
     """Sample one action at the end of ``ctx`` and return the child
     trajectories.
@@ -424,9 +425,10 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
     The samples are taken from the front of ``scope.steps`` under the
     step's prompt, and one request under ``purpose`` draws the shortfall. A
     ``simulated`` step takes none and adds all it draws to ``scope.steps``.
-    The request draws ``votes`` more samples, added to ``scope.votes``;
-    ``votes`` may be a function of the children taken and the number of
-    samples still to draw. Nothing is sent when nothing is left to draw.
+    With ``votes``, when ``scope.votes`` has no vote under the prompt yet,
+    the request draws ``n_consistency_samples`` more samples, after the
+    step's, and keeps them there as the vote. Nothing is sent when nothing
+    is left to draw.
     """
     spec = ACTION_SPECS[kind]
     cfg = scope.cfg
@@ -442,13 +444,12 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
     samples = kept[:n]
     del kept[:n]
     fresh = n - len(samples)
-    if callable(votes):
-        votes = votes(_children(kind, ctx, samples, retrieved, queries), fresh)
-    if fresh + votes:
-        drawn = scope.complete(request_for(purpose, prompt, fresh + votes,
+    extra = cfg.n_consistency_samples if votes and prompt not in scope.votes else 0
+    if fresh + extra:
+        drawn = scope.complete(request_for(purpose, prompt, fresh + extra,
                                            stop_sequences=spec.stop)).completions
-        if votes:
-            scope.votes.setdefault(prompt, []).extend(drawn[fresh:])
+        if extra:
+            scope.votes[prompt] = drawn[fresh:]
         if simulated:
             scope.steps.setdefault(prompt, []).extend(drawn[:fresh])
         samples += drawn[:fresh]

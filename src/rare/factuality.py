@@ -49,6 +49,7 @@ RATING_PROMPT = (
 _TERMINATORS = ".?!"
 _TERMINATOR_RE = re.compile(r"[.?!]")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
+_NEGATED_RE = re.compile(r"not[ _-]supported|unsupported")
 
 
 def _is_split_point(text: str, i: int) -> bool:
@@ -137,14 +138,15 @@ def generate_queries(statement: str, backend: LmBackend, n: int) -> list[str]:
 
 
 def rate_statement(statement: str, evidence: tuple, backend: LmBackend) -> str:
-    """Label a statement against evidence snippets. "not supported" is
-    checked before "supported" since the former contains the latter; an
-    unparseable reply rates conservatively as not supported."""
+    """Label a statement against evidence snippets. A negated label ("not"
+    and a space, underscore or hyphen before "supported", or
+    "unsupported") is checked before "supported", which each of them
+    contains; an unparseable reply rates conservatively as not supported."""
     evidence_text = "\n".join(ref.snippet for ref in evidence) or "(no evidence found)"
     prompt = RATING_PROMPT.format(evidence=evidence_text, statement=statement)
     resp = backend.complete(request_for("rating", prompt, 1))
     reply = resp.completions[0].lower()
-    if "not supported" in reply:
+    if _NEGATED_RE.search(reply):
         return NOT_SUPPORTED
     if "supported" in reply:
         return SUPPORTED

@@ -278,12 +278,10 @@ class ScriptedBackend(LmBackend):
     With temperature 0 every sample equals the entry's first completion;
     otherwise samples cycle through the entry's completion list across the
     whole request. The search's A2 request is a ``consistency`` request whose
-    first samples are the A2 children it draws and whose votes follow; an
-    expansion that took all its A2 children from simulated steps asks for
-    votes only, so they start at sample 0. Each trajectory votes on ``n``
-    consecutive samples of one request, so it gets the votes an unbatched
-    request of ``n`` would, whatever the offset, when the entry's
-    completion count divides ``n``.
+    first ``c`` samples are the A2 children it draws; a context's vote is
+    samples ``[c, c+n)`` of the request that draws it (``c`` is 0 when a
+    reward draws it alone). Its multiset is an unbatched request's of ``n``,
+    whatever ``c``, when the entry's completion count divides ``n``.
     """
 
     def __init__(self, entries: Iterable[ScriptEntry]):

@@ -11,13 +11,11 @@ and requests only the children it could not take.
 Each node's ``ctx`` is the ``Trajectory`` from the root to it. Candidates are
 every distinct terminal trajectory discovered, keyed by a hash of their step
 outputs; each carries its consistency reward when returned. A candidate is
-rewarded when it is first seen, by votes drawn from A2's prompt at its
-context. Every A2 request the search sends is that context's
-``consistency`` request: it draws the A2 children and, after them, the votes
-of the answered paths it expects at the context, which wait in the
-question's ``Scope`` until ``terminal_reward`` takes them. An expansion sends
-A2 after its other actions, so its one request covers the answered children
-of the whole expansion.
+rewarded when it is first seen, by its context's vote: ``n`` samples of A2's
+prompt at its context, drawn once per question and read by every candidate
+that ends there. Every A2 request the search sends is that context's
+``consistency`` request: it draws the A2 children and, when the context has
+no vote yet, the vote after them, which stays in the question's ``Scope``.
 """
 
 from __future__ import annotations
@@ -104,21 +102,16 @@ class SearchTree:
             parent.children.append(node)
         return node
 
-    def unrewarded(self, trajs: Sequence[Trajectory]) -> dict[str, Trajectory]:
-        """The answered trajectories that are not candidates yet, by content
-        hash, the first of equal ones kept."""
+    def reward_new(self, trajs: list[Trajectory]) -> None:
+        """Make candidates of the answered trajectories not seen before, the
+        first of equal ones kept, all of one context, rewarded by one
+        ``terminal_reward`` call."""
         new: dict[str, Trajectory] = {}
         for traj in trajs:
             if traj.final_answer is not None:
                 key = traj.content_hash()
                 if key not in self.candidates:
                     new.setdefault(key, traj)
-        return new
-
-    def reward_new(self, trajs: list[Trajectory]) -> None:
-        """Make candidates of the answered trajectories not seen before,
-        all of one context, rewarded by one ``terminal_reward`` call."""
-        new = self.unrewarded(trajs)
         if new:
             rewards = terminal_reward(list(new.values()), self.scope)
             for (key, traj), reward in zip(new.items(), rewards):
@@ -171,34 +164,23 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     where every action fails, is marked terminal-failed (reward 0).
 
     Children are taken from the simulated steps first (``execute_action``),
-    so a kind served from them sends nothing. A2 is sent last, with
-    ``n_consistency_samples`` votes for each A2 child it still draws and
-    each new answered child the expansion already has, so ``rollout``'s
-    reward of the expansion needs no request of its own. Children enter the
-    tree in action order all the same."""
+    so a kind served from them sends nothing. A2's request is the context's
+    consistency request, and it draws the context's vote too when nothing
+    has drawn it yet, so ``rollout``'s reward of the expansion needs no
+    request of its own."""
     node.expanded = True
     cfg = tree.scope.cfg
     if len(node.ctx.steps) >= cfg.max_depth:
         node.terminal_failed = True
         return []
-    kinds = sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value)
-    contexts: dict[ActionKind, list[Trajectory]] = {}
-    n = cfg.n_consistency_samples
-
-    def a2_votes(taken: list[Trajectory], fresh: int) -> int:
-        others = [ctx for ctxs in contexts.values() for ctx in ctxs]
-        return n * (len(tree.unrewarded(others + taken)) + fresh)
-
-    for kind in sorted(kinds, key=lambda k: k == ActionKind.A2):
-        purpose, votes = (("consistency", a2_votes) if kind == ActionKind.A2
-                          else ("action_gen", 0))
+    for kind in sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value):
+        a2 = kind == ActionKind.A2
         try:
-            contexts[kind] = execute_action(kind, node.ctx, tree.scope,
-                                            purpose=purpose, votes=votes)
+            children = execute_action(kind, node.ctx, tree.scope,
+                                      purpose="consistency" if a2 else "action_gen", votes=a2)
         except NoViableChildError:
             continue
-    for kind in kinds:
-        for ctx in contexts.get(kind, ()):
+        for ctx in children:
             tree.add_node(parent=node, ctx=ctx)
     if not node.children:
         node.terminal_failed = True
@@ -210,18 +192,19 @@ def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
     cap. A dead end (no legal action, or no viable outcome) ends the rollout
     with no final answer, which scores reward 0. Every step is drawn anew,
     so the rollout stays random, and kept for an expansion to take. An A2
-    step draws ``n_consistency_samples`` votes with its one child."""
+    step draws its context's vote with its one child when nothing has drawn
+    it yet."""
     ctx, cfg = node.ctx, tree.scope.cfg
     while ctx.final_answer is None and len(ctx.steps) < cfg.max_depth:
         kinds = sorted(valid_actions(ctx, cfg), key=lambda k: k.value)
         if not kinds:
             break
         kind = tree.rng.choice(kinds)
-        purpose, votes = (("consistency", cfg.n_consistency_samples) if kind == ActionKind.A2
-                          else ("action_gen", 0))
+        a2 = kind == ActionKind.A2
         try:
             ctx = execute_action(kind, ctx, tree.scope, n_outcomes=1,
-                                 purpose=purpose, votes=votes, simulated=True)[0]
+                                 purpose="consistency" if a2 else "action_gen",
+                                 votes=a2, simulated=True)[0]
         except NoViableChildError:
             break
     return ctx
@@ -232,23 +215,21 @@ def terminal_reward(trajs: Sequence[Trajectory], scope: Scope) -> list[float]:
     share one context: the same question and ``steps[:-1]``, hence the same
     A2 consistency prompt. ``SearchTree.reward_new`` passes only such lists.
 
-    Each trajectory takes ``n = n_consistency_samples`` votes, samples of
-    that prompt: first the spare ones in ``scope.votes``, in the order they
-    were drawn, then those of one ``consistency`` request for the
-    shortfall, if there is one. Trajectory ``k`` gets the fraction of its
-    n+1 votes (votes ``[k*n, (k+1)*n)`` plus its own) that agree with its
-    answer. Samples drawn above temperature 0 are independent, so each
-    reward is distributed as with a request of its own."""
+    The context's vote is ``n = n_consistency_samples`` samples of that
+    prompt, kept in ``scope.votes``: drawn with an A2 step at the context,
+    or else by one ``consistency`` request here, so at most once per
+    question. Each trajectory gets the fraction of its n+1 votes (the
+    context's n plus its own) that agree with its answer. Under a sampling
+    LM each reward is distributed as with a request of its own; rewards of
+    one context are paired, as rStar's one vote per terminal node is."""
     context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
-    n = scope.cfg.n_consistency_samples
-    req = action_request(ActionKind.A2, context, scope.prompts, "consistency", n * len(trajs))
-    spare = scope.votes.setdefault(req.prompt, [])
-    if len(spare) < req.n_samples:
-        spare += scope.complete(replace(req, n_samples=req.n_samples - len(spare))).completions
-    answers = [extract_answer(text, context.question) for text in spare[:req.n_samples]]
-    del spare[:req.n_samples]
-    return [(1 + answers[k * n:(k + 1) * n].count(traj.final_answer)) / (n + 1)
-            for k, traj in enumerate(trajs)]
+    req = action_request(ActionKind.A2, context, scope.prompts, "consistency",
+                         scope.cfg.n_consistency_samples)
+    votes = scope.votes.get(req.prompt)
+    if votes is None:
+        votes = scope.votes[req.prompt] = scope.complete(req).completions
+    answers = [extract_answer(text, context.question) for text in votes]
+    return [(1 + answers.count(traj.final_answer)) / (req.n_samples + 1) for traj in trajs]
 
 
 def backpropagate(tree: SearchTree, leaf: TreeNode, reward: float) -> None:

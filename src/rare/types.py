@@ -366,14 +366,17 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
         pairs = [("A", "yes"), ("B", "no")]
         answer = "A" if answer.strip().lower() in ("yes", "true") else "B"
     elif pairs:
-        keys = [k for k, _ in pairs]
-        if len(set(keys)) != len(keys):
+        keys = [k.strip() for k, _ in pairs]
+        numeric = all(k.isdigit() for k in keys)
+        # keys that name one number or one letter are one label
+        names = [int(k) if numeric else k.upper() for k in keys]
+        if len(set(names)) != len(names):
             raise ValidationError(f"record {record.get('id')!r}: duplicate label")
-        if all(k.strip().isdigit() for k in keys):
-            order = sorted(range(len(pairs)), key=lambda i: int(keys[i].strip()))
+        if numeric:
+            order = sorted(range(len(pairs)), key=names.__getitem__)
             relabeled = [(LABELS[rank], pairs[i][1]) for rank, i in enumerate(order)]
-            if answer is not None and answer.strip() in [k.strip() for k in keys]:
-                pos = [keys[i].strip() for i in order].index(answer.strip())
+            if answer is not None and answer.strip() in keys:
+                pos = [keys[i] for i in order].index(answer.strip())
                 answer = LABELS[pos]
             pairs = relabeled
         else:

@@ -487,16 +487,23 @@ class TestEvalCommand:
     def test_strict_dataset_failure_vs_lenient(self, workspace):
         bad = workspace["dir"] / "bad.jsonl"
         good_line = workspace["dataset"].read_text().splitlines()[0]
-        bad.write_text('{"id": "broken"}\n' + good_line + "\n", encoding="utf-8")
         args = [
             "eval", "--dataset", str(bad), "--method", "cot",
             "--backend", "script", "--script", str(workspace["script"]),
             "--out", str(workspace["dir"] / "lenient.json"),
         ]
-        assert main(args) == 2
-        assert main(args + ["--lenient"]) == 0
-        report = json.loads((workspace["dir"] / "lenient.json").read_text())
-        assert report["num_questions"] == 1
+        # a missing field, and keys that name one letter or one number twice
+        for line in ('{"id": "broken"}',
+                     '{"id": "x", "question": "q?", "options": {"a": "x", "A": "y"}}',
+                     '{"id": "x", "question": "q?", "options": {"1": "x", " 1": "y"}, '
+                     '"answer": 1}',
+                     '{"id": "x", "question": "q?", "options": {"1": "x", "01": "y"}, '
+                     '"answer": "01"}'):
+            bad.write_text(line + "\n" + good_line + "\n", encoding="utf-8")
+            assert main(args) == 2
+            assert main(args + ["--lenient"]) == 0
+            report = json.loads((workspace["dir"] / "lenient.json").read_text())
+            assert report["num_questions"] == 1
 
     # "\udcff" is written as the byte 0xff, which is not UTF-8
     @pytest.mark.parametrize("line", ["7", '["id", "question"]',

@@ -138,6 +138,11 @@ class TestRateStatement:
     def test_mixed_reply_prefers_not_supported(self):
         assert self.rate("Supported? No: not supported on balance.") == "not_supported"
 
+    @pytest.mark.parametrize("reply", ["Unsupported", "not-supported", "NOT_SUPPORTED",
+                                       "Label: Unsupported."])
+    def test_negated_spellings_are_not_supported(self, reply):
+        assert self.rate(reply) == "not_supported"
+
 
 def score_one(traj, backend, index, cfg=CFG):
     """The report of a trajectory scored on its own."""

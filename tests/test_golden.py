@@ -35,8 +35,8 @@ from rare.types import (ActionKind, ActionStep, DocumentRef, SearchConfig, Traje
                         config_to_record, trajectory_to_record)
 
 GOLDEN_DIGESTS = {
-    "requests": "7df544aa153f8b6324ccc0ba81edddacc7e31749d7816b873d1f14f627828dae",
-    "reports": "9f7b83f35d9ce16963834d8855c1bb3e1fa396fba8ff80cdba7ca4c4078e3756",
+    "requests": "b3fd609abe6a4b33a5b4ac97baf4add3ecf80e88b2ea309a8539d4b2b9cef250",
+    "reports": "67283ebf59cb707cd033941b1466318bcba68883d5b4daffea6ff9dfa95d0fc7",
     "records": "b15f2f5928e9b76cbf5ad282eb6ca78cd4a3796d6362b0647f5d48ba41096740",
 }
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import rare.mcts
 from conftest import (
-    A2_MARK,
     RecordingBackend,
     build_eval_fixture,
     fixture_corpus,
@@ -17,7 +16,7 @@ from conftest import (
     rafs_generic_entries,
     tree_entries_for,
 )
-from rare.actions import Scope, action_request
+from rare.actions import Scope, action_request, execute_action
 from rare.errors import NoCandidatesError
 from rare.harness import apply_preset, run_eval
 from rare.lm import LmBackend, ScriptEntry, ScriptedBackend
@@ -159,27 +158,28 @@ class TestExpand:
         kinds = {ch.ctx.steps[-1].kind for ch in grandchildren}
         assert kinds <= {A.A3, A.A4, A.A7}
 
-    def test_a2_is_sent_last_with_the_votes_of_the_whole_expansion(self, question,
-                                                                   backend, index):
-        # c=2: A6's two equal children are one new answer (k=1), and A2 adds
-        # its own two, so A2 asks for 2 + 3 * (1 + 2) samples
+    def test_a2_is_sent_in_action_order_with_its_context_vote(self, question,
+                                                                backend, index):
+        # c=2: A2 asks for its two children and, after them, the context's 3 votes
         cfg = SearchConfig(children_per_action=2)
         recording = RecordingBackend(backend)
         tree = tree_for(question, cfg, recording, index)
         children = expand(tree, tree.root)
+        a2 = action_request(A.A2, tree.root.ctx, tree.scope.prompts, "consistency", 1).prompt
         log = recording.call_log()
-        assert log[-1].purpose == "consistency"
-        assert A2_MARK in log[-1].prompt
-        assert log[-1].n_samples == 2 + 3 * (1 + 2)
-        assert [r.purpose for r in log[:-1]] == ["action_gen"] * 3 + ["query_gen", "action_gen"]
+        assert [(r.purpose, r.n_samples, r.prompt == a2) for r in log] == [
+            ("action_gen", 2, False), ("consistency", 2 + 3, True), ("action_gen", 2, False),
+            ("action_gen", 2, False), ("query_gen", 1, False), ("action_gen", 2, False)]
+        assert tree.scope.votes == {a2: log[1].completions[2:]}
         kinds = [node.ctx.steps[-1].kind.value for node in tree.nodes[1:]]
         assert kinds == sorted(kinds) == [k for k in ("A1", "A2", "A3", "A5", "A6")
                                           for _ in range(2)]
         assert [node.node_id for node in children] == list(range(1, 11))
+        # every answered child, A2's and A6's, reads the one vote: (C, B, B)
         tree.reward_new([child.ctx for child in children])
         assert len(recording.call_log()) == len(log)
-        # A2's two children are equal too: 3 of the 9 votes are left
-        assert [len(v) for v in tree.scope.votes.values()] == [3]
+        assert tree.scope.votes == {a2: log[1].completions[2:]}
+        assert [t.terminal_reward for t in tree.candidates.values()] == [0.75, 0.75]
 
     def test_no_viable_child_marks_terminal_failed(self, question, index):
         # every completion unparseable for the enders, empty for the rest;
@@ -306,19 +306,23 @@ class TestSimulatedSteps:
 
     def test_a2_child_that_is_the_simulated_candidate_asks_for_no_votes(self, question,
                                                                        index):
-        # before: 1 + 3 * (1 + 1) samples, for A2's child and A6's answered one
+        # the simulation drew the root's vote with its A2 step, and A6's
+        # answered child reads that vote too
         tree, recording = self.tree(question, index, {A.A2, A.A6})
         traj = simulate(tree, tree.root)
         assert traj.steps[-1].kind == A.A2
+        assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
+            ("consistency", 1 + 3)]
+        vote = recording.call_log()[0].completions[1:]
         tree.reward_of(traj)
         sent = len(recording.call_log())
         children = expand(tree, tree.root)
         assert [(r.purpose, r.n_samples) for r in recording.call_log()[sent:]] == [
-            ("query_gen", 1), ("action_gen", 1), ("consistency", 3)]
+            ("query_gen", 1), ("action_gen", 1)]
         assert self.kind_children(children, A.A2) == [traj.steps[0]]
         tree.reward_new([child.ctx for child in children])
-        assert len(recording.call_log()) == sent + 3
-        assert [len(v) for v in tree.scope.votes.values()] == [0]
+        assert len(recording.call_log()) == sent + 2
+        assert list(tree.scope.votes.values()) == [vote]
 
 
 class TestTerminalReward:
@@ -352,45 +356,52 @@ class TestTerminalReward:
         scope = Scope(question, cfg, backend)
         assert terminal_reward([self.make_traj(question)], scope) == [0.25]
 
-    def test_each_trajectory_votes_on_its_own_slice_in_order(self, question):
-        # nine distinct samples: A's slice agrees 3 times, B's twice, C's once
-        samples = [f"The answer is {label} (sample {i})."
-                   for i, label in enumerate("AAABBxCxx")]
+    def root_a2(self, scope):
+        return action_request(A.A2, Trajectory(scope.question), scope.prompts,
+                              "consistency", scope.cfg.n_consistency_samples)
+
+    def test_trajectories_of_one_context_read_the_same_vote(self, question):
+        # three distinct samples: A agrees twice, B once, C never
+        samples = [f"The answer is {label} (sample {i})." for i, label in enumerate("ABA")]
         recording = RecordingBackend(self.consistency_backend(question, samples))
         trajs = [self.make_traj(question, label, text)
                  for label, text in (("A", "alpha therapy"), ("B", "beta therapy"),
                                      ("C", "gamma therapy"))]
-        cfg = SearchConfig(n_consistency_samples=3)
-        scope = Scope(question, cfg, recording)
-        assert terminal_reward(trajs, scope) == [1.0, 0.75, 0.5]
-        assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
-            ("consistency", 9)]
-
-
-    def test_spare_votes_come_first_and_only_the_shortfall_is_requested(self, question):
-        recording = RecordingBackend(self.consistency_backend(
-            question, ["The answer is C: gamma therapy."]))
         scope = Scope(question, SearchConfig(n_consistency_samples=3), recording)
-        traj = self.make_traj(question)
-        prompt = action_request(A.A2, Trajectory(question), scope.prompts,
-                                "consistency", 1).prompt
-        scope.votes[prompt] = ["The answer is B: beta therapy."] * 2
-        assert terminal_reward([traj], scope) == [0.75]
+        assert terminal_reward(trajs, scope) == [0.75, 0.5, 0.25]
+        prompt = self.root_a2(scope).prompt
         assert [(r.purpose, r.prompt, r.n_samples) for r in recording.call_log()] == [
-            ("consistency", prompt, 1)]
-        assert scope.votes[prompt] == []
+            ("consistency", prompt, 3)]
+        assert scope.votes == {prompt: tuple(samples)}
 
-    def test_enough_spare_votes_send_nothing_and_the_rest_wait(self, question):
-        recording = RecordingBackend(self.consistency_backend(question, ["unused"]))
+    def test_a_vote_is_drawn_once_and_read_by_every_later_reward(self, question):
+        samples = [f"The answer is {label} (sample {i})." for i, label in enumerate("BCB")]
+        recording = RecordingBackend(self.consistency_backend(question, samples))
         scope = Scope(question, SearchConfig(n_consistency_samples=3), recording)
-        prompt = action_request(A.A2, Trajectory(question), scope.prompts,
-                                "consistency", 1).prompt
-        spare = [f"The answer is {label}." for label in "BBBCCC"]
-        scope.votes[prompt] = list(spare) + ["The answer is A."] * 3
-        trajs = [self.make_traj(question), self.make_traj(question, "C", "gamma therapy")]
-        assert terminal_reward(trajs, scope) == [1.0, 1.0]
-        assert recording.call_log() == ()
-        assert scope.votes[prompt] == ["The answer is A."] * 3
+        assert terminal_reward([self.make_traj(question)], scope) == [0.75]
+        later = self.make_traj(question, "C", "gamma therapy")
+        assert terminal_reward([later], scope) == [0.5]
+        assert terminal_reward([later, self.make_traj(question)], scope) == [0.5, 0.75]
+        assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
+            ("consistency", 3)]
+        assert scope.votes == {self.root_a2(scope).prompt: tuple(samples)}
+
+    def test_a_vote_drawn_with_an_a2_step_sends_no_reward_request(self, question):
+        samples = [f"The answer is {label} (sample {i})." for i, label in enumerate("BBCB")]
+        recording = RecordingBackend(self.consistency_backend(question, samples))
+        scope = Scope(question, SearchConfig(n_consistency_samples=3,
+                                             children_per_action=1), recording)
+        # the step's sample comes first and the vote, samples 1-3, follows it
+        children = execute_action(A.A2, Trajectory(question), scope,
+                                  purpose="consistency", votes=True)
+        assert [child.final_answer for child in children] == ["B"]
+        assert scope.votes == {self.root_a2(scope).prompt: tuple(samples[1:])}
+        assert terminal_reward(children, scope) == [0.75]
+        # a context with a vote draws only its children
+        execute_action(A.A2, Trajectory(question), scope, purpose="consistency", votes=True)
+        assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
+            ("consistency", 1 + 3), ("consistency", 1)]
+        assert scope.votes == {self.root_a2(scope).prompt: tuple(samples[1:])}
 
 
 class TestBackpropagate:
@@ -530,7 +541,7 @@ class TestRunSearch:
     def test_answered_children_of_one_expansion_share_one_request(self, question,
                                                                    backend, index):
         # A2 and A6 both answer at the root; later rollouts revisit them. A2
-        # is sent last, with its child plus 3 votes each for both children
+        # draws its child and the root's 3 votes, which both children read
         cfg = SearchConfig(enabled_actions=frozenset({A.A2, A.A6}), rollouts=3)
         recording = RecordingBackend(backend)
         tree = tree_for(question, cfg, recording, index)
@@ -538,7 +549,7 @@ class TestRunSearch:
         answered = [child for child in tree.root.children if child.is_terminal()]
         assert len(answered) == len(candidates) == 2
         consistency = [r for r in recording.call_log() if r.purpose == "consistency"]
-        assert [r.n_samples for r in consistency] == [1 + 3 * len(answered)]
+        assert [r.n_samples for r in consistency] == [1 + 3]
         assert all(t.terminal_reward == 0.75 for t in candidates)
 
     def test_finished_tree_is_freed_without_the_cycle_collector(self, question,
@@ -591,8 +602,9 @@ class _TaggingBackend(LmBackend):
 
 
 class TestVoteFold:
-    """Votes drawn with an A2 step are the samples the consistency request
-    of the voting candidates would have drawn, one set per candidate."""
+    """A context's vote is ``n`` samples of its A2 consistency request, drawn
+    at most once per question, with an A2 step there or else by the first
+    reward, and read by every candidate that ends at the context."""
 
     @pytest.mark.parametrize("children", [1, 2])
     @pytest.mark.parametrize("preset", ["rstar", "rstar+a6", "rstar+a7", "rare"])
@@ -600,57 +612,81 @@ class TestVoteFold:
             self, monkeypatch, index, preset, children):
         real_reward, real_extract = rare.mcts.terminal_reward, rare.mcts.extract_answer
         read = []  # vote texts the current terminal_reward call reads
-        votes = {}  # candidate hash -> its votes
-        foreign = []  # votes drawn by a request unlike the one they replace
-        folded = []  # votes drawn with A2 children: c + a multiple of n samples
+        vote_of = {}  # (question id, A2 prompt) -> numbers of the samples its rewards read
+        first = [0]  # where the current question's requests start in the log
+        n = 3  # the default n_consistency_samples
+
+        def number(text):
+            return int(text.rsplit("#", 1)[1])
+
+        def voting(prompt):
+            # a request of an A2 prompt that asks for more than the children
+            # an action may draw draws that context's vote
+            return [r for r in recording.call_log()[first[0]:]
+                    if r.purpose == "consistency" and r.prompt == prompt
+                    and r.n_samples > children]
 
         def extract(text, q):
             read.append(text)
             return real_extract(text, q)
 
         def reward(trajs, scope):
-            n = scope.cfg.n_consistency_samples
             want = action_request(A.A2, Trajectory(trajs[0].question, trajs[0].steps[:-1]),
-                                  scope.prompts, "consistency", n * len(trajs))
-            waiting = len(scope.votes.get(want.prompt, ()))
-            calls = backend.snapshot_costs().total_calls
+                                  scope.prompts, "consistency", n)
+            key = (scope.question.id, want.prompt)
+            had_vote = bool(voting(want.prompt))
+            calls = len(recording.call_log())
             read.clear()
             rewards = real_reward(trajs, scope)
-            # a request only for votes that were not waiting
-            assert backend.snapshot_costs().total_calls - calls == (waiting < want.n_samples)
-            for text in read:
-                req = backend.origin[int(text.rsplit("#", 1)[1])]
-                if (req.prompt, req.temperature, req.stop_sequences) != (
-                        want.prompt, want.temperature, want.stop_sequences):
-                    foreign.append(text)
-                if req.n_samples % n:
-                    folded.append(text)
-            assert len(read) == n * len(trajs)
-            for k, traj in enumerate(trajs):
-                mine = read[k * n:(k + 1) * n]
-                assert traj.content_hash() not in votes
-                votes[traj.content_hash()] = mine
+            # a request exactly when the context has no vote yet
+            assert len(recording.call_log()) - calls == (not had_vote)
+            # n votes, all of one request of the context's consistency prompt
+            mine = tuple(number(text) for text in read)
+            assert len(mine) == n
+            assert len({id(tagged.origin[i]) for i in mine}) == 1
+            req = tagged.origin[mine[0]]
+            assert (req.purpose_tag, req.prompt, req.temperature, req.stop_sequences) == (
+                want.purpose_tag, want.prompt, want.temperature, want.stop_sequences)
+            # every candidate of the context reads the same votes
+            assert vote_of.setdefault(key, mine) == mine
+            for traj, got in zip(trajs, rewards):
                 agree = sum(real_extract(text, traj.question) == traj.final_answer
-                            for text in mine)
-                assert rewards[k] == (1 + agree) / (n + 1)
+                            for text in read)
+                assert got == (1 + agree) / (n + 1)
             return rewards
 
         monkeypatch.setattr(rare.mcts, "terminal_reward", reward)
         monkeypatch.setattr(rare.mcts, "extract_answer", extract)
         questions, scripted = build_eval_fixture(6, 4)
         cfg = apply_preset(SearchConfig(rollouts=16, children_per_action=children), preset)
-        backend = _TaggingBackend(scripted)  # one tag count: no two samples are equal
+        assert cfg.n_consistency_samples == n
+        tagged = _TaggingBackend(scripted)  # one tag count: no two samples are equal
+        recording = RecordingBackend(tagged)
         candidates = 0
         for q in questions:
-            tree = tree_for(q, cfg, backend, index)
+            first[0] = len(recording.call_log())
+            tree = tree_for(q, cfg, recording, index)
             run_search(tree)
             candidates += len(tree.candidates)
-            assert set(votes) >= set(tree.candidates)
-        assert foreign == []
-        assert folded
-        assert len(votes) == candidates
-        drawn = [text for mine in votes.values() for text in mine]
-        assert len(set(drawn)) == len(drawn) == 3 * candidates
+            voted = {prompt for qid, prompt in vote_of if qid == q.id}
+            for traj in tree.candidates.values():
+                context = Trajectory(q, traj.steps[:-1])
+                prompt = action_request(A.A2, context, tree.scope.prompts, "consistency", n).prompt
+                assert (q.id, prompt) in vote_of
+            # one request per question draws the vote of each context a reward
+            # reads, and none draws a vote no reward reads
+            for prompt in {r.prompt for r in recording.call_log()[first[0]:]
+                           if r.purpose == "consistency"}:
+                assert len(voting(prompt)) == (prompt in voted)
+            # no vote is a tree step
+            steps = {number(step.output) for node in tree.nodes for step in node.ctx.steps}
+            steps.update(number(step.output) for traj in tree.candidates.values()
+                         for step in traj.steps)
+            assert not steps & {i for (qid, _), mine in vote_of.items() if qid == q.id
+                                for i in mine}
+        assert candidates
+        # some votes were drawn with A2 steps, after them in the same request
+        assert any(tagged.origin[mine[0]].n_samples > n for mine in vote_of.values())
 
     def test_no_sample_is_two_tree_steps_or_a_step_and_a_vote(self, monkeypatch, index):
         """Over the golden runs, each sampled completion is numbered: none

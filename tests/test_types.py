@@ -44,6 +44,12 @@ class TestValidateQuestion:
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValidationError, match="duplicate label"):
             Question("q", "stem?", [("A", "one"), ("A", "two")])
+        # in a record, keys that name one letter or one number are one label
+        for options, answer in (({"a": "x", "A": "y"}, "A"), ({"1": "x", " 1": "y"}, "1"),
+                                ({"1": "x", "01": "y"}, "01")):
+            with pytest.raises(ValidationError, match="duplicate label"):
+                question_from_record({"id": "x", "question": "pick", "options": options,
+                                      "answer": answer})
 
     def test_gold_not_among_options_rejected(self):
         with pytest.raises(ValidationError, match="gold label"):

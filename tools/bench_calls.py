@@ -3,7 +3,7 @@ parent revision and in the working tree.
 
 Run from the repository root:
 
-    python3 tools/bench_calls.py --topic sim_reuse --parent HEAD --seed 5
+    python3 tools/bench_calls.py --topic shared_votes --parent HEAD --seed 5
 
 For the inputs of the ``tree-cpu`` and ``tree-wait`` workloads of
 ``perfbench/run.py`` (generated at ``--seed`` by ``perfbench/inputs.generate``,
@@ -12,13 +12,16 @@ it evaluates the subset with ``rare.harness.run_eval`` on one worker, with
 no LM wait: ``cot``, ``sc`` and ``rag`` once, and ``rstar`` and ``rare``
 (each under its ablation preset) at rollouts 4, 8 and 16. Each row counts,
 per evaluated question, the calls, prompt tokens and completion tokens the
-scripted backend received, in total and by purpose; the votes that action
-requests drew with their steps (``folded_votes``) and those left unused
-when the question ended (``unused_votes``); and the step samples
+scripted backend received, in total and by purpose; the vote samples
+drawn (``votes_drawn``: those action requests drew with their steps into
+``scope.votes``, and every sample the rewards' own requests drew); the
+samples left in ``scope.votes`` when the question ended under an A2 prompt
+that no reward looked up (``unread_votes``); and the step samples
 expansions took from those simulations had drawn instead of requesting
-them (``reused_steps``). A revision without folded votes or kept steps
-reports 0 for them. Each side runs in its own process on the parent
-exported with ``git archive`` and on the working tree.
+them (``reused_steps``). A revision whose rewards take their votes out of
+``scope.votes`` leaves only unread ones there, but those under a prompt a
+reward looked up are not counted. Each side runs in its own process on the
+parent exported with ``git archive`` and on the working tree.
 
 ``BENCH_<topic>.json`` (``--topic``, default ``vote_fold``) gets the rows
 under ``calls``; other keys of the file, such as those
@@ -49,52 +52,71 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
     from rare.lm import ScriptedBackend, script_entry_from_record
     from rare.retrieval import build_index, document_from_record
     from rare.selection import BASELINE_METHODS
-    from rare.types import SearchConfig, question_from_record
+    from rare.types import ActionKind, SearchConfig, Trajectory, question_from_record
 
     questions = [question_from_record(r) for r in records]
     entries = [script_entry_from_record(r) for r in data.script]
     index = build_index([document_from_record(r) for r in data.corpus])
 
     scopes = []
-    folded, reused = [0], [0]
+    drawn, reused, samples = [0], [0], [0]
+    looked_up: set[tuple[int, str]] = set()  # (scope id, A2 prompt) a reward looked up
 
     class KeptScope(rare.harness.Scope):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             scopes.append(self)
 
-    execute_action = rare.mcts.execute_action
+    class CountingBackend(ScriptedBackend):
+        def _complete(self, req):
+            samples[0] += req.n_samples
+            return super()._complete(req)
+
+    execute_action, terminal_reward = rare.mcts.execute_action, rare.mcts.terminal_reward
     signature = inspect.signature(execute_action)
 
-    def spare(scope, name: str) -> int:
+    def held(scope, name: str) -> int:
         return sum(len(v) for v in getattr(scope, name, {}).values())
 
     def counted(*args, **kwargs):
         scope = signature.bind(*args, **kwargs).arguments["scope"]
-        votes, steps = spare(scope, "votes"), spare(scope, "steps")
+        votes, steps = held(scope, "votes"), held(scope, "steps")
         try:
             return execute_action(*args, **kwargs)
         finally:  # a call draws votes and either takes steps or keeps them
-            folded[0] += spare(scope, "votes") - votes
-            reused[0] += max(0, steps - spare(scope, "steps"))
+            drawn[0] += held(scope, "votes") - votes
+            reused[0] += max(0, steps - held(scope, "steps"))
+
+    def rewarded(trajs, scope):
+        context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
+        looked_up.add((id(scope), rare.mcts.action_request(
+            ActionKind.A2, context, scope.prompts, "consistency", 1).prompt))
+        before = samples[0]
+        try:
+            return terminal_reward(trajs, scope)
+        finally:  # every sample a reward's own request draws is a vote
+            drawn[0] += samples[0] - before
 
     rare.harness.Scope = KeptScope
     rare.mcts.execute_action = counted
+    rare.mcts.terminal_reward = rewarded
     rows = {}
     for method, rollouts in ROWS:
         scopes.clear()
-        folded[0] = reused[0] = 0
+        looked_up.clear()
+        drawn[0] = reused[0] = 0
         cfg = SearchConfig(rollouts=rollouts or 8)
         if method not in BASELINE_METHODS:
             cfg = apply_preset(cfg, method)
-        backend = ScriptedBackend(entries)
+        backend = CountingBackend(entries)
         report = run_eval(questions, method, backend, index, cfg, workers=1)
         errors = [r.error for r in report.records if r.error is not None]
         if errors:
             raise SystemExit(f"{method} failed on {workload}: {errors[0]}")
         n = len(questions)
         costs = backend.snapshot_costs()
-        unused = sum(spare(scope, "votes") for scope in scopes)
+        unread = sum(len(votes) for scope in scopes for prompt, votes in scope.votes.items()
+                     if (id(scope), prompt) not in looked_up)
         rows[method if rollouts is None else f"{method}@{rollouts}"] = {
             "lm_calls_per_q": costs.total_calls / n,
             "prompt_tokens_per_q": costs.total_prompt_tokens / n,
@@ -103,8 +125,8 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
                                      "completion_tokens": completion / n}
                            for purpose, (calls, prompt, completion)
                            in sorted(costs.per_purpose.items())},
-            "folded_votes_per_q": folded[0] / n,
-            "unused_votes_per_q": unused / n,
+            "votes_drawn_per_q": drawn[0] / n,
+            "unread_votes_per_q": unread / n,
             "reused_steps_per_q": reused[0] / n,
             "accuracy": report.accuracy,
             "predicted": {r.question_id: r.predicted for r in report.records},
@@ -136,15 +158,15 @@ def main(argv: list[str] | None = None) -> int:
                 "relative_change": {
                     key: relative(p[key], c[key]) for key in
                     ("lm_calls_per_q", "prompt_tokens_per_q", "completion_tokens_per_q")},
-                "unused_share_of_folded": (c["unused_votes_per_q"] / c["folded_votes_per_q"]
-                                           if c["folded_votes_per_q"] else 0.0),
+                "unread_share_of_drawn": (c["unread_votes_per_q"] / c["votes_drawn_per_q"]
+                                          if c["votes_drawn_per_q"] else 0.0),
                 "parent": p,
                 "change": c,
             }
             print(f"{workload} {name}: {p['lm_calls_per_q']:.3f} -> "
-                  f"{c['lm_calls_per_q']:.3f} calls per question, "
-                  f"{c['reused_steps_per_q']:.3f} reused steps, "
-                  f"{c['unused_votes_per_q']:.3f} unused votes", file=sys.stderr)
+                  f"{c['lm_calls_per_q']:.3f} calls and {p['votes_drawn_per_q']:.3f} -> "
+                  f"{c['votes_drawn_per_q']:.3f} votes drawn per question, "
+                  f"{c['unread_votes_per_q']:.3f} unread", file=sys.stderr)
         results[workload] = {"questions": change["questions"], "rows": rows}
 
     out = ROOT / f"BENCH_{args.topic}.json"
@@ -153,9 +175,10 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python3 tools/bench_calls.py --topic {args.topic} "
                    f"--parent {args.parent} --seed {args.seed}",
         "what": "per evaluated question, one worker, the workload's inputs without its LM "
-                "wait: LM calls, prompt and completion tokens (total and by purpose), votes "
-                "drawn with action steps, votes left unused, and step samples expansions "
-                "took from simulations; baselines do not depend on the rollout count",
+                "wait: LM calls, prompt and completion tokens (total and by purpose), vote "
+                "samples drawn, vote samples under an A2 prompt no reward looked up, and "
+                "step samples expansions took from simulations; baselines do not depend on "
+                "the rollout count",
         "workloads": results,
     }
     write_doc(out, doc)
