@@ -22,7 +22,7 @@ import string
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 from .errors import NoViableChildError, ValidationError
 from .lm import LmBackend, LmRequest, LmResponse, request_for
@@ -122,10 +122,10 @@ class Scope(LmBackend):
     response back, reaches no backend and counts in no ledger. A request
     that raised is not remembered; sampled requests always go through.
 
-    ``votes`` maps an A2 prompt to the ``n_consistency_samples`` samples of
-    it drawn as its context's self-consistency vote: at most once per
-    question, by ``execute_action`` or ``rare.mcts.terminal_reward``, and
-    never taken out, so every reward at that context reads them. ``steps``
+    ``votes`` maps an A2 prompt to its context's self-consistency vote: the
+    answer labels (or None) of ``n_consistency_samples`` samples of it, drawn
+    at most once per question, by ``execute_action`` or ``terminal_reward``,
+    and counted by every reward at that context. ``steps``
     maps an action prompt to the step samples of it that simulations drew
     and no expansion has taken yet, oldest first; ``execute_action`` adds to
     it and takes from its front. A sample of a prompt is one whoever drew
@@ -140,7 +140,7 @@ class Scope(LmBackend):
         self.index = index
         self.prompts = prompts if prompts is not None else default_prompts()
         self.hits: dict[tuple[str, int], list[DocumentRef]] = {}
-        self.votes: dict[str, tuple[str, ...]] = {}
+        self.votes: dict[str, tuple[str | None, ...]] = {}
         self.steps: dict[str, list[str]] = {}
         self._greedy: dict[LmRequest, LmResponse] = {}
 
@@ -155,6 +155,11 @@ class Scope(LmBackend):
     def _complete(self, req: LmRequest) -> LmResponse:
         # looked up on every call: a tracer may replace it on the instance
         return self.backend.complete(req)
+
+    def keep_vote(self, prompt: str, samples: Sequence[str]) -> tuple[str | None, ...]:
+        """Keep the answer labels of ``samples`` of ``prompt`` as its vote."""
+        vote = self.votes[prompt] = tuple(extract_answer(t, self.question) for t in samples)
+        return vote
 
 
 def extract_answer(text: str, q: Question) -> str | None:
@@ -387,7 +392,7 @@ def _queries(kind: ActionKind, ctx: Trajectory, scope: Scope) -> list[str]:
     return queries
 
 
-def _children(kind: ActionKind, ctx: Trajectory, completions: list[str],
+def children_of(kind: ActionKind, ctx: Trajectory, completions: Sequence[str],
               retrieved: tuple[DocumentRef, ...], queries: tuple[str, ...]) -> list[Trajectory]:
     """``ctx`` extended by the step each usable completion gives, in order."""
     spec = ACTION_SPECS[kind]
@@ -427,8 +432,8 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
     ``simulated`` step takes none and adds all it draws to ``scope.steps``.
     With ``votes``, when ``scope.votes`` has no vote under the prompt yet,
     the request draws ``n_consistency_samples`` more samples, after the
-    step's, and keeps them there as the vote. Nothing is sent when nothing
-    is left to draw.
+    step's, and keeps their answer labels there as the vote. Nothing is sent
+    when nothing is left to draw.
     """
     spec = ACTION_SPECS[kind]
     cfg = scope.cfg
@@ -449,11 +454,11 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
         drawn = scope.complete(request_for(purpose, prompt, fresh + extra,
                                            stop_sequences=spec.stop)).completions
         if extra:
-            scope.votes[prompt] = drawn[fresh:]
+            scope.keep_vote(prompt, drawn[fresh:])
         if simulated:
             scope.steps.setdefault(prompt, []).extend(drawn[:fresh])
         samples += drawn[:fresh]
-    children = _children(kind, ctx, samples, retrieved, queries)
+    children = children_of(kind, ctx, samples, retrieved, queries)
     if not children:
         raise NoViableChildError(f"no viable child for {kind.value}")
     return children

@@ -11,11 +11,12 @@ and requests only the children it could not take.
 Each node's ``ctx`` is the ``Trajectory`` from the root to it. Candidates are
 every distinct terminal trajectory discovered, keyed by a hash of their step
 outputs; each carries its consistency reward when returned. A candidate is
-rewarded when it is first seen, by its context's vote: ``n`` samples of A2's
-prompt at its context, drawn once per question and read by every candidate
-that ends there. Every A2 request the search sends is that context's
-``consistency`` request: it draws the A2 children and, when the context has
-no vote yet, the vote after them, which stays in the question's ``Scope``.
+rewarded alone, when it is first seen, by its context's vote: the answers of
+``n`` samples of A2's prompt at its context, drawn once per question and
+counted by every candidate that ends there. Every A2 request the search
+sends is that context's ``consistency`` request: it draws the A2 children
+and, when the context has no vote yet, the vote after them, which stays in
+the question's ``Scope``.
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ import math
 import random
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
-from .actions import (
-    Scope,
-    action_request,
-    execute_action,
-    extract_answer,
-    valid_actions,
-)
+from .actions import Scope, action_prompt, action_request, execute_action, valid_actions
 from .errors import NoCandidatesError, NoViableChildError
 from .types import ActionKind, Trajectory
 
@@ -102,27 +96,17 @@ class SearchTree:
             parent.children.append(node)
         return node
 
-    def reward_new(self, trajs: list[Trajectory]) -> None:
-        """Make candidates of the answered trajectories not seen before, the
-        first of equal ones kept, all of one context, rewarded by one
-        ``terminal_reward`` call."""
-        new: dict[str, Trajectory] = {}
-        for traj in trajs:
-            if traj.final_answer is not None:
-                key = traj.content_hash()
-                if key not in self.candidates:
-                    new.setdefault(key, traj)
-        if new:
-            rewards = terminal_reward(list(new.values()), self.scope)
-            for (key, traj), reward in zip(new.items(), rewards):
-                self.candidates[key] = replace(traj, terminal_reward=reward)
-
     def reward_of(self, traj: Trajectory) -> float:
-        """Consistency reward of a trajectory; 0 without an answer."""
+        """Consistency reward of a trajectory; 0 without an answer. An
+        answered one not seen before becomes a candidate with its
+        ``terminal_reward``; an equal one later gets the first one's."""
         if traj.final_answer is None:
             return 0.0
-        self.reward_new([traj])
-        return self.candidates[traj.content_hash()].terminal_reward
+        key = traj.content_hash()
+        if key not in self.candidates:
+            reward = terminal_reward(traj, self.scope)
+            self.candidates[key] = replace(traj, terminal_reward=reward)
+        return self.candidates[key].terminal_reward
 
     def rollout(self) -> None:
         """One MCTS iteration. Its steps are looked up as module globals on
@@ -135,7 +119,8 @@ class SearchTree:
         if not children:
             backpropagate(self, node, 0.0)
             return
-        self.reward_new([child.ctx for child in children])
+        for child in children:
+            self.reward_of(child.ctx)
         start = self.rng.choice(children)
         traj = simulate(self, start)
         backpropagate(self, start, self.reward_of(traj))
@@ -166,8 +151,8 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     Children are taken from the simulated steps first (``execute_action``),
     so a kind served from them sends nothing. A2's request is the context's
     consistency request, and it draws the context's vote too when nothing
-    has drawn it yet, so ``rollout``'s reward of the expansion needs no
-    request of its own."""
+    has drawn it yet, so ``rollout``'s rewards of the children need no
+    request of their own."""
     node.expanded = True
     cfg = tree.scope.cfg
     if len(node.ctx.steps) >= cfg.max_depth:
@@ -210,26 +195,24 @@ def simulate(tree: SearchTree, node: TreeNode) -> Trajectory:
     return ctx
 
 
-def terminal_reward(trajs: Sequence[Trajectory], scope: Scope) -> list[float]:
-    """Self-consistency rewards of one or more answered trajectories that
-    share one context: the same question and ``steps[:-1]``, hence the same
-    A2 consistency prompt. ``SearchTree.reward_new`` passes only such lists.
+def terminal_reward(traj: Trajectory, scope: Scope) -> float:
+    """Self-consistency reward of an answered trajectory: the fraction of
+    its n+1 votes (its context's n plus its own) that agree with its answer.
 
-    The context's vote is ``n = n_consistency_samples`` samples of that
-    prompt, kept in ``scope.votes``: drawn with an A2 step at the context,
-    or else by one ``consistency`` request here, so at most once per
-    question. Each trajectory gets the fraction of its n+1 votes (the
-    context's n plus its own) that agree with its answer. Under a sampling
-    LM each reward is distributed as with a request of its own; rewards of
-    one context are paired, as rStar's one vote per terminal node is."""
-    context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
-    req = action_request(ActionKind.A2, context, scope.prompts, "consistency",
-                         scope.cfg.n_consistency_samples)
-    votes = scope.votes.get(req.prompt)
-    if votes is None:
-        votes = scope.votes[req.prompt] = scope.complete(req).completions
-    answers = [extract_answer(text, context.question) for text in votes]
-    return [(1 + answers.count(traj.final_answer)) / (req.n_samples + 1) for traj in trajs]
+    Its context's vote is the answers of ``n = n_consistency_samples``
+    samples of A2's prompt at ``steps[:-1]``, kept in ``scope.votes``: drawn
+    with an A2 step at the context, or else by one ``consistency`` request
+    here, so at most once per question. Under a sampling LM each reward is
+    distributed as with a request of its own; rewards of one context are
+    paired, as rStar's one vote per terminal node is."""
+    n = scope.cfg.n_consistency_samples
+    context = Trajectory(traj.question, traj.steps[:-1])
+    prompt = action_prompt(ActionKind.A2, context, scope.prompts)
+    vote = scope.votes.get(prompt)
+    if vote is None:
+        req = action_request(ActionKind.A2, context, scope.prompts, "consistency", n)
+        vote = scope.keep_vote(prompt, scope.complete(req).completions)
+    return (1 + vote.count(traj.final_answer)) / (n + 1)
 
 
 def backpropagate(tree: SearchTree, leaf: TreeNode, reward: float) -> None:
@@ -246,11 +229,10 @@ def run_search(tree: SearchTree) -> list[Trajectory]:
     reward attached. The tree keeps the finished search for inspection.
 
     An answered trajectory becomes a candidate, deduplicated by
-    ``content_hash``, and is rewarded when it is first seen. The new
-    answered children of one expansion share their parent's context, so one
-    ``terminal_reward`` call right after the expansion rewards them all; a
-    simulation that ends with a new answer is rewarded on its own before it
-    is backpropagated. No candidate is left to reward when the search ends."""
+    ``content_hash``, and is rewarded alone when it is first seen: each new
+    answered child of an expansion right after the expansion, in order, and
+    a simulation that ends with a new answer before it is backpropagated.
+    No candidate is left to reward when the search ends."""
     for _ in range(tree.scope.cfg.rollouts):
         tree.rollout()
     if not tree.candidates:

@@ -193,12 +193,21 @@ def save_index(index: RetrievalIndex, path: str) -> None:
         pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+class _IndexUnpickler(pickle.Unpickler):
+    """Refuses every global but the two classes a saved index holds."""
+
+    def find_class(self, module: str, name: str) -> type:
+        if module == __name__ and name in ("RetrievalIndex", "Document"):
+            return super().find_class(module, name)
+        raise pickle.UnpicklingError(f"global {module}.{name} is not part of an index")
+
+
 def load_index(path: str) -> RetrievalIndex:
     """Read an index written by ``save_index``; a file that is not one
     raises ``CorpusError`` naming the path."""
     with open(path, "rb") as fh:
         try:
-            payload = pickle.load(fh)
+            payload = _IndexUnpickler(fh).load()
         # what pickle documents for malformed data, plus what a byte stream
         # that is not a pickle at all can hit
         except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,

@@ -8,11 +8,10 @@ and plain retrieval-augmented answering.
 
 from __future__ import annotations
 
-from .actions import (Scope, action_request, execute_action, extract_answer,
-                      render_documents)
+from .actions import Scope, action_request, children_of, execute_action, render_documents
 from .errors import AbstainError, NoViableChildError
 from .retrieval import search
-from .types import ActionKind, ActionStep, Trajectory
+from .types import ActionKind, Trajectory
 
 BASELINE_METHODS = ("cot", "sc", "rag")
 
@@ -55,8 +54,8 @@ def run_baseline(method: str, scope: Scope) -> list[Trajectory]:
     cot: one A2 action at the root. sc: the same action with
     ``n_consistency_samples`` outcomes, requested as ``consistency``. rag:
     one retrieval round on the question stem, then one completion of A6's
-    request with those documents, kept as an A6 step: as in A6, the whole
-    question is answered from the documents.
+    request with those documents, made a step by ``children_of`` as A6's
+    are: as in A6, the whole question is answered from the documents.
     A run with no parseable answer raises AbstainError and is recorded as
     incorrect by the harness.
     """
@@ -76,9 +75,7 @@ def run_baseline(method: str, scope: Scope) -> list[Trajectory]:
     hits = tuple(search(scope.index, q.stem, cfg.retrieval_top_k, scope.hits))
     resp = scope.complete(action_request(ActionKind.A6, root, scope.prompts, "action_gen", 1,
                                          render_documents(hits)))
-    text = resp.completions[0].strip()
-    answer = extract_answer(text, q)
-    if answer is None:
+    children = children_of(ActionKind.A6, root, resp.completions, hits, (q.stem,))
+    if not children:
         raise AbstainError(f"rag produced no parseable answer for {q.id!r}")
-    step = ActionStep(ActionKind.A6, text, retrieved=hits, queries=(q.stem,))
-    return [root.extend(step, answer)]
+    return children

@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import logging
+import unicodedata
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -341,6 +342,12 @@ def read_records(path: str, prefix: str, decode: Callable[[Any], T],
             yield record
 
 
+def _number(decimal: str) -> tuple[int, str]:
+    """A decimal string's number, in any script and at any length, as a key."""
+    digits = "".join(str(unicodedata.decimal(c)) for c in decimal).lstrip("0")
+    return len(digits), digits
+
+
 def question_from_record(record: Mapping[str, Any]) -> Question:
     """Decode one dataset record. Normalizes numeric option keys and yes/no
     answers into the contiguous letter-label form; ``Question`` refuses the
@@ -367,22 +374,21 @@ def question_from_record(record: Mapping[str, Any]) -> Question:
         answer = "A" if answer.strip().lower() in ("yes", "true") else "B"
     elif pairs:
         keys = [k.strip() for k, _ in pairs]
-        numeric = all(k.isdigit() for k in keys)
+        numeric = all(k.isdecimal() for k in keys)
         # keys that name one number or one letter are one label
-        names = [int(k) if numeric else k.upper() for k in keys]
+        names = [_number(k) if numeric else k.upper() for k in keys]
         if len(set(names)) != len(names):
             raise ValidationError(f"record {record.get('id')!r}: duplicate label")
+        if numeric:  # numbers become letters in their order, "A" for the least
+            letter = {name: chr(ord("A") + rank) for rank, name in enumerate(sorted(names))}
+            names = [letter[name] for name in names]
+            if answer is not None and answer.strip().isdecimal():
+                answer = letter.get(_number(answer.strip()), answer)
+        pairs = [(name, text) for name, (_, text) in zip(names, pairs)]
         if numeric:
-            order = sorted(range(len(pairs)), key=names.__getitem__)
-            relabeled = [(LABELS[rank], pairs[i][1]) for rank, i in enumerate(order)]
-            if answer is not None and answer.strip() in keys:
-                pos = [keys[i] for i in order].index(answer.strip())
-                answer = LABELS[pos]
-            pairs = relabeled
-        else:
-            pairs = [(k.strip().upper(), v) for k, v in pairs]
-            if answer is not None:
-                answer = answer.strip().upper()
+            pairs.sort(key=lambda pair: pair[0])
+        if answer is not None:
+            answer = answer.strip().upper()
 
     return Question(
         id=text_of(record["id"], "'id'"),

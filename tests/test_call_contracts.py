@@ -25,12 +25,8 @@ from rare.actions import ACTION_SPECS
 from rare.harness import dump_trajectories, run_eval
 from rare.retrieval import build_index
 from rare.selection import BASELINE_METHODS
-from rare.types import RETRIEVAL_ACTIONS, Trajectory
+from rare.types import RETRIEVAL_ACTIONS
 from test_golden import _runs
-
-
-def _context(traj: Trajectory) -> Trajectory:
-    return Trajectory(traj.question, traj.steps[:-1])
 
 
 def _action_contract(kind, ctx, scope, *_, **__) -> bool:
@@ -44,9 +40,7 @@ CONTRACTS = {
         visits == 0 or parent_visits >= 1),
     (rare.mcts, "expand"): lambda tree, node: not node.is_terminal() and not node.expanded,
     (rare.mcts, "simulate"): lambda tree, node: not node.terminal_failed,
-    (rare.mcts, "terminal_reward"): lambda trajs, scope: bool(trajs) and all(
-        traj.final_answer is not None and _context(traj) == _context(trajs[0])
-        for traj in trajs),
+    (rare.mcts, "terminal_reward"): lambda traj, scope: traj.final_answer is not None,
     (rare.mcts, "execute_action"): _action_contract,
     (rare.selection, "execute_action"): _action_contract,
     (rare.harness, "select_rare"): lambda candidates: bool(candidates),

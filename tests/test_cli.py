@@ -498,12 +498,30 @@ class TestEvalCommand:
                      '{"id": "x", "question": "q?", "options": {"1": "x", " 1": "y"}, '
                      '"answer": 1}',
                      '{"id": "x", "question": "q?", "options": {"1": "x", "01": "y"}, '
-                     '"answer": "01"}'):
+                     '"answer": "01"}',
+                     # a digit that is not a decimal digit names no number
+                     '{"id": "x", "question": "q?", "options": {"\u00b2": "x", "\u00b3": "y"}, '
+                     '"answer": "\u00b2"}'):
             bad.write_text(line + "\n" + good_line + "\n", encoding="utf-8")
             assert main(args) == 2
             assert main(args + ["--lenient"]) == 0
             report = json.loads((workspace["dir"] / "lenient.json").read_text())
             assert report["num_questions"] == 1
+
+    def test_zero_padded_keys_take_a_numeric_answer(self, workspace):
+        dataset = workspace["dir"] / "padded.jsonl"
+        good_line = workspace["dataset"].read_text().splitlines()[0]
+        for answer, gold in (('"1"', "A"), ("2", "B"), ('" 02 "', "B")):
+            dataset.write_text(good_line + '\n{"id": "x", "question": "q?", "options": '
+                               '{"01": "x", "02": "y"}, "answer": ' + answer + "}\n",
+                               encoding="utf-8")
+            for lenient in ([], ["--lenient"]):
+                out = workspace["dir"] / "report.json"
+                assert main(["eval", "--dataset", str(dataset), "--method", "cot",
+                             "--backend", "script", "--script", str(workspace["script"]),
+                             "--out", str(out)] + lenient) == 0
+                records = json.loads(out.read_text())["records"]
+                assert [(r["question_id"], r["gold"]) for r in records][1:] == [("x", gold)]
 
     # "\udcff" is written as the byte 0xff, which is not UTF-8
     @pytest.mark.parametrize("line", ["7", '["id", "question"]',

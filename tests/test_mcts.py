@@ -16,7 +16,7 @@ from conftest import (
     rafs_generic_entries,
     tree_entries_for,
 )
-from rare.actions import Scope, action_request, execute_action
+from rare.actions import Scope, action_request, execute_action, extract_answer
 from rare.errors import NoCandidatesError
 from rare.harness import apply_preset, run_eval
 from rare.lm import LmBackend, ScriptEntry, ScriptedBackend
@@ -80,6 +80,11 @@ class TestUctScore:
 def tree_for(question, cfg=None, backend=None, index=None):
     """A search tree in a new scope; tests that make no LM call pass no backend."""
     return SearchTree(Scope(question, cfg or SearchConfig(), backend, index))
+
+
+def labels(texts, question):
+    """The answer labels a vote of these sample texts keeps."""
+    return tuple(extract_answer(text, question) for text in texts)
 
 
 def manual_node(tree, parent, q_value=0.0, visits=0, expanded=False):
@@ -170,15 +175,17 @@ class TestExpand:
         assert [(r.purpose, r.n_samples, r.prompt == a2) for r in log] == [
             ("action_gen", 2, False), ("consistency", 2 + 3, True), ("action_gen", 2, False),
             ("action_gen", 2, False), ("query_gen", 1, False), ("action_gen", 2, False)]
-        assert tree.scope.votes == {a2: log[1].completions[2:]}
+        assert tree.scope.votes == {a2: labels(log[1].completions[2:], question)}
+        assert tree.scope.votes[a2] == ("C", "B", "B")
         kinds = [node.ctx.steps[-1].kind.value for node in tree.nodes[1:]]
         assert kinds == sorted(kinds) == [k for k in ("A1", "A2", "A3", "A5", "A6")
                                           for _ in range(2)]
         assert [node.node_id for node in children] == list(range(1, 11))
-        # every answered child, A2's and A6's, reads the one vote: (C, B, B)
-        tree.reward_new([child.ctx for child in children])
+        # every answered child, A2's and A6's, counts the one vote: (C, B, B)
+        assert [tree.reward_of(child.ctx) for child in children] == [
+            0.0, 0.0, 0.75, 0.75, 0.0, 0.0, 0.0, 0.0, 0.75, 0.75]
         assert len(recording.call_log()) == len(log)
-        assert tree.scope.votes == {a2: log[1].completions[2:]}
+        assert tree.scope.votes == {a2: ("C", "B", "B")}
         assert [t.terminal_reward for t in tree.candidates.values()] == [0.75, 0.75]
 
     def test_no_viable_child_marks_terminal_failed(self, question, index):
@@ -320,9 +327,11 @@ class TestSimulatedSteps:
         assert [(r.purpose, r.n_samples) for r in recording.call_log()[sent:]] == [
             ("query_gen", 1), ("action_gen", 1)]
         assert self.kind_children(children, A.A2) == [traj.steps[0]]
-        tree.reward_new([child.ctx for child in children])
+        for child in children:
+            tree.reward_of(child.ctx)
         assert len(recording.call_log()) == sent + 2
-        assert list(tree.scope.votes.values()) == [vote]
+        assert list(tree.scope.votes.values()) == [labels(vote, question)]
+        assert len(tree.candidates) == 2
 
 
 class TestTerminalReward:
@@ -338,7 +347,7 @@ class TestTerminalReward:
             question, ["The answer is B: beta therapy."] * 3)
         cfg = SearchConfig(n_consistency_samples=3)
         scope = Scope(question, cfg, backend)
-        assert terminal_reward([self.make_traj(question)], scope) == [1.0]
+        assert terminal_reward(self.make_traj(question), scope) == 1.0
 
     def test_vote_counting(self, question):
         backend = self.consistency_backend(question, [
@@ -348,13 +357,14 @@ class TestTerminalReward:
         ])
         cfg = SearchConfig(n_consistency_samples=3)
         scope = Scope(question, cfg, backend)
-        assert terminal_reward([self.make_traj(question)], scope) == [0.75]
+        assert terminal_reward(self.make_traj(question), scope) == 0.75
 
     def test_unparseable_samples_leave_own_vote_only(self, question):
         backend = self.consistency_backend(question, ["mumble", "''", "no label"])
         cfg = SearchConfig(n_consistency_samples=3)
         scope = Scope(question, cfg, backend)
-        assert terminal_reward([self.make_traj(question)], scope) == [0.25]
+        assert terminal_reward(self.make_traj(question), scope) == 0.25
+        assert scope.votes == {self.root_a2(scope).prompt: (None, None, None)}
 
     def root_a2(self, scope):
         return action_request(A.A2, Trajectory(scope.question), scope.prompts,
@@ -368,23 +378,24 @@ class TestTerminalReward:
                  for label, text in (("A", "alpha therapy"), ("B", "beta therapy"),
                                      ("C", "gamma therapy"))]
         scope = Scope(question, SearchConfig(n_consistency_samples=3), recording)
-        assert terminal_reward(trajs, scope) == [0.75, 0.5, 0.25]
+        assert [terminal_reward(traj, scope) for traj in trajs] == [0.75, 0.5, 0.25]
         prompt = self.root_a2(scope).prompt
         assert [(r.purpose, r.prompt, r.n_samples) for r in recording.call_log()] == [
             ("consistency", prompt, 3)]
-        assert scope.votes == {prompt: tuple(samples)}
+        assert scope.votes == {prompt: ("A", "B", "A")}
 
     def test_a_vote_is_drawn_once_and_read_by_every_later_reward(self, question):
         samples = [f"The answer is {label} (sample {i})." for i, label in enumerate("BCB")]
         recording = RecordingBackend(self.consistency_backend(question, samples))
         scope = Scope(question, SearchConfig(n_consistency_samples=3), recording)
-        assert terminal_reward([self.make_traj(question)], scope) == [0.75]
+        assert terminal_reward(self.make_traj(question), scope) == 0.75
         later = self.make_traj(question, "C", "gamma therapy")
-        assert terminal_reward([later], scope) == [0.5]
-        assert terminal_reward([later, self.make_traj(question)], scope) == [0.5, 0.75]
+        assert terminal_reward(later, scope) == 0.5
+        assert [terminal_reward(later, scope), terminal_reward(self.make_traj(question), scope),
+                terminal_reward(self.make_traj(question, "A"), scope)] == [0.5, 0.75, 0.25]
         assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
             ("consistency", 3)]
-        assert scope.votes == {self.root_a2(scope).prompt: tuple(samples)}
+        assert scope.votes == {self.root_a2(scope).prompt: ("B", "C", "B")}
 
     def test_a_vote_drawn_with_an_a2_step_sends_no_reward_request(self, question):
         samples = [f"The answer is {label} (sample {i})." for i, label in enumerate("BBCB")]
@@ -395,13 +406,13 @@ class TestTerminalReward:
         children = execute_action(A.A2, Trajectory(question), scope,
                                   purpose="consistency", votes=True)
         assert [child.final_answer for child in children] == ["B"]
-        assert scope.votes == {self.root_a2(scope).prompt: tuple(samples[1:])}
-        assert terminal_reward(children, scope) == [0.75]
+        assert scope.votes == {self.root_a2(scope).prompt: ("B", "C", "B")}
+        assert terminal_reward(children[0], scope) == 0.75
         # a context with a vote draws only its children
         execute_action(A.A2, Trajectory(question), scope, purpose="consistency", votes=True)
         assert [(r.purpose, r.n_samples) for r in recording.call_log()] == [
             ("consistency", 1 + 3), ("consistency", 1)]
-        assert scope.votes == {self.root_a2(scope).prompt: tuple(samples[1:])}
+        assert scope.votes == {self.root_a2(scope).prompt: ("B", "C", "B")}
 
 
 class TestBackpropagate:
@@ -601,18 +612,35 @@ class _TaggingBackend(LmBackend):
         return dataclasses.replace(resp, completions=tuple(tagged))
 
 
+class _Reads(dict):
+    """A dict that lists every key looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up = []
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.looked_up.append(key)
+        return super().__getitem__(key)
+
+
 class TestVoteFold:
-    """A context's vote is ``n`` samples of its A2 consistency request, drawn
-    at most once per question, with an A2 step there or else by the first
-    reward, and read by every candidate that ends at the context."""
+    """A context's vote is the answers of ``n`` samples of its A2
+    consistency request, drawn at most once per question, with an A2 step
+    there or else by the first reward, and counted by every candidate that
+    ends at the context."""
 
     @pytest.mark.parametrize("children", [1, 2])
     @pytest.mark.parametrize("preset", ["rstar", "rstar+a6", "rstar+a7", "rare"])
     def test_each_candidate_gets_n_votes_of_its_own_consistency_request(
             self, monkeypatch, index, preset, children):
-        real_reward, real_extract = rare.mcts.terminal_reward, rare.mcts.extract_answer
-        read = []  # vote texts the current terminal_reward call reads
-        vote_of = {}  # (question id, A2 prompt) -> numbers of the samples its rewards read
+        real_reward, real_keep = rare.mcts.terminal_reward, Scope.keep_vote
+        vote_of = {}  # (question id, A2 prompt) -> the sample texts kept as its vote
+        read = set()  # the (question id, A2 prompt) of every vote a reward counted
         first = [0]  # where the current question's requests start in the log
         n = 3  # the default n_consistency_samples
 
@@ -626,37 +654,45 @@ class TestVoteFold:
                     if r.purpose == "consistency" and r.prompt == prompt
                     and r.n_samples > children]
 
-        def extract(text, q):
-            read.append(text)
-            return real_extract(text, q)
+        def keep_vote(scope, prompt, samples):
+            key = (scope.question.id, prompt)
+            assert key not in vote_of  # drawn at most once per question
+            vote_of[key] = tuple(samples)
+            # n samples, the last n of one request of the context's A2 prompt
+            mine = [number(text) for text in samples]
+            assert len(mine) == n
+            req = tagged.origin[mine[0]]
+            assert [i for i, r in enumerate(tagged.origin) if r is req][-n:] == mine
+            want = action_request(A.A2, Trajectory(scope.question), scope.prompts,
+                                  "consistency", n)
+            assert (req.purpose_tag, req.prompt, req.temperature, req.stop_sequences) == (
+                want.purpose_tag, prompt, want.temperature, want.stop_sequences)
+            vote = real_keep(scope, prompt, samples)
+            assert vote == labels(samples, scope.question)
+            return vote
 
-        def reward(trajs, scope):
-            want = action_request(A.A2, Trajectory(trajs[0].question, trajs[0].steps[:-1]),
+        def reward(traj, scope):
+            want = action_request(A.A2, Trajectory(traj.question, traj.steps[:-1]),
                                   scope.prompts, "consistency", n)
             key = (scope.question.id, want.prompt)
-            had_vote = bool(voting(want.prompt))
+            had_vote = key in vote_of
+            assert had_vote == bool(voting(want.prompt))
             calls = len(recording.call_log())
-            read.clear()
-            rewards = real_reward(trajs, scope)
+            scope.votes.looked_up.clear()
+            got = real_reward(traj, scope)
             # a request exactly when the context has no vote yet
             assert len(recording.call_log()) - calls == (not had_vote)
-            # n votes, all of one request of the context's consistency prompt
-            mine = tuple(number(text) for text in read)
-            assert len(mine) == n
-            assert len({id(tagged.origin[i]) for i in mine}) == 1
-            req = tagged.origin[mine[0]]
-            assert (req.purpose_tag, req.prompt, req.temperature, req.stop_sequences) == (
-                want.purpose_tag, want.prompt, want.temperature, want.stop_sequences)
-            # every candidate of the context reads the same votes
-            assert vote_of.setdefault(key, mine) == mine
-            for traj, got in zip(trajs, rewards):
-                agree = sum(real_extract(text, traj.question) == traj.final_answer
-                            for text in read)
-                assert got == (1 + agree) / (n + 1)
-            return rewards
+            # the reward counts its context's vote, the answers of those n samples
+            assert scope.votes.looked_up == [want.prompt]
+            assert scope.votes[want.prompt] == labels(vote_of[key], scope.question)
+            agree = sum(extract_answer(text, traj.question) == traj.final_answer
+                        for text in vote_of[key])
+            assert got == (1 + agree) / (n + 1)
+            read.add(key)
+            return got
 
         monkeypatch.setattr(rare.mcts, "terminal_reward", reward)
-        monkeypatch.setattr(rare.mcts, "extract_answer", extract)
+        monkeypatch.setattr(Scope, "keep_vote", keep_vote)
         questions, scripted = build_eval_fixture(6, 4)
         cfg = apply_preset(SearchConfig(rollouts=16, children_per_action=children), preset)
         assert cfg.n_consistency_samples == n
@@ -666,34 +702,36 @@ class TestVoteFold:
         for q in questions:
             first[0] = len(recording.call_log())
             tree = tree_for(q, cfg, recording, index)
+            tree.scope.votes = _Reads()
             run_search(tree)
             candidates += len(tree.candidates)
-            voted = {prompt for qid, prompt in vote_of if qid == q.id}
+            kept = {prompt for qid, prompt in vote_of if qid == q.id}
             for traj in tree.candidates.values():
                 context = Trajectory(q, traj.steps[:-1])
                 prompt = action_request(A.A2, context, tree.scope.prompts, "consistency", n).prompt
-                assert (q.id, prompt) in vote_of
+                assert (q.id, prompt) in read
             # one request per question draws the vote of each context a reward
-            # reads, and none draws a vote no reward reads
+            # counts, and none draws a vote no reward counts
+            assert kept == {prompt for qid, prompt in read if qid == q.id}
             for prompt in {r.prompt for r in recording.call_log()[first[0]:]
                            if r.purpose == "consistency"}:
-                assert len(voting(prompt)) == (prompt in voted)
+                assert len(voting(prompt)) == (prompt in kept)
             # no vote is a tree step
             steps = {number(step.output) for node in tree.nodes for step in node.ctx.steps}
             steps.update(number(step.output) for traj in tree.candidates.values()
                          for step in traj.steps)
-            assert not steps & {i for (qid, _), mine in vote_of.items() if qid == q.id
-                                for i in mine}
+            assert not steps & {number(text) for (qid, _), texts in vote_of.items()
+                                if qid == q.id for text in texts}
         assert candidates
         # some votes were drawn with A2 steps, after them in the same request
-        assert any(tagged.origin[mine[0]].n_samples > n for mine in vote_of.values())
+        assert any(tagged.origin[number(texts[0])].n_samples > n for texts in vote_of.values())
 
     def test_no_sample_is_two_tree_steps_or_a_step_and_a_vote(self, monkeypatch, index):
         """Over the golden runs, each sampled completion is numbered: none
-        becomes a tree step twice, and no step is read as a vote."""
+        becomes a tree step twice, and no step is kept as a vote."""
         real_expand, real_simulate = rare.mcts.expand, rare.mcts.simulate
-        real_extract = rare.mcts.extract_answer
-        tree_steps, simulated, read = [], set(), set()
+        real_keep = Scope.keep_vote
+        tree_steps, simulated, votes = [], set(), set()
         run = [0]
 
         def tag(text):
@@ -709,13 +747,13 @@ class TestVoteFold:
             simulated.update(tag(step.output) for step in traj.steps[len(node.ctx.steps):])
             return traj
 
-        def extract(text, q):  # rare.mcts reads only votes with it
-            read.add(tag(text))
-            return real_extract(text, q)
+        def keep_vote(scope, prompt, samples):
+            votes.update(tag(text) for text in samples)
+            return real_keep(scope, prompt, samples)
 
         monkeypatch.setattr(rare.mcts, "expand", expand)
         monkeypatch.setattr(rare.mcts, "simulate", simulate)
-        monkeypatch.setattr(rare.mcts, "extract_answer", extract)
+        monkeypatch.setattr(Scope, "keep_vote", keep_vote)
         for method, cfg in _runs():
             if method in ("rstar", "rare"):
                 run[0] += 1
@@ -725,4 +763,5 @@ class TestVoteFold:
                 assert all(record.error is None for record in report.records)
         assert len(set(tree_steps)) == len(tree_steps)
         assert set(tree_steps) & simulated  # expansions took simulated steps
-        assert not (set(tree_steps) | simulated) & read
+        assert votes
+        assert not (set(tree_steps) | simulated) & votes

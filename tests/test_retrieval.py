@@ -240,6 +240,21 @@ class TestSnippet:
         assert body[len(snippet)] == " "
 
 
+_ran = []  # what a crafted index file's code left behind
+
+
+def _run_code():
+    _ran.append("code ran")
+    return 5
+
+
+class _Exploit:
+    """Pickles as a call of ``_run_code``, as a file that runs code on load does."""
+
+    def __reduce__(self):
+        return _run_code, ()
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         docs = synthetic_corpus(n_docs=20, seed=3)
@@ -269,12 +284,18 @@ class TestPersistence:
         pickle.dumps({"format": 1, "corpus_hash": "x", "index": 5}),
         # a protocol-5 BYTEARRAY8 opcode whose length overflows a C ssize_t
         b"\x80\x05\x96" + (2**63).to_bytes(8, "little"),
-    ], ids=["empty", "jsonl", "truncated", "not_an_index", "length_overflow"])
+        # files that would run code as they load, alone or beside an index
+        pickle.dumps({"format": 1, "index": _Exploit()}),
+        pickle.dumps({"format": 1, "index": build_index([Document("d", "", "body")]),
+                      "extra": _Exploit()}),
+    ], ids=["empty", "jsonl", "truncated", "not_an_index", "length_overflow", "runs_code",
+            "runs_code_beside_an_index"])
     def test_load_rejects_malformed_file(self, tmp_path, content):
         path = tmp_path / "bad.bin"
         path.write_bytes(content)
         with pytest.raises(CorpusError, match="bad.bin"):
             load_index(str(path))
+        assert _ran == []
 
     def test_load_rejects_junk(self, tmp_path):
         path = tmp_path / "junk.bin"

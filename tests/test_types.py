@@ -3,7 +3,7 @@ import functools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import option_text, question_to_record
 from rare.errors import CorpusError, DatasetError, ValidationError
@@ -126,6 +126,23 @@ class TestDatasetNormalization:
         assert q.gold_label == "B"
         assert option_text(q, "B") == "second"
 
+    def test_numeric_answer_matches_a_key_by_value(self):
+        for answer, gold in (("1", "A"), (2, "B"), (" 02 ", "B"), ("\u0661", "A"), ("b", "B")):
+            q = question_from_record({"id": "x", "question": "pick one",
+                                      "options": {"02": "second", "01": "first"},
+                                      "answer": answer})
+            assert q.options == (("A", "first"), ("B", "second"))
+            assert q.gold_label == gold
+
+    @pytest.mark.parametrize("options", [{"\u00b2": "x", "\u00b3": "y"},
+                                         {str(i): "x" for i in range(1, 7)}])
+    def test_keys_that_name_no_label_are_refused(self, options):
+        # a superscript digit is a digit but not a decimal; six numbers are
+        # more options than there are labels
+        with pytest.raises(ValidationError):
+            question_from_record({"id": "x", "question": "pick", "options": options,
+                                  "answer": "1"})
+
     def test_yes_no_answer_becomes_two_options(self):
         q = question_from_record({"id": "s1", "question": "Is it so?", "answer": "no"})
         assert q.options == (("A", "yes"), ("B", "no"))
@@ -193,6 +210,86 @@ class TestDatasetNormalization:
     def test_non_object_record_rejected(self, record):
         with pytest.raises(ValidationError, match="not a JSON object"):
             question_from_record(record)
+
+
+# decimal digits of other scripts: Arabic-Indic, Devanagari and fullwidth zeros
+_ZEROS = (0x0660, 0x0966, 0xFF10)
+
+
+@st.composite
+def number_spellings(draw, value):
+    """``value`` as a record may write it: a JSON number, or text with zero
+    padding, surrounding spaces and the digits of any script."""
+    if draw(st.booleans()):
+        return value
+    text = "0" * draw(st.integers(0, 3)) + str(value)
+    zero = draw(st.sampled_from((ord("0"),) + _ZEROS))
+    text = "".join(chr(zero + int(d)) for d in text)
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def letter_spellings(draw, letter):
+    text = draw(st.sampled_from([letter, letter.lower()]))
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def option_sets(draw):
+    """(options as a record writes them, each key's number or letter)."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        names = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+        keys = [str(draw(number_spellings(v))) for v in names]
+    else:
+        names = list("ABCDE"[:n])
+        if draw(st.booleans()):
+            names = draw(st.permutations(names))
+        keys = [draw(letter_spellings(letter)) for letter in names]
+    options = [[key, f"text {i}"] for i, key in enumerate(keys)]
+    return (options if draw(st.booleans()) else dict(options)), names
+
+
+_KEYS = st.sampled_from(["1", "01", " 1", "2", "02", "7", "\u00b2", "\u0663", "\uff11", "a",
+                         "A", "b", "B", "", "1.5", "-1", "\u216b", "yes"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_TEXT = st.text(max_size=4) | st.integers()
+
+
+class TestDatasetProperties:
+    @given(option_sets(), st.data())
+    def test_every_spelling_of_a_key_names_that_key(self, option_set, data):
+        options, names = option_set
+        record = {"id": "x", "question": "pick", "options": options}
+        try:
+            question_from_record(record)
+        except ValidationError:
+            return  # a set the loader refuses
+        numeric = isinstance(names[0], int)
+        for i, name in enumerate(names):
+            spellings = [data.draw(number_spellings(name) if numeric else letter_spellings(name))]
+            if numeric:  # and the letter a number becomes, "A" for the least
+                spellings.append(data.draw(letter_spellings("ABCDE"[sorted(names).index(name)])))
+            for answer in spellings:
+                q = question_from_record({**record, "answer": answer})
+                assert dict(q.options)[q.gold_label] == f"text {i}"
+
+    @given(st.fixed_dictionaries(
+        {"id": _TEXT, "question": _TEXT},
+        optional={"options": st.dictionaries(_KEYS, _TEXT, max_size=7)
+                  | st.lists(st.tuples(_KEYS, _TEXT).map(list), max_size=7) | _JSON,
+                  "answer": _KEYS | _JSON, "domain": _JSON}) | _JSON)
+    @example({"id": "x", "question": "q?", "options": {"\u00b2": "x", "\u00b3": "y"},
+              "answer": "\u00b2"})
+    def test_a_record_is_accepted_or_refused_with_a_validation_error(self, record):
+        try:
+            question_from_record(record)
+        except (ValidationError, DatasetError):
+            pass
 
 
 # (records loaded from a path, error class, line prefix, a good line, a line

@@ -3,7 +3,7 @@ parent revision and in the working tree.
 
 Run from the repository root:
 
-    python3 tools/bench_calls.py --topic shared_votes --parent HEAD --seed 5
+    python3 tools/bench_calls.py --topic one_reward_path --parent HEAD --seed 5
 
 For the inputs of the ``tree-cpu`` and ``tree-wait`` workloads of
 ``perfbench/run.py`` (generated at ``--seed`` by ``perfbench/inputs.generate``,
@@ -15,13 +15,13 @@ per evaluated question, the calls, prompt tokens and completion tokens the
 scripted backend received, in total and by purpose; the vote samples
 drawn (``votes_drawn``: those action requests drew with their steps into
 ``scope.votes``, and every sample the rewards' own requests drew); the
-samples left in ``scope.votes`` when the question ended under an A2 prompt
+votes left in ``scope.votes`` when the question ended under an A2 prompt
 that no reward looked up (``unread_votes``); and the step samples
 expansions took from those simulations had drawn instead of requesting
-them (``reused_steps``). A revision whose rewards take their votes out of
-``scope.votes`` leaves only unread ones there, but those under a prompt a
-reward looked up are not counted. Each side runs in its own process on the
-parent exported with ``git archive`` and on the working tree.
+them (``reused_steps``). A vote in ``scope.votes`` has one entry per
+sample, whether a revision keeps the samples or their answer labels. Each
+side runs in its own process on the parent exported with ``git archive``
+and on the working tree.
 
 ``BENCH_<topic>.json`` (``--topic``, default ``vote_fold``) gets the rows
 under ``calls``; other keys of the file, such as those
@@ -87,13 +87,15 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
             drawn[0] += held(scope, "votes") - votes
             reused[0] += max(0, steps - held(scope, "steps"))
 
-    def rewarded(trajs, scope):
-        context = Trajectory(trajs[0].question, trajs[0].steps[:-1])
+    def rewarded(traj, scope):
+        # a revision before per-candidate rewards passes a list of one context
+        first = traj[0] if isinstance(traj, list) else traj
+        context = Trajectory(first.question, first.steps[:-1])
         looked_up.add((id(scope), rare.mcts.action_request(
             ActionKind.A2, context, scope.prompts, "consistency", 1).prompt))
         before = samples[0]
         try:
-            return terminal_reward(trajs, scope)
+            return terminal_reward(traj, scope)
         finally:  # every sample a reward's own request draws is a vote
             drawn[0] += samples[0] - before
 
