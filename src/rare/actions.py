@@ -4,14 +4,16 @@ Every action acts at the end of a ``Trajectory`` and returns it extended by
 one step. ``ACTION_SPECS`` holds one spec per action (template, prompt
 fields, parser, stop sequences, terminal rule). ``action_request`` turns any
 of them into the request that actions, consistency rewards and baselines
-send; A6 and A7 first retrieve documents. ``_NEXT_ACTIONS`` is the
-transition table: the actions legal after each kind of last step (``None``
-for the root), always intersected with the enabled-action set. A5's
-rephrased question is used from then on. A2 and A6 end a trajectory by
-construction; an A3 whose sub-question begins with the answer-now marker
-ends it too; any other step ends it when its output contains an extractable
-final answer. Once the sub-question chain reaches the configured cap, only
-A2 remains, which bounds trajectory depth.
+send; A6 and A7 first retrieve documents. ``action_requests`` runs an
+action as a generator of its requests, so that the search can send several
+actions' requests as one wave; ``execute_action`` sends them in turn.
+``_NEXT_ACTIONS`` is the transition table: the actions legal after each
+kind of last step (``None`` for the root), always intersected with the
+enabled-action set. A5's rephrased question is used from then on. A2 and A6
+end a trajectory by construction; an A3 whose sub-question begins with the
+answer-now marker ends it too; any other step ends it when its output
+contains an extractable final answer. Once the sub-question chain reaches
+the configured cap, only A2 remains, which bounds trajectory depth.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import string
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Literal, Sequence
+from typing import Callable, Generator, Literal, Sequence
 
 from .errors import NoViableChildError, ValidationError
-from .lm import LmBackend, LmRequest, LmResponse, request_for
+from .lm import LmBackend, LmRequest, LmResponse, request_for, settled
 from .retrieval import RetrievalIndex, search
 from .types import (RETRIEVAL_ACTIONS, ActionKind, ActionStep, DocumentRef, Question,
                     SearchConfig, Trajectory, derive_seed)
@@ -124,11 +126,11 @@ class Scope(LmBackend):
 
     ``votes`` maps an A2 prompt to its context's self-consistency vote: the
     answer labels (or None) of ``n_consistency_samples`` samples of it, drawn
-    at most once per question, by ``execute_action`` or ``terminal_reward``,
+    at most once per question, by ``action_requests`` or ``terminal_reward``,
     and counted by every reward at that context. ``steps``
     maps an action prompt to the step samples of it that simulations drew
-    and no expansion has taken yet, oldest first; ``execute_action`` adds to
-    it and takes from its front. A sample of a prompt is one whoever drew
+    and no expansion has taken yet, oldest first; ``action_requests`` adds
+    to it and takes from its front. A sample of a prompt is one whoever drew
     it, so both maps are keyed by prompt alone."""
 
     def __init__(self, question: Question, cfg: SearchConfig, backend: LmBackend,
@@ -144,13 +146,31 @@ class Scope(LmBackend):
         self.steps: dict[str, list[str]] = {}
         self._greedy: dict[LmRequest, LmResponse] = {}
 
-    def complete(self, req: LmRequest) -> LmResponse:
+    def complete(self, req: LmRequest, sent=None) -> LmResponse:
         if req.temperature != 0:
-            return super().complete(req)
+            return super().complete(req, sent)
         resp = self._greedy.get(req)
         if resp is None:
-            resp = self._greedy[req] = super().complete(req)
+            resp = self._greedy[req] = super().complete(req, sent)
         return resp
+
+    def _send_many(self, reqs: Sequence[LmRequest]) -> list[Callable[[], LmResponse] | None]:
+        """Each distinct miss is sent once, through the backend's
+        ``settle_many``; ``complete`` then books here, in order, each that
+        arrived. A greedy request the memo holds is not sent."""
+        misses: list[LmRequest] = []
+        position: list[int | None] = []  # each request's miss, or None for a memo hit
+        for req in reqs:
+            if req.temperature == 0 and req in self._greedy:
+                position.append(None)
+            elif req.temperature == 0 and req in misses:
+                position.append(misses.index(req))
+            else:
+                position.append(len(misses))
+                misses.append(req)
+        outcomes = self.backend.settle_many(misses) if misses else []
+        return [None if i is None else functools.partial(settled, outcomes[i])
+                for i in position]
 
     def _complete(self, req: LmRequest) -> LmResponse:
         # looked up on every call: a tracer may replace it on the instance
@@ -379,19 +399,6 @@ def action_request(kind: ActionKind, ctx: Trajectory, prompts: PromptLibrary,
                        stop_sequences=ACTION_SPECS[kind].stop)
 
 
-def _queries(kind: ActionKind, ctx: Trajectory, scope: Scope) -> list[str]:
-    """Retrieval queries: A6 generates its own, A7 uses the pending sub-question."""
-    if kind == ActionKind.A7:
-        return [ctx.pending_sub_question]
-    prompt = scope.prompts.render(ActionKind.A6, question=ctx.question_text())
-    resp = scope.complete(request_for("query_gen", prompt, 1,
-                                      stop_sequences=("\nQuestion 3",)))
-    queries = parse_queries(resp.completions[0], scope.cfg.queries_per_call)
-    if not queries:
-        raise NoViableChildError("A6 query generation produced no queries")
-    return queries
-
-
 def children_of(kind: ActionKind, ctx: Trajectory, completions: Sequence[str],
               retrieved: tuple[DocumentRef, ...], queries: tuple[str, ...]) -> list[Trajectory]:
     """``ctx`` extended by the step each usable completion gives, in order."""
@@ -419,13 +426,32 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
                    votes: bool = False,
                    simulated: bool = False) -> list[Trajectory]:
     """Sample one action at the end of ``ctx`` and return the child
-    trajectories.
+    trajectories: ``action_requests``, each request sent by ``scope.complete``.
+    Backend failures propagate."""
+    run = action_requests(kind, ctx, scope, n_outcomes, purpose, votes, simulated)
+    try:
+        req = next(run)
+        while True:
+            req = run.send(scope.complete(req))
+    except StopIteration as done:
+        return done.value
+
+
+def action_requests(kind: ActionKind, ctx: Trajectory, scope: Scope,
+                    n_outcomes: int | None = None, purpose: str = "action_gen",
+                    votes: bool = False, simulated: bool = False,
+                    ) -> Generator[LmRequest, LmResponse, list[Trajectory]]:
+    """One action at the end of ``ctx``, as a generator that sends nothing:
+    it yields each request in turn, is sent its response, and returns the
+    children.
 
     Returns up to ``n_outcomes`` (default ``cfg.children_per_action``)
     children, each ``ctx`` extended by one step and, when the step ends the
     trajectory, its answer; unparseable samples are discarded and an empty
-    harvest raises NoViableChildError. Backend failures propagate. A6 and
-    A7 need ``scope.index``; A4 and A7 need ``ctx.pending_sub_question``.
+    harvest raises NoViableChildError. A6 and A7 need ``scope.index`` and
+    search first: A6 the queries its ``query_gen`` request gives (yielded
+    unless the scope's memo answers it), A7 ``ctx.pending_sub_question``,
+    which A4 needs too.
 
     The samples are taken from the front of ``scope.steps`` under the
     step's prompt, and one request under ``purpose`` draws the shortfall. A
@@ -440,19 +466,28 @@ def execute_action(kind: ActionKind, ctx: Trajectory, scope: Scope,
     n = n_outcomes if n_outcomes is not None else cfg.children_per_action
     queries: tuple[str, ...] = ()
     retrieved: tuple[DocumentRef, ...] = ()
+    if kind == ActionKind.A6:
+        prompt = scope.prompts.render(ActionKind.A6, question=ctx.question_text())
+        req = request_for("query_gen", prompt, 1, stop_sequences=("\nQuestion 3",))
+        resp = scope._greedy.get(req) or (yield req)  # a remembered one is not yielded
+        queries = tuple(parse_queries(resp.completions[0], cfg.queries_per_call))
+        if not queries:
+            raise NoViableChildError("A6 query generation produced no queries")
+    elif kind == ActionKind.A7:
+        queries = (ctx.pending_sub_question,)
     if kind in RETRIEVAL_ACTIONS:
-        queries = tuple(_queries(kind, ctx, scope))
         retrieved = merge_hits([search(scope.index, query, cfg.retrieval_top_k, scope.hits)
                                 for query in queries], cfg.retrieval_top_k)
     prompt = action_prompt(kind, ctx, scope.prompts, render_documents(retrieved))
-    kept = [] if simulated else scope.steps.get(prompt, [])
+    # no lookup while nothing is kept: it hashes the whole prompt
+    kept = scope.steps.get(prompt, []) if scope.steps and not simulated else []
     samples = kept[:n]
     del kept[:n]
     fresh = n - len(samples)
     extra = cfg.n_consistency_samples if votes and prompt not in scope.votes else 0
     if fresh + extra:
-        drawn = scope.complete(request_for(purpose, prompt, fresh + extra,
-                                           stop_sequences=spec.stop)).completions
+        req = request_for(purpose, prompt, fresh + extra, stop_sequences=spec.stop)
+        drawn = (yield req).completions
         if extra:
             scope.keep_vote(prompt, drawn[fresh:])
         if simulated:

@@ -7,8 +7,15 @@ cost ledger counting calls and tokens per purpose. A question reaches the
 shared backend through its ``rare.actions.Scope``, which keeps the
 question's own ledger and answers its repeated greedy requests.
 
+``complete_many`` sends a wave of independent requests with their round
+trips overlapped on a shared pool, then checks and books every response on
+the caller's thread, in request order (``settle_many`` keeps each failure in
+its place instead of raising the first). The scripted backend serves a wave
+one request at a time.
+
 ``requests`` is imported only when the HTTP backend opens a session or
-posts, so importing the package and running offline never load it.
+posts, and ``concurrent.futures`` on the first overlapped wave, so
+importing the package and running offline never load them.
 
 Token counts from the scripted backend are whitespace word counts, so fixture
 authors can verify ledger totals by hand.
@@ -24,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .errors import (
     LmBackendError,
@@ -45,6 +52,11 @@ MAX_TOKENS = 1024  # completion cap that HttpBackend sends with every request
 # benchmark's tree-cpu workload reads 581 distinct lines; a full memo is
 # emptied and refills from the lines that follow.
 LINE_MEMO_SIZE = 2048
+# Threads of the pool that overlaps waves (``complete_many``), shared by
+# every backend and worker; a wave's first request stays on the caller's thread.
+WAVE_THREADS = 8
+_wave_pool = None
+_wave_lock = threading.Lock()
 
 # The endpoint's temperature drives sampling diversity; rating is greedy.
 DEFAULT_TEMPERATURES = {
@@ -110,8 +122,11 @@ class LmBackend:
         # purpose -> [calls, prompt tokens, completion tokens]
         self._per_purpose: dict[str, list[int]] = {}
 
-    def complete(self, req: LmRequest) -> LmResponse:
-        resp = self._complete(req)
+    def complete(self, req: LmRequest, sent: Callable[[], LmResponse] | None = None,
+                 ) -> LmResponse:
+        """``req``'s response, checked and booked. ``sent``, when given, returns
+        it in place of ``_complete``: a round trip ``settle_many`` started."""
+        resp = self._complete(req) if sent is None else sent()
         if len(resp.completions) != req.n_samples:
             raise MalformedReplyError(
                 f"backend returned {len(resp.completions)} completions for n={req.n_samples}"
@@ -122,6 +137,33 @@ class LmBackend:
             bucket[1] += resp.prompt_tokens
             bucket[2] += resp.completion_tokens
         return resp
+
+    def complete_many(self, reqs: Sequence[LmRequest]) -> list[LmResponse]:
+        """The responses to ``reqs``, in order: ``settle_many``, then the first
+        failure in request order, if any, is raised."""
+        return [settled(outcome) for outcome in self.settle_many(reqs)]
+
+    def settle_many(self, reqs: Sequence[LmRequest]) -> list[LmResponse | Exception]:
+        """Each request's response, or the exception it raised, in order. The
+        wave is sent at once (``_send_many``); then ``complete`` checks and
+        books each response on this thread, in order."""
+        outcomes: list[LmResponse | Exception] = []
+        for req, sent in zip(reqs, self._send_many(reqs)):
+            try:
+                outcomes.append(self.complete(req, sent=sent))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def _send_many(self, reqs: Sequence[LmRequest]) -> list[Callable[[], LmResponse] | None]:
+        """What ``complete`` waits on for each request: all but the first go to
+        the wave pool, unless this is a pool thread; the first (None) is sent
+        by ``complete`` itself, on this thread, once they are under way."""
+        sent: list[Callable[[], LmResponse] | None] = [None] * len(reqs)
+        if len(reqs) > 1 and not threading.current_thread().name.startswith("rare-wave"):
+            pool = _wave_executor()
+            sent[1:] = [pool.submit(self._complete, req).result for req in reqs[1:]]
+        return sent
 
     def snapshot_costs(self) -> CostLedger:
         with self._lock:
@@ -138,6 +180,24 @@ class LmBackend:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def settled(outcome: LmResponse | Exception) -> LmResponse:
+    """One outcome of ``settle_many``: the response, or the failure raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _wave_executor():
+    """The shared wave pool, made on the first overlapped wave."""
+    global _wave_pool
+    with _wave_lock:
+        if _wave_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _wave_pool = ThreadPoolExecutor(WAVE_THREADS, "rare-wave")
+    return _wave_pool
 
 
 @dataclass(frozen=True)
@@ -295,6 +355,10 @@ class ScriptedBackend(LmBackend):
         self._index = {purpose: _PurposeIndex(bucket) for purpose, bucket in buckets.items()}
         self._tokens = _LineMemo(count_tokens)
 
+    def _send_many(self, reqs: Sequence[LmRequest]) -> list[None]:
+        """A scripted reply has no round trip to overlap: each is served in turn."""
+        return [None] * len(reqs)
+
     def _complete(self, req: LmRequest) -> LmResponse:
         lines = req.prompt.split("\n")
         index = self._index.get(req.purpose_tag)
@@ -394,8 +458,8 @@ class HttpBackend(LmBackend):
 
     def _thread_session(self) -> requests.Session:
         """The injected session if one was given, else one session per
-        thread: ``requests.Session`` is not documented as thread-safe and
-        ``run_eval`` workers share this backend."""
+        thread: ``requests.Session`` is not documented as thread-safe, and
+        ``run_eval`` workers and the wave pool's threads share this backend."""
         if self._session is not None:
             return self._session
         session = getattr(self._local, "session", None)

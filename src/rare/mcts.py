@@ -26,7 +26,8 @@ import random
 import weakref
 from dataclasses import dataclass, field, replace
 
-from .actions import Scope, action_prompt, action_request, execute_action, valid_actions
+from .actions import (Scope, action_prompt, action_request, action_requests,
+                      execute_action, valid_actions)
 from .errors import NoCandidatesError, NoViableChildError
 from .types import ActionKind, Trajectory
 
@@ -148,25 +149,37 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     node, the only kind ``rollout`` expands. A node at the depth cap, or one
     where every action fails, is marked terminal-failed (reward 0).
 
-    Children are taken from the simulated steps first (``execute_action``),
-    so a kind served from them sends nothing. A2's request is the context's
-    consistency request, and it draws the context's vote too when nothing
-    has drawn it yet, so ``rollout``'s rewards of the children need no
-    request of their own."""
+    The legal kinds run together (``action_requests``): each wave sends
+    their next requests in kind order through ``scope.complete_many``. So
+    wave 1 holds every kind's first request (A6's query_gen, or its action
+    request when the scope remembers the query_gen) and wave 2, if any,
+    A6's action request; A6 is last, so requests go out in the order of
+    kinds run in turn. A kind served wholly from the simulated steps sends
+    nothing. A2's request is its context's consistency request and also
+    draws the context's vote when nothing has drawn it yet, so ``rollout``'s
+    rewards of the children send nothing. Children are added in kind order."""
     node.expanded = True
-    cfg = tree.scope.cfg
+    scope, cfg = tree.scope, tree.scope.cfg
     if len(node.ctx.steps) >= cfg.max_depth:
         node.terminal_failed = True
         return []
-    for kind in sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value):
-        a2 = kind == ActionKind.A2
-        try:
-            children = execute_action(kind, node.ctx, tree.scope,
-                                      purpose="consistency" if a2 else "action_gen", votes=a2)
-        except NoViableChildError:
-            continue
-        for ctx in children:
-            tree.add_node(parent=node, ctx=ctx)
+    runs = [action_requests(kind, node.ctx, scope, votes=kind == ActionKind.A2,
+                            purpose="consistency" if kind == ActionKind.A2 else "action_gen")
+            for kind in sorted(valid_actions(node.ctx, cfg), key=lambda k: k.value)]
+    found: list[list[Trajectory]] = [[] for _ in runs]
+    replies = dict.fromkeys(range(len(runs)))  # run -> the response it is sent next
+    while replies:
+        wave = {}
+        for i, resp in replies.items():
+            try:
+                wave[i] = runs[i].send(resp)
+            except StopIteration as done:
+                found[i] = done.value
+            except NoViableChildError:
+                pass
+        replies = dict(zip(wave, scope.complete_many(list(wave.values())) if wave else ()))
+    for ctx in (child for children in found for child in children):
+        tree.add_node(parent=node, ctx=ctx)
     if not node.children:
         node.terminal_failed = True
     return list(node.children)

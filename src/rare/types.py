@@ -332,9 +332,10 @@ def read_records(path: str, prefix: str, decode: Callable[[Any], T],
                     raise json.JSONDecodeError(
                         "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
                 record = decode(decoder.decode(line))
-            # the C scanner raises RecursionError on a deeply nested line
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
-                    ValidationError) as exc:
+            # the C scanner raises RecursionError on a deeply nested line, and
+            # ValueError (as UnicodeDecodeError and JSONDecodeError are) on an
+            # integer of more digits than int() converts
+            except (ValueError, RecursionError, ValidationError) as exc:
                 if strict:
                     raise error(f"{prefix}line {line_no}: {exc}") from None
                 logger.warning("%s: skipping %sline %d: %s", path, prefix, line_no, exc)

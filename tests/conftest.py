@@ -251,20 +251,25 @@ class CallRecord:
 
 
 class RecordingBackend(LmBackend):
-    """Forwards to ``inner`` and records every completed call in order, so a
-    test can check the prompts sent and the costs against the ledger."""
+    """Forwards to ``inner`` and records every completed call in the order
+    the caller issued it, so a test can check the prompts sent and the costs
+    against the ledger. A wave's round trips run on pool threads in no fixed
+    order, so calls are recorded at ``complete``, on the caller's thread."""
 
     def __init__(self, inner: LmBackend):
         super().__init__()
         self.inner = inner
         self._records: list[CallRecord] = []
 
-    def _complete(self, req: LmRequest) -> LmResponse:
-        resp = self.inner.complete(req)
+    def complete(self, req: LmRequest, sent=None) -> LmResponse:
+        resp = super().complete(req, sent)
         with self._lock:
             self._records.append(
                 CallRecord(req.purpose_tag, req.prompt, req.n_samples, resp.completions))
         return resp
+
+    def _complete(self, req: LmRequest) -> LmResponse:
+        return self.inner.complete(req)
 
     def call_log(self) -> tuple[CallRecord, ...]:
         with self._lock:

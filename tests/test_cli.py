@@ -526,7 +526,10 @@ class TestEvalCommand:
     # "\udcff" is written as the byte 0xff, which is not UTF-8
     @pytest.mark.parametrize("line", ["7", '["id", "question"]',
                                       pytest.param('{"id": "\udcff"}', id="not_utf8"),
-                                      pytest.param("[" * 200_000, id="too_deep")])
+                                      pytest.param("[" * 200_000, id="too_deep"),
+                                      # more digits than int() converts from a string
+                                      pytest.param('{"id": ' + "9" * 5000 + "}",
+                                                   id="huge_integer")])
     def test_non_object_dataset_line_fails_or_is_skipped(self, workspace, capsys, line):
         bad = workspace["dir"] / "bad.jsonl"
         good_line = workspace["dataset"].read_text().splitlines()[0]

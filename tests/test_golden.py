@@ -42,15 +42,20 @@ GOLDEN_DIGESTS = {
 
 
 class _RecordingBackend(LmBackend):
-    """Keeps each request, in call order, before forwarding it."""
+    """Keeps each request, in the order the caller issued it, before
+    forwarding it. A wave's round trips run on pool threads in no fixed
+    order, so requests are kept at ``complete``, on the caller's thread."""
 
     def __init__(self, inner: LmBackend):
         super().__init__()
         self.inner = inner
         self.requests = []
 
-    def _complete(self, req):
+    def complete(self, req, sent=None):
         self.requests.append(req)
+        return super().complete(req, sent)
+
+    def _complete(self, req):
         return self.inner.complete(req)
 
 

@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 import weakref
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -943,6 +943,151 @@ class TestScopedBackend:
         flaky.fail_next = False
         assert scope.complete(LmRequest("alpha")).completions == ("a1 x",)
         assert flaky.attempts == 2
+
+
+class _Echo(LmBackend):
+    """Replies to each request with its prompt, once ``parties`` round trips
+    are in flight at once; a prompt that starts with "fail" raises instead."""
+
+    def __init__(self, parties=1):
+        super().__init__()
+        self.barrier = threading.Barrier(parties, timeout=10)
+        self.threads = {}  # prompt -> the thread its round trip ran on
+
+    def _complete(self, req):
+        self.threads[req.prompt] = threading.current_thread()
+        self.barrier.wait()
+        if req.prompt.startswith("fail"):
+            raise TransportError(req.prompt)
+        return lm.LmResponse((req.prompt,) * req.n_samples, 1, 1)
+
+
+class TestWaves:
+    """``complete_many`` overlaps a wave's round trips and books them on the
+    caller's thread, in request order."""
+
+    def test_a_waves_round_trips_are_in_flight_at_once(self):
+        backend = _Echo(parties=4)
+        resps = backend.complete_many([LmRequest(p) for p in ("a", "b", "c", "d")])
+        assert [r.completions for r in resps] == [("a",), ("b",), ("c",), ("d",)]
+        assert backend.snapshot_costs().total_calls == 4
+        # the caller sends the first request itself, the pool the rest
+        here = threading.current_thread()
+        assert [backend.threads[p] is here for p in ("a", "b", "c", "d")] == [
+            True, False, False, False]
+
+    def test_each_response_is_booked_through_complete_on_the_callers_thread(self):
+        # as a tracer does, replace ``complete`` on the instance
+        backend = _Echo(parties=3)
+        seen = []
+        original = backend.complete
+
+        def complete(req, sent):
+            seen.append((req.prompt, threading.current_thread(), sent is None))
+            return original(req, sent)
+
+        backend.complete = complete
+        backend.complete_many([LmRequest(p) for p in ("a", "b", "c")])
+        # the first round trip is the caller's own; the others were started on the pool
+        here = threading.current_thread()
+        assert seen == [("a", here, True), ("b", here, False), ("c", here, False)]
+
+    def test_first_failure_is_raised_after_every_arrival_is_booked(self):
+        backend = _Echo(parties=4)
+        wave = [LmRequest(p) for p in ("fail first", "a", "fail second", "b")]
+        with pytest.raises(TransportError, match="^fail first$"):
+            backend.complete_many(wave)
+        assert backend.snapshot_costs().total_calls == 2
+        outcomes = backend.settle_many(wave)
+        assert [str(o) if isinstance(o, TransportError) else o.completions
+                for o in outcomes] == ["fail first", ("a",), "fail second", ("b",)]
+        assert backend.snapshot_costs().total_calls == 4
+
+    def test_scope_books_every_arrival_of_a_failed_wave(self):
+        inner = _Echo(parties=3)
+        scope = scope_over(inner)
+        wave = [LmRequest("a"), LmRequest("fail"), LmRequest("b", temperature=0.8),
+                LmRequest("fail")]
+        with pytest.raises(TransportError, match="^fail$"):
+            scope.complete_many(wave)
+        # the two equal greedy requests were sent once and share the failure
+        assert sorted(inner.threads) == ["a", "b", "fail"]
+        assert scope.snapshot_costs() == inner.snapshot_costs()
+        assert scope.snapshot_costs().total_calls == 2
+
+    def test_scripted_backend_serves_a_wave_on_the_callers_thread(self):
+        threads = []
+
+        class Watched(ScriptedBackend):
+            def _complete(self, req):
+                threads.append(threading.current_thread())
+                return super()._complete(req)
+
+        backend = Watched([ScriptEntry("action_gen", ("x",))])
+        resps = backend.complete_many([LmRequest("p"), LmRequest("q"), LmRequest("r")])
+        assert [r.completions for r in resps] == [("x",)] * 3
+        assert threads == [threading.current_thread()] * 3
+
+    def test_scope_wave_sends_each_distinct_miss_once(self):
+        inner = RecordingBackend(memo_script())
+        scope = scope_over(inner)
+        scope.complete(LmRequest("alpha"))
+        wave = [LmRequest("alpha"), LmRequest("beta"), LmRequest("gamma"),
+                LmRequest("beta"), LmRequest("gamma", temperature=0.8),
+                LmRequest("gamma", temperature=0.8)]
+        resps = scope.complete_many(wave)
+        assert [r.completions for r in resps] == [("a1 x",), ("b1",), ("c1 c2",), ("b1",),
+                                                  ("c1 c2",), ("c1 c2",)]
+        # the remembered greedy request and the repeated one are not sent again;
+        # sampled requests always are
+        assert [(r.prompt, r.n_samples) for r in inner.call_log()[1:]] == [
+            ("beta", 1), ("gamma", 1), ("gamma", 1), ("gamma", 1)]
+        assert scope.snapshot_costs() == inner.snapshot_costs()
+        assert scope.complete_many([LmRequest("beta")]) == [resps[1]]
+        assert inner.snapshot_costs().total_calls == 5
+
+    def test_http_wave_is_in_flight_at_once_and_close_closes_pool_sessions(
+            self, monkeypatch):
+        barrier = threading.Barrier(3, timeout=10)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                barrier.wait()  # answers once all three posts have arrived
+                data = chat_body(payload["messages"][0]["content"]).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        class ClosingSession(requests.Session):
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        created, closed = [], []
+        monkeypatch.setattr("requests.Session",
+                            lambda: created.append(ClosingSession()) or created[-1])
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", model="m",
+                                  timeout=20, max_attempts=1)
+            resps = backend.complete_many([LmRequest(p) for p in ("a", "b", "c")])
+            assert [r.completions for r in resps] == [("a",), ("b",), ("c",)]
+            # the caller's session and one on each of two pool threads
+            assert len(created) == 3
+            backend.close()
+            assert closed == created
+        finally:
+            server.shutdown()
+            thread.join()
+            server.server_close()
 
 
 class TestRequestFor:

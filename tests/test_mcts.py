@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import math
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -187,6 +189,32 @@ class TestExpand:
         assert len(recording.call_log()) == len(log)
         assert tree.scope.votes == {a2: ("C", "B", "B")}
         assert [t.terminal_reward for t in tree.candidates.values()] == [0.75, 0.75]
+
+    def test_an_expansions_requests_are_in_flight_at_once(self, question, backend, index):
+        # each round trip waits until all four kinds' requests are in flight
+        gate = _GatedBackend(backend, parties=4)
+        cfg = SearchConfig(enabled_actions=frozenset({A.A1, A.A2, A.A3, A.A5}))
+        tree = tree_for(question, cfg, gate, index)
+        children = expand(tree, tree.root)
+        assert [child.ctx.steps[-1].kind for child in children] == [A.A1, A.A2, A.A3, A.A5]
+        assert gate.snapshot_costs().total_calls == 4
+
+    def test_a6_query_gen_goes_in_the_first_wave_unless_remembered(self, question,
+                                                                   backend, index):
+        tree = tree_for(question, SearchConfig(), backend, index)
+        waves = []
+        complete_many = tree.scope.complete_many
+        tree.scope.complete_many = lambda reqs: (
+            waves.append([(r.purpose_tag, r.n_samples) for r in reqs]) or complete_many(reqs))
+        children = expand(tree, tree.root)
+        assert waves == [[("action_gen", 1), ("consistency", 4), ("action_gen", 1),
+                          ("action_gen", 1), ("query_gen", 1)], [("action_gen", 1)]]
+        # an A1 child keeps the question, so its A6 query_gen is remembered and
+        # A6's action request joins the first wave
+        waves.clear()
+        expand(tree, next(c for c in children if c.ctx.steps[-1].kind == A.A1))
+        assert waves == [[("action_gen", 1), ("consistency", 4), ("action_gen", 1),
+                          ("action_gen", 1)]]
 
     def test_no_viable_child_marks_terminal_failed(self, question, index):
         # every completion unparseable for the enders, empty for the rest;
@@ -592,23 +620,40 @@ class TestRunSearch:
         assert lo is not hi
 
 
+class _GatedBackend(LmBackend):
+    """Forwards to ``inner`` once ``parties`` round trips are in flight at
+    once; a round trip left waiting alone raises ``BrokenBarrierError``."""
+
+    def __init__(self, inner, parties):
+        super().__init__()
+        self.inner = inner
+        self.barrier = threading.Barrier(parties, timeout=10)
+
+    def _complete(self, req):
+        self.barrier.wait()
+        return self.inner.complete(req)
+
+
 class _TaggingBackend(LmBackend):
     """Forwards to ``inner`` and ends every sampled completion with
-    ``#<i>``, where ``origin[i]`` is the request that drew it."""
+    ``#<i>``, where ``origin[i]`` is the request that drew it. A wave's round
+    trips run on pool threads at once, so tags are handed out under a lock."""
 
     def __init__(self, inner):
         super().__init__()
         self.inner = inner
         self.origin = []
+        self._tags = threading.Lock()
 
     def _complete(self, req):
         resp = self.inner.complete(req)
         if req.temperature == 0:
             return resp
         tagged = []
-        for text in resp.completions:
-            tagged.append(f"{text} #{len(self.origin)}")
-            self.origin.append(req)
+        with self._tags:
+            for text in resp.completions:
+                tagged.append(f"{text} #{len(self.origin)}")
+                self.origin.append(req)
         return dataclasses.replace(resp, completions=tuple(tagged))
 
 
@@ -765,3 +810,22 @@ class TestVoteFold:
         assert set(tree_steps) & simulated  # expansions took simulated steps
         assert votes
         assert not (set(tree_steps) | simulated) & votes
+
+
+def test_overlapped_waves_of_many_workers_match_a_serial_run(index):
+    # more workers than cores send waves to the shared pool while the
+    # interpreter switches threads as often as it can: no booking is lost
+    cfg = apply_preset(SearchConfig(rollouts=8), "rare")
+    questions, scripted = build_eval_fixture(6, 4)
+    serial = run_eval(questions, "rare", scripted, index, cfg, workers=1)
+    questions, scripted = build_eval_fixture(6, 4)
+    shared = _GatedBackend(scripted, parties=1)  # forwards; waves overlap on the pool
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_eval(questions, "rare", shared, index, cfg, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.records == serial.records
+    assert shared.snapshot_costs() == scripted.snapshot_costs()
+    assert shared.snapshot_costs().total_calls == sum(r.calls_used for r in report.records)

@@ -12,16 +12,16 @@ it evaluates the subset with ``rare.harness.run_eval`` on one worker, with
 no LM wait: ``cot``, ``sc`` and ``rag`` once, and ``rstar`` and ``rare``
 (each under its ablation preset) at rollouts 4, 8 and 16. Each row counts,
 per evaluated question, the calls, prompt tokens and completion tokens the
-scripted backend received, in total and by purpose; the vote samples
-drawn (``votes_drawn``: those action requests drew with their steps into
-``scope.votes``, and every sample the rewards' own requests drew); the
-votes left in ``scope.votes`` when the question ended under an A2 prompt
-that no reward looked up (``unread_votes``); and the step samples
-expansions took from those simulations had drawn instead of requesting
-them (``reused_steps``). A vote in ``scope.votes`` has one entry per
-sample, whether a revision keeps the samples or their answer labels. Each
-side runs in its own process on the parent exported with ``git archive``
-and on the working tree.
+scripted backend received, in total and by purpose; the waits a live
+endpoint would cost (``waits``: one per single request and one per wave
+that reaches the backend); the vote samples drawn
+(``votes_drawn``: every sample ``Scope.keep_vote`` keeps); the votes left
+in ``scope.votes`` when the question ended under an A2 prompt that no
+reward looked up (``unread_votes``); and the step samples expansions took
+from those simulations had drawn instead of requesting them
+(``reused_steps``: the samples ``scope.steps`` loses during ``expand``,
+which only takes from it). Each side runs in its own process on the
+parent exported with ``git archive`` and on the working tree.
 
 ``BENCH_<topic>.json`` (``--topic``, default ``vote_fold``) gets the rows
 under ``calls``; other keys of the file, such as those
@@ -32,7 +32,6 @@ question of any row.
 
 from __future__ import annotations
 
-import inspect
 import sys
 from pathlib import Path
 
@@ -59,7 +58,7 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
     index = build_index([document_from_record(r) for r in data.corpus])
 
     scopes = []
-    drawn, reused, samples = [0], [0], [0]
+    drawn, reused, waits = [0], [0], [0]
     looked_up: set[tuple[int, str]] = set()  # (scope id, A2 prompt) a reward looked up
 
     class KeptScope(rare.harness.Scope):
@@ -67,46 +66,51 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
             super().__init__(*args, **kwargs)
             scopes.append(self)
 
+        def keep_vote(self, prompt, samples):
+            drawn[0] += len(samples)
+            return super().keep_vote(prompt, samples)
+
     class CountingBackend(ScriptedBackend):
-        def _complete(self, req):
-            samples[0] += req.n_samples
-            return super()._complete(req)
+        in_wave = False
 
-    execute_action, terminal_reward = rare.mcts.execute_action, rare.mcts.terminal_reward
-    signature = inspect.signature(execute_action)
+        def complete(self, req, *args, **kwargs):
+            waits[0] += not self.in_wave
+            return super().complete(req, *args, **kwargs)
 
-    def held(scope, name: str) -> int:
-        return sum(len(v) for v in getattr(scope, name, {}).values())
+        def settle_many(self, reqs):  # how a question's scope sends a wave
+            waits[0] += 1
+            self.in_wave = True
+            try:
+                return super().settle_many(reqs)
+            finally:
+                self.in_wave = False
 
-    def counted(*args, **kwargs):
-        scope = signature.bind(*args, **kwargs).arguments["scope"]
-        votes, steps = held(scope, "votes"), held(scope, "steps")
+    expand, terminal_reward = rare.mcts.expand, rare.mcts.terminal_reward
+
+    def held_steps(scope) -> int:
+        return sum(len(v) for v in scope.steps.values())
+
+    def counted(tree, node):
+        before = held_steps(tree.scope)
         try:
-            return execute_action(*args, **kwargs)
-        finally:  # a call draws votes and either takes steps or keeps them
-            drawn[0] += held(scope, "votes") - votes
-            reused[0] += max(0, steps - held(scope, "steps"))
+            return expand(tree, node)
+        finally:  # an expansion only takes steps
+            reused[0] += before - held_steps(tree.scope)
 
     def rewarded(traj, scope):
-        # a revision before per-candidate rewards passes a list of one context
-        first = traj[0] if isinstance(traj, list) else traj
-        context = Trajectory(first.question, first.steps[:-1])
+        context = Trajectory(traj.question, traj.steps[:-1])
         looked_up.add((id(scope), rare.mcts.action_request(
             ActionKind.A2, context, scope.prompts, "consistency", 1).prompt))
-        before = samples[0]
-        try:
-            return terminal_reward(traj, scope)
-        finally:  # every sample a reward's own request draws is a vote
-            drawn[0] += samples[0] - before
+        return terminal_reward(traj, scope)
 
     rare.harness.Scope = KeptScope
-    rare.mcts.execute_action = counted
+    rare.mcts.expand = counted
     rare.mcts.terminal_reward = rewarded
     rows = {}
     for method, rollouts in ROWS:
         scopes.clear()
         looked_up.clear()
-        drawn[0] = reused[0] = 0
+        drawn[0] = reused[0] = waits[0] = 0
         cfg = SearchConfig(rollouts=rollouts or 8)
         if method not in BASELINE_METHODS:
             cfg = apply_preset(cfg, method)
@@ -127,6 +131,7 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
                                      "completion_tokens": completion / n}
                            for purpose, (calls, prompt, completion)
                            in sorted(costs.per_purpose.items())},
+            "waits_per_q": waits[0] / n,
             "votes_drawn_per_q": drawn[0] / n,
             "unread_votes_per_q": unread / n,
             "reused_steps_per_q": reused[0] / n,
@@ -159,14 +164,16 @@ def main(argv: list[str] | None = None) -> int:
                 "same_labels": same_labels,
                 "relative_change": {
                     key: relative(p[key], c[key]) for key in
-                    ("lm_calls_per_q", "prompt_tokens_per_q", "completion_tokens_per_q")},
+                    ("lm_calls_per_q", "waits_per_q", "prompt_tokens_per_q",
+                     "completion_tokens_per_q")},
                 "unread_share_of_drawn": (c["unread_votes_per_q"] / c["votes_drawn_per_q"]
                                           if c["votes_drawn_per_q"] else 0.0),
                 "parent": p,
                 "change": c,
             }
             print(f"{workload} {name}: {p['lm_calls_per_q']:.3f} -> "
-                  f"{c['lm_calls_per_q']:.3f} calls and {p['votes_drawn_per_q']:.3f} -> "
+                  f"{c['lm_calls_per_q']:.3f} calls, {p['waits_per_q']:.3f} -> "
+                  f"{c['waits_per_q']:.3f} waits and {p['votes_drawn_per_q']:.3f} -> "
                   f"{c['votes_drawn_per_q']:.3f} votes drawn per question, "
                   f"{c['unread_votes_per_q']:.3f} unread", file=sys.stderr)
         results[workload] = {"questions": change["questions"], "rows": rows}
@@ -177,7 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python3 tools/bench_calls.py --topic {args.topic} "
                    f"--parent {args.parent} --seed {args.seed}",
         "what": "per evaluated question, one worker, the workload's inputs without its LM "
-                "wait: LM calls, prompt and completion tokens (total and by purpose), vote "
+                "wait: LM calls, waits (one per single request or wave that reaches the "
+                "backend), prompt and completion tokens (total and by purpose), vote "
                 "samples drawn, vote samples under an A2 prompt no reward looked up, and "
                 "step samples expansions took from simulations; baselines do not depend on "
                 "the rollout count",
