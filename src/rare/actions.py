@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Generator, Literal, Sequence
 
 from .errors import NoViableChildError, ValidationError
-from .lm import LmBackend, LmRequest, LmResponse, request_for, settled
+from .lm import Ledger, LmBackend, LmRequest, LmResponse, request_for
 from .retrieval import RetrievalIndex, search
 from .types import (RETRIEVAL_ACTIONS, ActionKind, ActionStep, DocumentRef, Question,
                     SearchConfig, Trajectory, derive_seed)
@@ -113,7 +113,7 @@ def default_prompts() -> PromptLibrary:
     return PromptLibrary.from_dir()
 
 
-class Scope(LmBackend):
+class Scope(Ledger):
     """One question's state: the question, its config seeded from its id,
     the shared backend and index, the prompts (the packaged ones by default),
     its own ledger, memos of its greedy requests and its searches (``hits``,
@@ -146,35 +146,31 @@ class Scope(LmBackend):
         self.steps: dict[str, list[str]] = {}
         self._greedy: dict[LmRequest, LmResponse] = {}
 
-    def complete(self, req: LmRequest, sent=None) -> LmResponse:
-        if req.temperature != 0:
-            return super().complete(req, sent)
-        resp = self._greedy.get(req)
-        if resp is None:
-            resp = self._greedy[req] = super().complete(req, sent)
-        return resp
+    def complete(self, req: LmRequest) -> LmResponse:
+        return self.complete_many([req])[0]
 
-    def _send_many(self, reqs: Sequence[LmRequest]) -> list[Callable[[], LmResponse] | None]:
-        """Each distinct miss is sent once, through the backend's
-        ``settle_many``; ``complete`` then books here, in order, each that
-        arrived. A greedy request the memo holds is not sent."""
+    def complete_many(self, reqs: Sequence[LmRequest]) -> list[LmResponse]:
+        """The responses to ``reqs``, in order, from the memo or from one wave
+        (the backend's ``settle_many``) that sends each distinct miss once.
+        Every arrival is booked here; then the first failure, if any, is raised."""
         misses: list[LmRequest] = []
-        position: list[int | None] = []  # each request's miss, or None for a memo hit
+        slots: list[LmResponse | int] = []  # each request's memo hit, or its miss
         for req in reqs:
-            if req.temperature == 0 and req in self._greedy:
-                position.append(None)
-            elif req.temperature == 0 and req in misses:
-                position.append(misses.index(req))
-            else:
-                position.append(len(misses))
+            hit = self._greedy.get(req)  # only greedy requests are remembered
+            if hit is None and (req.temperature or req not in misses):
                 misses.append(req)
+            slots.append(hit or (len(misses) - 1 if req.temperature else misses.index(req)))
         outcomes = self.backend.settle_many(misses) if misses else []
-        return [None if i is None else functools.partial(settled, outcomes[i])
-                for i in position]
-
-    def _complete(self, req: LmRequest) -> LmResponse:
-        # looked up on every call: a tracer may replace it on the instance
-        return self.backend.complete(req)
+        for req, outcome in zip(misses, outcomes):
+            if isinstance(outcome, LmResponse):
+                self.book(req, outcome)
+                if req.temperature == 0:
+                    self._greedy[req] = outcome
+        resps = [outcomes[s] if isinstance(s, int) else s for s in slots]
+        for resp in resps:
+            if isinstance(resp, Exception):
+                raise resp
+        return resps
 
     def keep_vote(self, prompt: str, samples: Sequence[str]) -> tuple[str | None, ...]:
         """Keep the answer labels of ``samples`` of ``prompt`` as its vote."""

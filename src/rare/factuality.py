@@ -126,7 +126,7 @@ def split_statements(traj: Trajectory) -> list[str]:
     return split_sentences(text)
 
 
-def generate_queries(statement: str, backend: LmBackend, n: int) -> list[str]:
+def generate_queries(statement: str, backend: Scope | LmBackend, n: int) -> list[str]:
     """Up to ``n`` retrieval queries for a statement; falls back to the
     statement itself when the reply parses to nothing."""
     prompt = QUERY_PROMPT.format(n=n, statement=statement)
@@ -137,7 +137,7 @@ def generate_queries(statement: str, backend: LmBackend, n: int) -> list[str]:
     return queries
 
 
-def rate_statement(statement: str, evidence: tuple, backend: LmBackend) -> str:
+def rate_statement(statement: str, evidence: tuple, backend: Scope | LmBackend) -> str:
     """Label a statement against evidence snippets. A negated label ("not"
     and a space, underscore or hyphen before "supported", or
     "unsupported") is checked before "supported", which each of them

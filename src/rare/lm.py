@@ -7,15 +7,14 @@ cost ledger counting calls and tokens per purpose. A question reaches the
 shared backend through its ``rare.actions.Scope``, which keeps the
 question's own ledger and answers its repeated greedy requests.
 
-``complete_many`` sends a wave of independent requests with their round
+``settle_many`` sends a wave of independent requests with their round
 trips overlapped on a shared pool, then checks and books every response on
-the caller's thread, in request order (``settle_many`` keeps each failure in
-its place instead of raising the first). The scripted backend serves a wave
-one request at a time.
+the caller's thread, in request order, keeping each failure in its place.
+The scripted backend serves a wave one request at a time.
 
 ``requests`` is imported only when the HTTP backend opens a session or
-posts, and ``concurrent.futures`` on the first overlapped wave, so
-importing the package and running offline never load them.
+posts, so importing the package and running offline never load it. The wave
+pool is made at import, but starts no thread until an overlapped wave.
 
 Token counts from the scripted backend are whitespace word counts, so fixture
 authors can verify ledger totals by hand.
@@ -28,6 +27,7 @@ import random
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -52,11 +52,10 @@ MAX_TOKENS = 1024  # completion cap that HttpBackend sends with every request
 # benchmark's tree-cpu workload reads 581 distinct lines; a full memo is
 # emptied and refills from the lines that follow.
 LINE_MEMO_SIZE = 2048
-# Threads of the pool that overlaps waves (``complete_many``), shared by
-# every backend and worker; a wave's first request stays on the caller's thread.
+# Threads of the pool that overlaps waves (``settle_many``), shared by every
+# backend and worker; a wave's first request stays on the caller's thread.
 WAVE_THREADS = 8
-_wave_pool = None
-_wave_lock = threading.Lock()
+_wave_pool = ThreadPoolExecutor(WAVE_THREADS, "rare-wave")
 
 # The endpoint's temperature drives sampling diversity; rating is greedy.
 DEFAULT_TEMPERATURES = {
@@ -114,19 +113,16 @@ class CostLedger:
         return sum(v[2] for v in self.per_purpose.values())
 
 
-class LmBackend:
-    """Base class providing ledger accounting around ``_complete``."""
+class Ledger:
+    """Thread-safe call and token counts per purpose, of a backend or a ``Scope``."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         # purpose -> [calls, prompt tokens, completion tokens]
         self._per_purpose: dict[str, list[int]] = {}
 
-    def complete(self, req: LmRequest, sent: Callable[[], LmResponse] | None = None,
-                 ) -> LmResponse:
-        """``req``'s response, checked and booked. ``sent``, when given, returns
-        it in place of ``_complete``: a round trip ``settle_many`` started."""
-        resp = self._complete(req) if sent is None else sent()
+    def book(self, req: LmRequest, resp: LmResponse) -> LmResponse:
+        """Check ``resp`` against ``req``, count it and return it."""
         if len(resp.completions) != req.n_samples:
             raise MalformedReplyError(
                 f"backend returned {len(resp.completions)} completions for n={req.n_samples}"
@@ -138,36 +134,39 @@ class LmBackend:
             bucket[2] += resp.completion_tokens
         return resp
 
-    def complete_many(self, reqs: Sequence[LmRequest]) -> list[LmResponse]:
-        """The responses to ``reqs``, in order: ``settle_many``, then the first
-        failure in request order, if any, is raised."""
-        return [settled(outcome) for outcome in self.settle_many(reqs)]
-
-    def settle_many(self, reqs: Sequence[LmRequest]) -> list[LmResponse | Exception]:
-        """Each request's response, or the exception it raised, in order. The
-        wave is sent at once (``_send_many``); then ``complete`` checks and
-        books each response on this thread, in order."""
-        outcomes: list[LmResponse | Exception] = []
-        for req, sent in zip(reqs, self._send_many(reqs)):
-            try:
-                outcomes.append(self.complete(req, sent=sent))
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    def _send_many(self, reqs: Sequence[LmRequest]) -> list[Callable[[], LmResponse] | None]:
-        """What ``complete`` waits on for each request: all but the first go to
-        the wave pool, unless this is a pool thread; the first (None) is sent
-        by ``complete`` itself, on this thread, once they are under way."""
-        sent: list[Callable[[], LmResponse] | None] = [None] * len(reqs)
-        if len(reqs) > 1 and not threading.current_thread().name.startswith("rare-wave"):
-            pool = _wave_executor()
-            sent[1:] = [pool.submit(self._complete, req).result for req in reqs[1:]]
-        return sent
-
     def snapshot_costs(self) -> CostLedger:
         with self._lock:
             return CostLedger({k: tuple(v) for k, v in self._per_purpose.items()})
+
+
+class LmBackend(Ledger):
+    """Base class providing ledger accounting around ``_complete``."""
+
+    serves_in_turn = False  # True: no round trip to overlap, so waves go in turn
+
+    def complete(self, req: LmRequest, sent: Callable[[], LmResponse] | None = None,
+                 ) -> LmResponse:
+        """``req``'s response, checked and booked. ``sent``, when given, returns
+        it in place of ``_complete``: a round trip ``settle_many`` started."""
+        return self.book(req, self._complete(req) if sent is None else sent())
+
+    def settle_many(self, reqs: Sequence[LmRequest]) -> list[LmResponse | Exception]:
+        """Each request's response, or the exception it raised, in order. All
+        but the first go to the wave pool at once, unless the backend serves
+        in turn or this is a pool thread (whose waves would wait on a full
+        pool); then ``complete`` sends the first and checks and books each
+        response on this thread, in order."""
+        sent: list[Callable[[], LmResponse] | None] = [None] * len(reqs)
+        if not (self.serves_in_turn or threading.current_thread().name.startswith("rare-wave")):
+            sent[1:] = [_wave_pool.submit(self._complete, req).result for req in reqs[1:]]
+        outcomes: list[LmResponse | Exception] = []
+        for req, result in zip(reqs, sent):
+            try:  # the caller's own request is booked as a lone call is
+                outcomes.append(self.complete(req) if result is None
+                                else self.complete(req, sent=result))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
 
     def _complete(self, req: LmRequest) -> LmResponse:
         raise NotImplementedError
@@ -180,24 +179,6 @@ class LmBackend:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def settled(outcome: LmResponse | Exception) -> LmResponse:
-    """One outcome of ``settle_many``: the response, or the failure raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _wave_executor():
-    """The shared wave pool, made on the first overlapped wave."""
-    global _wave_pool
-    with _wave_lock:
-        if _wave_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _wave_pool = ThreadPoolExecutor(WAVE_THREADS, "rare-wave")
-    return _wave_pool
 
 
 @dataclass(frozen=True)
@@ -344,6 +325,8 @@ class ScriptedBackend(LmBackend):
     whatever ``c``, when the entry's completion count divides ``n``.
     """
 
+    serves_in_turn = True
+
     def __init__(self, entries: Iterable[ScriptEntry]):
         super().__init__()
         self.entries = tuple(entries)
@@ -354,10 +337,6 @@ class ScriptedBackend(LmBackend):
         # why worker threads share them without a lock.
         self._index = {purpose: _PurposeIndex(bucket) for purpose, bucket in buckets.items()}
         self._tokens = _LineMemo(count_tokens)
-
-    def _send_many(self, reqs: Sequence[LmRequest]) -> list[None]:
-        """A scripted reply has no round trip to overlap: each is served in turn."""
-        return [None] * len(reqs)
 
     def _complete(self, req: LmRequest) -> LmResponse:
         lines = req.prompt.split("\n")

@@ -149,8 +149,8 @@ def expand(tree: SearchTree, node: TreeNode) -> list[TreeNode]:
     node, the only kind ``rollout`` expands. A node at the depth cap, or one
     where every action fails, is marked terminal-failed (reward 0).
 
-    The legal kinds run together (``action_requests``): each wave sends
-    their next requests in kind order through ``scope.complete_many``. So
+    The legal kinds run together (``action_requests``): their next requests
+    go out in kind order through ``scope.complete_many``, as one wave. So
     wave 1 holds every kind's first request (A6's query_gen, or its action
     request when the scope remembers the query_gen) and wave 2, if any,
     A6's action request; A6 is last, so requests go out in the order of

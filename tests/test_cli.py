@@ -643,3 +643,29 @@ def test_offline_run_never_loads_the_http_client(tmp_path):
     after_import, rc, after_run = json.loads(proc.stdout.splitlines()[-1])
     assert (after_import, rc, after_run) == (False, 0, False)
     assert json.loads((tmp_path / "report.json").read_text())["num_questions"] == 6
+
+
+_SCRIPTED_RUN = """
+import json, sys, threading
+import rare, rare.cli
+rc = rare.cli.main(sys.argv[1:])
+print(json.dumps([rc, [t.name for t in threading.enumerate() if t.name.startswith("rare-wave")]]))
+"""
+
+
+def test_scripted_run_starts_no_wave_thread(tmp_path):
+    # the wave pool is made at import; a scripted backend serves every wave in turn
+    workspace = make_workspace(tmp_path, 6, 4)
+    src = str(Path(rare.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPTED_RUN, "eval",
+         "--dataset", str(workspace["dataset"]), "--method", "rare",
+         "--index", str(workspace["index"]),
+         "--backend", "script", "--script", str(workspace["script"]),
+         "--rollouts", "4", "--out", str(tmp_path / "report.json")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert json.loads((tmp_path / "report.json").read_text())["num_questions"] == 6

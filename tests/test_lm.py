@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -962,14 +963,37 @@ class _Echo(LmBackend):
         return lm.LmResponse((req.prompt,) * req.n_samples, 1, 1)
 
 
+class _Nesting(_Echo):
+    """Sends, in each round trip, a nested wave of three requests through
+    ``inner``'s ``settle_many``, once ``parties`` round trips have begun."""
+
+    def __init__(self, inner, parties):
+        super().__init__()
+        self.inner = inner
+        self.waiting = parties
+        self.all_begun = threading.Event()
+        self.counting = threading.Lock()
+
+    def _complete(self, req):
+        with self.counting:
+            self.waiting -= 1
+            if not self.waiting:
+                self.all_begun.set()
+        self.all_begun.wait(10)
+        nested = self.inner.settle_many([LmRequest(f"{req.prompt}/{j}") for j in range(3)])
+        assert all(isinstance(outcome, lm.LmResponse) for outcome in nested)
+        return super()._complete(req)
+
+
 class TestWaves:
-    """``complete_many`` overlaps a wave's round trips and books them on the
-    caller's thread, in request order."""
+    """A backend's one wave method, ``settle_many``, overlaps a wave's round
+    trips and books them on the caller's thread, in request order; a
+    question's ``Scope.complete_many`` sends every request through it."""
 
     def test_a_waves_round_trips_are_in_flight_at_once(self):
         backend = _Echo(parties=4)
-        resps = backend.complete_many([LmRequest(p) for p in ("a", "b", "c", "d")])
-        assert [r.completions for r in resps] == [("a",), ("b",), ("c",), ("d",)]
+        outcomes = backend.settle_many([LmRequest(p) for p in ("a", "b", "c", "d")])
+        assert [o.completions for o in outcomes] == [("a",), ("b",), ("c",), ("d",)]
         assert backend.snapshot_costs().total_calls == 4
         # the caller sends the first request itself, the pool the rest
         here = threading.current_thread()
@@ -982,26 +1006,33 @@ class TestWaves:
         seen = []
         original = backend.complete
 
-        def complete(req, sent):
+        def complete(req, sent=None):
             seen.append((req.prompt, threading.current_thread(), sent is None))
             return original(req, sent)
 
         backend.complete = complete
-        backend.complete_many([LmRequest(p) for p in ("a", "b", "c")])
+        backend.settle_many([LmRequest(p) for p in ("a", "b", "c")])
         # the first round trip is the caller's own; the others were started on the pool
         here = threading.current_thread()
         assert seen == [("a", here, True), ("b", here, False), ("c", here, False)]
 
-    def test_first_failure_is_raised_after_every_arrival_is_booked(self):
+    def test_each_outcome_is_kept_in_its_place(self):
         backend = _Echo(parties=4)
         wave = [LmRequest(p) for p in ("fail first", "a", "fail second", "b")]
-        with pytest.raises(TransportError, match="^fail first$"):
-            backend.complete_many(wave)
-        assert backend.snapshot_costs().total_calls == 2
         outcomes = backend.settle_many(wave)
         assert [str(o) if isinstance(o, TransportError) else o.completions
                 for o in outcomes] == ["fail first", ("a",), "fail second", ("b",)]
-        assert backend.snapshot_costs().total_calls == 4
+        assert backend.snapshot_costs().total_calls == 2
+
+    def test_first_failure_is_raised_after_every_arrival_is_booked(self):
+        inner = _Echo(parties=4)
+        scope = scope_over(inner)
+        wave = [LmRequest(p, temperature=0.8) for p in ("a", "fail first", "b", "fail second")]
+        with pytest.raises(TransportError, match="^fail first$"):
+            scope.complete_many(wave)
+        assert sorted(inner.threads) == ["a", "b", "fail first", "fail second"]
+        assert scope.snapshot_costs() == inner.snapshot_costs()
+        assert scope.snapshot_costs().total_calls == 2
 
     def test_scope_books_every_arrival_of_a_failed_wave(self):
         inner = _Echo(parties=3)
@@ -1024,9 +1055,33 @@ class TestWaves:
                 return super()._complete(req)
 
         backend = Watched([ScriptEntry("action_gen", ("x",))])
-        resps = backend.complete_many([LmRequest("p"), LmRequest("q"), LmRequest("r")])
-        assert [r.completions for r in resps] == [("x",)] * 3
+        outcomes = backend.settle_many([LmRequest("p"), LmRequest("q"), LmRequest("r")])
+        assert [o.completions for o in outcomes] == [("x",)] * 3
         assert threads == [threading.current_thread()] * 3
+
+    def test_a_wave_sent_from_a_pool_thread_is_served_in_turn(self, monkeypatch):
+        # every pool thread at once sends a nested wave: were it to queue on
+        # the pool its thread waits on, no thread would be left to serve it
+        pool = ThreadPoolExecutor(lm.WAVE_THREADS, "rare-wave")
+        monkeypatch.setattr(lm, "_wave_pool", pool)
+        inner = _Echo()
+        backend = _Nesting(inner, parties=lm.WAVE_THREADS + 1)  # the pool and the caller
+        wave = [LmRequest(str(i)) for i in range(lm.WAVE_THREADS + 2)]
+        outcomes = []
+        caller = threading.Thread(target=lambda: outcomes.extend(backend.settle_many(wave)))
+        caller.start()
+        caller.join(timeout=30)
+        try:
+            assert not caller.is_alive(), "a nested wave waited on a full pool"
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)  # ends a deadlock
+        assert [o.completions for o in outcomes] == [(r.prompt,) for r in wave]
+        for req in wave[1:]:
+            pool_thread = backend.threads[req.prompt]
+            assert pool_thread.name.startswith("rare-wave")
+            assert [inner.threads[f"{req.prompt}/{j}"] for j in range(3)] == [pool_thread] * 3
+        # the caller's own nested wave overlaps, as any wave does
+        assert [inner.threads[f"0/{j}"] is caller for j in range(3)] == [True, False, False]
 
     def test_scope_wave_sends_each_distinct_miss_once(self):
         inner = RecordingBackend(memo_script())
@@ -1045,6 +1100,21 @@ class TestWaves:
         assert scope.snapshot_costs() == inner.snapshot_costs()
         assert scope.complete_many([LmRequest("beta")]) == [resps[1]]
         assert inner.snapshot_costs().total_calls == 5
+
+    def test_a_scopes_lone_request_is_a_wave_of_one(self):
+        inner = RecordingBackend(memo_script())
+        waves = []
+        settle_many = inner.settle_many
+        inner.settle_many = lambda reqs: waves.append(list(reqs)) or settle_many(reqs)
+        scope = scope_over(inner)
+        first = scope.complete(LmRequest("alpha"))
+        assert waves == [[LmRequest("alpha")]]
+        # remembered: no wave, and no call in either ledger
+        assert scope.complete(LmRequest("alpha")) is first
+        scope.complete(LmRequest("alpha", temperature=0.8))
+        assert waves == [[LmRequest("alpha")], [LmRequest("alpha", temperature=0.8)]]
+        assert scope.snapshot_costs() == inner.snapshot_costs()
+        assert inner.snapshot_costs().total_calls == 2
 
     def test_http_wave_is_in_flight_at_once_and_close_closes_pool_sessions(
             self, monkeypatch):
@@ -1078,8 +1148,8 @@ class TestWaves:
         try:
             backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", model="m",
                                   timeout=20, max_attempts=1)
-            resps = backend.complete_many([LmRequest(p) for p in ("a", "b", "c")])
-            assert [r.completions for r in resps] == [("a",), ("b",), ("c",)]
+            outcomes = backend.settle_many([LmRequest(p) for p in ("a", "b", "c")])
+            assert [o.completions for o in outcomes] == [("a",), ("b",), ("c",)]
             # the caller's session and one on each of two pool threads
             assert len(created) == 3
             backend.close()
